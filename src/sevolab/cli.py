@@ -5,6 +5,8 @@ answers to `simulate`).  Every run resolves a full ExperimentConfig
 from built-in defaults, an optional --config JSON file, dotted --set
 overrides, and convenience flags, in that order; the resolved config
 and its hash are echoed into the output directory next to the data.
+The built-in defaults name every option and tolerance a kind reads;
+any other key, or a value of another type, is a usage error.
 
 Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 usage or
 runtime error.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -53,6 +56,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _keyword_defaults(fn, *names, **renamed) -> dict:
+    """Keyword defaults of fn under their config names (a keyword passed
+    as config_name="parameter" is renamed), so fn's signature stays the
+    only copy of each value.  Tuples become JSON lists."""
+    params = inspect.signature(fn).parameters
+    out = {}
+    for key, name in [(n, n) for n in names] + list(renamed.items()):
+        value = params[name].default
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 _DEFAULTS = {
     "exponents": {
         "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
@@ -67,30 +82,34 @@ _DEFAULTS = {
         "data": {"epsilon": 0.3, "components": [
             {"amp0": 1.0, "amp1": 1.0}, {"amp0": 1.0, "amp1": 1.0}]},
         "options": {"t_end": 200.0, "dt": 0.05, "dt_policy": "adaptive",
-                    "outputs": 64},
+                    **_keyword_defaults(run, "outputs", "linear_only")},
     },
     "decay": {
         "params": {"n": 1, "sigma": 1.0, "p": [3.0, 4.0]},
         "grid": {"N": 512, "L": 40.0},
         "data": {"epsilon": 1e-3, "components": [
             {"amp0": 1.0}, {"amp0": 1.0}]},
-        "options": {"t_end": 1e4, "dt": 0.05, "dt_policy": "adaptive",
-                    "outputs": 200},
-        "tolerances": {"fit": 0.1},
+        "options": _keyword_defaults(decay_experiment, "t_end", "dt",
+                                     "dt_policy", "outputs", "linear_only"),
+        "tolerances": _keyword_defaults(decay_experiment,
+                                        fit="fit_tolerance"),
     },
     "lifespan": {
         "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
         "grid": {"N": 2048, "L": 160.0},
         "data": {"epsilon": 0.4, "components": [
             {"amp0": 0.25, "amp1": 0.25}, {"amp0": 0.25, "amp1": 0.25}]},
-        "options": {"epsilons": [0.05, 0.1, 0.2, 0.4], "dt": 0.05,
-                    "first_cap": 1e4, "cap_factor": 100.0},
-        "tolerances": {"lifespan": 0.3},
+        "options": {"epsilons": [0.05, 0.1, 0.2, 0.4],
+                    **_keyword_defaults(lifespan_sweep, "dt", "dt_policy",
+                                        "first_cap", "cap_factor")},
+        "tolerances": _keyword_defaults(lifespan_sweep,
+                                        lifespan="fit_tolerance"),
     },
     "testfunc": {
         "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
         "options": {"nu_list": [0.5, 1.0, 1.5], "r_list": [2, 4, 8],
-                    "mu": 16, "lam": 2.0},
+                    "lam": 2.0,
+                    **_keyword_defaults(verify_eta_condition, "mu")},
         "tolerances": {"scaling": 1e-3, "stability": 0.1},
     },
     "convergence": {
@@ -98,8 +117,9 @@ _DEFAULTS = {
         "grid": {"N": 256, "L": 20.0},
         "data": {"epsilon": 0.5, "components": [
             {"amp0": 1.0, "amp1": 0.5}, {"amp0": 0.8, "amp1": -0.3}]},
-        "options": {"t_end": 1.0, "dt_ladder": [1e-2, 5e-3, 2.5e-3],
-                    "dt_reference": 3.125e-4, "n_ladder": [128, 256, 512]},
+        "options": _keyword_defaults(convergence_study, "t_end",
+                                     "dt_ladder", "dt_reference",
+                                     "n_ladder", "linear_only"),
         "tolerances": {"ratio_low": 3.0, "ratio_high": 5.0,
                        "tail": 1e-10},
     },
@@ -113,6 +133,36 @@ def _deep_update(base: dict, extra: dict) -> dict:
         else:
             base[key] = value
     return base
+
+
+def _fits(value, default) -> bool:
+    """Whether value may stand where default stands: ints pass for
+    floats, only bools pass for bools, lists are checked item by item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _fits(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_keys(doc: dict, kind: str):
+    for section in ("options", "tolerances"):
+        known = _DEFAULTS[kind].get(section, {})
+        given = doc.get(section, {})
+        if not isinstance(given, dict):
+            raise UsageError(f"{section} must be a JSON object")
+        for key, value in given.items():
+            if key not in known:
+                raise UsageError(
+                    f"unknown key {section}.{key}; {kind} knows "
+                    f"{', '.join(sorted(known)) or 'none'}")
+            if not _fits(value, known[key]):
+                raise UsageError(
+                    f"{section}.{key} = {value!r} does not match the "
+                    f"type of its default {known[key]!r}")
 
 
 def _resolve_config(args, kind: str) -> ExperimentConfig:
@@ -136,6 +186,7 @@ def _resolve_config(args, kind: str) -> ExperimentConfig:
         apply_overrides(doc, args.set)
     if args.out:
         doc["out"] = args.out
+    _check_keys(doc, kind)
     try:
         return config_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -203,7 +254,7 @@ def _cmd_exponents(args) -> int:
 def _cmd_kernels(args) -> int:
     config = _resolve_config(args, "kernels")
     n, sigma = config.params.n, config.params.sigma
-    tol = config.tolerances.get("profile", 0.05)
+    tol = config.tolerances["profile"]
     cases = (("L2L2", sigma), ("L2L2", 2.0 * sigma), ("L1L2", 0.0))
     failed = False
     rows = []
@@ -233,21 +284,9 @@ def _cmd_kernels(args) -> int:
     return VERDICT_FAILED if failed else PASS
 
 
-def _run_config(config: ExperimentConfig):
-    opts = config.options
-    return run(
-        config.params, config.grid, config.data,
-        t_end=float(opts.get("t_end", 100.0)),
-        dt=float(opts.get("dt", 0.05)),
-        dt_policy=str(opts.get("dt_policy", "adaptive")),
-        outputs=int(opts.get("outputs", 64)),
-        linear_only=bool(opts.get("linear_only", False)),
-    )
-
-
 def _cmd_simulate(args) -> int:
     config = _resolve_config(args, "blowup")
-    result = _run_config(config)
+    result = run(config.params, config.grid, config.data, **config.options)
     out_dir = _emit(config)
     write_norms_csv(out_dir / "norms.csv", result)
     verdict = {
@@ -277,15 +316,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decay(args) -> int:
     config = _resolve_config(args, "decay")
-    opts = config.options
     rep = decay_experiment(
         config.params, config.grid, config.data,
-        t_end=float(opts.get("t_end", 1e4)),
-        dt=float(opts.get("dt", 0.05)),
-        dt_policy=str(opts.get("dt_policy", "adaptive")),
-        fit_tolerance=float(config.tolerances.get("fit", 0.1)),
-        outputs=int(opts.get("outputs", 200)),
-        linear_only=bool(opts.get("linear_only", False)),
+        fit_tolerance=config.tolerances["fit"], **config.options,
     )
     out_dir = _emit(config)
     write_norms_csv(out_dir / "norms.csv", rep.run)
@@ -322,16 +355,9 @@ def _cmd_decay(args) -> int:
 
 def _cmd_lifespan(args) -> int:
     config = _resolve_config(args, "lifespan")
-    opts = config.options
     sweep = lifespan_sweep(
         config.params, config.grid, config.data.components,
-        tuple(float(e) for e in opts.get("epsilons", (0.05, 0.1, 0.2, 0.4))),
-        dt=float(opts.get("dt", 0.05)),
-        dt_policy=str(opts.get("dt_policy", "adaptive")),
-        first_cap=float(opts.get("first_cap", 1e4)),
-        cap_factor=float(opts.get("cap_factor", 100.0)),
-        fit_tolerance=float(config.tolerances.get("lifespan", 0.3)),
-        threads=args.threads,
+        fit_tolerance=config.tolerances["lifespan"], **config.options,
     )
     out_dir = _emit(config)
     write_lifespan_csv(out_dir / "lifespan.csv", sweep)
@@ -367,10 +393,10 @@ def _cmd_testfunc(args) -> int:
     config = _resolve_config(args, "testfunc")
     opts = config.options
     n, sigma = config.params.n, config.params.sigma
-    nu_list = [float(v) for v in opts.get("nu_list", (0.5, 1.0, 1.5))]
-    r_list = [int(r) for r in opts.get("r_list", (2, 4, 8))]
-    scaling_tol = float(config.tolerances.get("scaling", 1e-3))
-    stability_tol = float(config.tolerances.get("stability", 0.1))
+    nu_list, r_list = opts["nu_list"], opts["r_list"]
+    lam, mu = opts["lam"], opts["mu"]
+    scaling_tol = config.tolerances["scaling"]
+    stability_tol = config.tolerances["stability"]
     failed = False
     scaling = {}
     for nu in nu_list:
@@ -395,8 +421,6 @@ def _cmd_testfunc(args) -> int:
                                   "drift": drift}
         print(f"weight decay nu={nu:<4g} q={q:g}: sup {fine:.6g} "
               f"drift {drift:.2%} {'pass' if ok else 'FAIL'}")
-    lam = float(opts.get("lam", 2.0))
-    mu = int(opts.get("mu", 16))
     try:
         sup = verify_eta_condition(lam, mu=mu)
         print(f"eta condition lam'={lam / (lam - 1.0):g} mu={mu}: "
@@ -415,19 +439,10 @@ def _cmd_testfunc(args) -> int:
 
 def _cmd_convergence(args) -> int:
     config = _resolve_config(args, "convergence")
-    opts = config.options
-    rep = convergence_study(
-        config.params, config.grid, config.data,
-        t_end=float(opts.get("t_end", 1.0)),
-        dt_ladder=tuple(float(d) for d in
-                        opts.get("dt_ladder", (1e-2, 5e-3, 2.5e-3))),
-        dt_reference=float(opts.get("dt_reference", 3.125e-4)),
-        n_ladder=tuple(int(N) for N in opts.get("n_ladder", (128, 256, 512))),
-        linear_only=bool(opts.get("linear_only", False)),
-    )
-    lo = float(config.tolerances.get("ratio_low", 3.0))
-    hi = float(config.tolerances.get("ratio_high", 5.0))
-    tail_tol = float(config.tolerances.get("tail", 1e-10))
+    tols = config.tolerances
+    lo, hi, tail_tol = tols["ratio_low"], tols["ratio_high"], tols["tail"]
+    rep = convergence_study(config.params, config.grid, config.data,
+                            **config.options)
     failed = False
     for dt, err in zip(rep.dt_ladder, rep.errors):
         print(f"dt {dt:<10g} error {err:.6e}")
@@ -460,8 +475,6 @@ def build_parser() -> _Parser:
                         metavar="PATH=VALUE",
                         help="dotted-path config override, repeatable")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps")
     common.add_argument("--n", type=int, help="space dimension")
     common.add_argument("--sigma", type=float, help="operator exponent")
     common.add_argument("--p", help="coupling powers, comma separated")

@@ -17,7 +17,6 @@ can decay has decayed into the torus floor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +211,7 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
     """
     predicted_decay(params, weight_eps)  # ConditionsUnmet outside the regime
     result = run(params, grid, data, t_end, dt, dt_policy=dt_policy,
-                 outputs=outputs, linear_only=linear_only,
-                 weight_eps=weight_eps)
+                 outputs=outputs, linear_only=linear_only)
     if result.blown_up:
         raise BlowUpDuringDecayExperiment(
             f"blow-up at t = {result.blowup_time:.6g}; epsilon too large "
@@ -249,8 +247,8 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
 def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
                    epsilons, *, dt: float = 0.05,
                    dt_policy: str = "adaptive", first_cap: float = 1e4,
-                   cap_factor: float = 100.0, fit_tolerance: float = 0.3,
-                   threads: int = 1) -> LifespanSweep:
+                   cap_factor: float = 100.0,
+                   fit_tolerance: float = 0.3) -> LifespanSweep:
     """Blow-up time against epsilon, fitted against the predicted
     lifespan exponent.
 
@@ -294,14 +292,8 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
             return first_cap * (eps / eps_desc[0]) ** expected
         return cap_factor * anchor * (eps / eps_desc[0]) ** expected
 
-    rest = eps_desc[1:]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = pool.map(lambda e: detect(e, cap_for(e)), rest)
-            lifespans.update(zip(rest, found))
-    else:
-        for e in rest:
-            lifespans[e] = detect(e, cap_for(e))
+    for e in eps_desc[1:]:
+        lifespans[e] = detect(e, cap_for(e))
 
     eps_ok = [e for e in eps_desc if lifespans[e] is not None]
     if len(eps_ok) < 4:
@@ -361,11 +353,7 @@ def convergence_study(params: SystemParams, grid: GridSpec,
         g = GridSpec(n=grid.n, N=int(N), L=grid.L)
         u = final_u(g, dt_ladder[-1])
         hat = np.fft.fftn(u, axes=g.spatial_axes)
-        m = np.abs(np.fft.fftfreq(g.N, d=1.0 / g.N))
-        band = m > g.N / 3.0
-        if g.n == 2:
-            band = band[:, None] | band[None, :]
-        top = float(np.max(np.abs(hat[:, band])))
+        top = float(np.max(np.abs(hat[:, ~g.dealias_mask])))
         full = float(np.max(np.abs(hat)))
         tails.append(top / full if full > 0.0 else 0.0)
     return ConvergenceReport(

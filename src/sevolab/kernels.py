@@ -25,29 +25,12 @@ import numpy as np
 
 from .errors import FitUnstable
 
-# |a - 1| below this marks a mode as degenerate (double-root seam).
+# Half-width of the double-root neighbourhood |a - 1| < BRANCH_DELTA
+# whose edges the seam checks probe for continuity.  propagator_arrays
+# does not branch on it: its switches are |(a - 1) t| = 0.5 and a = 0.5.
 BRANCH_DELTA = 1e-4
 # Times are capped here; exponentials underflow to zero long before.
 T_CAP = 1e6
-
-
-@dataclass(frozen=True)
-class ModeSymbol:
-    """Spectral symbol of one Fourier mode."""
-
-    a: float
-
-    @property
-    def lambda_plus(self) -> float:
-        return -self.a
-
-    @property
-    def lambda_minus(self) -> float:
-        return -1.0
-
-    @property
-    def degenerate(self) -> bool:
-        return abs(self.a - 1.0) < BRANCH_DELTA
 
 
 @dataclass(frozen=True)

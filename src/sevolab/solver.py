@@ -20,8 +20,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BlowUpDetected, ConditionsUnmet, DataLeakage
-from .exponents import SystemParams, predicted_decay
+from .errors import BlowUpDetected, DataLeakage
+from .exponents import SystemParams
 from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
@@ -100,13 +100,16 @@ class FieldState:
 
     Arrays have shape (k,) + grid.shape, complex, conjugate-symmetric
     while the fields stay real.  blown_up marks a state whose physical
-    values crossed the blow-up threshold or went non-finite.
+    values crossed the blow-up threshold or went non-finite.  sup is
+    max |u| over all components and points when the state came out of
+    step(), which measures it for the blow-up check anyway; else None.
     """
 
     t: float
     u_hat: np.ndarray
     v_hat: np.ndarray
     blown_up: bool = False
+    sup: float | None = None
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,9 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  Raises BlowUpDetected carrying
-    the flagged state when physical values cross the threshold or go
-    non-finite.
+    predictor-corrector (second order).  The new state carries its sup.
+    Raises BlowUpDetected carrying the flagged state when physical
+    values cross the threshold or go non-finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -288,7 +291,7 @@ def _checked(state: FieldState, grid: GridSpec,
         raise BlowUpDetected(
             f"|u| reached {sup:.3e} at t = {state.t:.6g}", state=flagged
         )
-    return state
+    return FieldState(state.t, state.u_hat, state.v_hat, sup=sup)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
@@ -335,11 +338,8 @@ def symmetry_defect(state: FieldState) -> float:
 class RunResult:
     """Norm history of one integration plus the blow-up verdict.
 
-    Series arrays have shape (k, len(times)).  xnorm holds the
-    weighted-norm diagnostic (1+t)^(n/4sigma-eps_l) |u_l|_L2 +
-    (1+t)^(n/4sigma+1/2-eps_l) ||D|^sigma u_l|_L2 when the decay
-    hypotheses hold, else None.  snapshots are (t, u_physical) pairs at
-    the requested times.
+    Series arrays have shape (k, len(times)).  snapshots are
+    (t, u_physical) pairs at the requested times.
     """
 
     params: SystemParams
@@ -348,7 +348,6 @@ class RunResult:
     hsigma: np.ndarray
     sup: np.ndarray
     mean: np.ndarray
-    xnorm: np.ndarray | None
     blown_up: bool
     blowup_time: float | None
     snapshots: tuple
@@ -376,16 +375,16 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         t_end: float, dt: float, *, dt_policy: str = "fixed",
         outputs: int = 64, snapshot_times: tuple = (),
         linear_only: bool = False,
-        threshold: float = BLOWUP_THRESHOLD,
-        weight_eps: float = 0.01) -> RunResult:
+        threshold: float = BLOWUP_THRESHOLD) -> RunResult:
     """Integrate to t_end or blow-up, recording norms on a logarithmic
     output schedule (plus t = 0 and t_end themselves).
 
     dt_policy "fixed" keeps dt; "adaptive" halves it after a step whose
     relative sup change exceeds 10% and grows it by 1.2x (up to 8x the
-    initial dt) when the change stays under 3%.  Steps are clipped so
-    output and snapshot times are hit exactly.  Blow-up is a verdict in
-    the result, not an exception.
+    initial dt) when the change stays under 3%; the sup is the one each
+    step measures, so norms() runs only at recorded outputs.  Steps are
+    clipped so output and snapshot times are hit exactly.  Blow-up is a
+    verdict in the result, not an exception.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -427,7 +426,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     dt_now = float(dt)
     dt_min = dt / 1024.0
     dt_max = dt * 8.0
-    sup_prev = max(norms(grid, state, params.sigma)["sup"]) or None
+    sup_prev = max(rows[0]["sup"]) or None
     blown, t_blow = False, None
     steps = 0
     ev_idx = 0
@@ -445,14 +444,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             t_blow = _refine_blowup_time(state, h, params, grid, threshold)
             break
         steps += 1
-        sup_now = max(norms(grid, new, params.sigma)["sup"])
         if dt_policy == "adaptive" and sup_prev:
-            change = abs(sup_now - sup_prev) / sup_prev
+            change = abs(new.sup - sup_prev) / sup_prev
             if change > 0.10:
                 dt_now = max(dt_min, dt_now * 0.5)
             elif change < 0.03:
                 dt_now = min(dt_max, dt_now * 1.2)
-        sup_prev = sup_now or sup_prev
+        sup_prev = new.sup or sup_prev
         state = new
         if near(state.t, next_event):
             record(state)
@@ -463,24 +461,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     tarr = np.array(times)
     get = lambda key: np.array([[r[key][ell] for r in rows]
                                 for ell in range(k)])
-    l2, hs = get("l2"), get("hsigma")
-    try:
-        decay_l2, decay_hs = predicted_decay(params, weight_eps)
-        w = 1.0 + tarr
-        xnorm = np.array([
-            w ** (-decay_l2[ell]) * l2[ell] + w ** (-decay_hs[ell]) * hs[ell]
-            for ell in range(k)
-        ])
-    except ConditionsUnmet:
-        xnorm = None
     return RunResult(
         params=params,
         times=tarr,
-        l2=l2,
-        hsigma=hs,
+        l2=get("l2"),
+        hsigma=get("hsigma"),
         sup=get("sup"),
         mean=get("mean"),
-        xnorm=xnorm,
         blown_up=blown,
         blowup_time=t_blow,
         snapshots=tuple(snapshots),

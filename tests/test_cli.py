@@ -1,13 +1,16 @@
 """Config round-trip, file emission, and end-to-end CLI exit codes."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevolab import cli
 from sevolab.cli import cli_main
 from sevolab.config import (
     ExperimentConfig,
@@ -138,7 +141,7 @@ def fake_run(times, k=2, seed=3):
         params=P22, times=times, l2=rng.uniform(0.1, 2.0, shape),
         hsigma=rng.uniform(0.1, 2.0, shape),
         sup=rng.uniform(0.1, 2.0, shape),
-        mean=rng.normal(0.0, 1.0, shape), xnorm=None, blown_up=False,
+        mean=rng.normal(0.0, 1.0, shape), blown_up=False,
         blowup_time=None, snapshots=(), steps=7, data_report={})
 
 
@@ -311,3 +314,87 @@ class TestCliExitCodes:
         code = cli_main(["lifespan", "--p", "3,4"])
         assert code == 1
         assert "NotSubcritical" in capsys.readouterr().err
+
+
+# subcommand -> config kind (the blow-up kind answers to `simulate`)
+KINDS = {"exponents": "exponents", "kernels": "kernels",
+         "simulate": "blowup", "decay": "decay", "lifespan": "lifespan",
+         "testfunc": "testfunc", "convergence": "convergence"}
+SETTABLE = [(cmd, section, key) for cmd, kind in KINDS.items()
+            for section in ("options", "tolerances")
+            for key in cli._DEFAULTS[kind].get(section, {})]
+
+
+class _Reads(Mapping):
+    """Read-only view that logs each key looked up, ** unpacking included."""
+
+    def __init__(self, data, log):
+        self._data, self._log = data, log
+
+    def __getitem__(self, key):
+        self._log.add(key)
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestCliKeys:
+    @pytest.mark.parametrize("section", ["options", "tolerances"])
+    @pytest.mark.parametrize("cmd", sorted(KINDS))
+    def test_misspelt_key_is_usage_error(self, cmd, section, capsys):
+        assert cli_main([cmd, "--set", f"{section}.t_edn=1"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"{section}.t_edn" in err
+
+    def test_misspelt_key_in_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"options": {"t_edn": 300.0}}))
+        assert cli_main(["decay", "--config", str(cfg_file)]) == 1
+        assert "options.t_edn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,section,key", SETTABLE)
+    def test_wrong_type_is_usage_error(self, cmd, section, key, capsys):
+        assert cli_main([cmd, "--set", f'{section}.{key}={{"a": 1}}']) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["64.0", "true", "abc", "[64]"])
+    def test_wrong_scalar_type_is_usage_error(self, value, capsys):
+        assert cli_main(["simulate", "--set", f"options.outputs={value}"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", sorted(KINDS))
+    def test_echo_names_exactly_what_is_read(self, cmd, tmp_path,
+                                             monkeypatch):
+        reads = {"options": set(), "tolerances": set()}
+        echoed = {}
+        resolve = cli._resolve_config
+
+        def recording_resolve(args, kind):
+            config = resolve(args, kind)
+            doc = json.loads(write_config_echo(tmp_path, config).read_text())
+            echoed.update({s: set(doc["config"][s]) for s in reads})
+            return dataclasses.replace(
+                config,
+                options=_Reads(config.options, reads["options"]),
+                tolerances=_Reads(config.tolerances, reads["tolerances"]))
+
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(cli, "_resolve_config", recording_resolve)
+        # every command reads its configuration before its first call
+        # into the library, so stopping there sees every read
+        for name in ("report", "decay_profile", "run", "decay_experiment",
+                     "lifespan_sweep", "check_scaling", "convergence_study"):
+            monkeypatch.setattr(cli, name, stop)
+        with pytest.raises(_Stop):
+            cli_main([cmd])
+        assert reads == echoed

@@ -120,9 +120,9 @@ class TestMeanModeCutoff:
         times = np.linspace(0.0, 10.0, 11)
         zeros = np.zeros((2, 11))
         res = RunResult(params=P34, times=times, l2=np.ones((2, 11)),
-                        hsigma=zeros, sup=zeros, mean=zeros, xnorm=None,
-                        blown_up=False, blowup_time=None, snapshots=(),
-                        steps=0, data_report={})
+                        hsigma=zeros, sup=zeros, mean=zeros, blown_up=False,
+                        blowup_time=None, snapshots=(), steps=0,
+                        data_report={})
         assert mean_mode_cutoff(GridSpec(n=1, N=64, L=10.0), res) == 10.0
 
     def test_crossing_detected(self):
@@ -133,7 +133,7 @@ class TestMeanModeCutoff:
         # component 1 floor fraction crosses 0.9 at t = 6
         mean[0, 6:] = 0.95 / (2.0 * grid.L) ** 0.5
         res = RunResult(params=P34, times=times, l2=l2, hsigma=l2 * 0,
-                        sup=l2 * 0, mean=mean, xnorm=None, blown_up=False,
+                        sup=l2 * 0, mean=mean, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
         assert mean_mode_cutoff(grid, res) == 6.0
@@ -198,7 +198,7 @@ class TestXnormDiagnostic:
         times = np.linspace(0.0, 5.0, 6)
         zeros = np.zeros((2, 6))
         res = RunResult(params=P34, times=times, l2=zeros, hsigma=zeros,
-                        sup=zeros, mean=zeros, xnorm=None, blown_up=False,
+                        sup=zeros, mean=zeros, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
         xd = xnorm_diagnostic(res, P34)
@@ -213,7 +213,7 @@ class TestXnormDiagnostic:
                        np.exp(-0.25 * np.log1p(times))])
         zeros = np.zeros((2, 101))
         res = RunResult(params=P34, times=times, l2=l2, hsigma=zeros,
-                        sup=zeros, mean=zeros, xnorm=None, blown_up=False,
+                        sup=zeros, mean=zeros, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
         xd = xnorm_diagnostic(res, P34, window=(2.0, 8.0))
@@ -268,13 +268,6 @@ class TestLifespanSweep:
         assert abs(sw.fit.slope + 1.531) < 0.1
         assert sw.fit.expected == lifespan_exponent(P22)
         assert sw.fit.passed is False
-
-    def test_threaded_matches_sequential(self):
-        seq = lifespan_sweep(P22, self.GRID, self.COMPS,
-                             (0.3, 0.4, 0.5, 0.6))
-        par = lifespan_sweep(P22, self.GRID, self.COMPS,
-                             (0.3, 0.4, 0.5, 0.6), threads=2)
-        assert seq.lifespans == par.lifespans
 
     def test_no_blowup_at_cap(self):
         with pytest.raises(NoBlowUpAtCap):

@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from sevolab.errors import FitUnstable
 from sevolab.kernels import (
-    BRANCH_DELTA,
-    ModeSymbol,
     T_CAP,
     decay_profile,
     ode_residual,
@@ -90,6 +88,22 @@ class TestBranches:
                 lo = np.array(propagator_arrays(t, a0 - 1e-9))
                 hi = np.array(propagator_arrays(t, a0 + 1e-9))
                 assert float(np.max(np.abs(lo - hi))) < 1e-6
+
+    # The switches propagator_arrays really has: the seam form of k1
+    # for |(a - 1) t| < 0.5 and the low-a forms of i1/j1 for a < 0.5.
+    @pytest.mark.parametrize("t,a", [
+        *[(t, 1.0 + side * 0.5 / t) for t in (0.6, 2.0, 10.0, 50.0)
+          for side in (-1.0, 1.0)],
+        *[(t, 0.5) for t in (0.1, 1.0, 5.0, 50.0)],
+    ])
+    def test_relative_jump_at_branch_switch(self, t, a):
+        below, above = a * (1.0 - 1e-12), a * (1.0 + 1e-12)
+        sides = [(abs((b - 1.0) * t) < 0.5, b < 0.5) for b in (below, above)]
+        assert sides[0] != sides[1]  # the pair straddles a switch
+        lo = np.array(propagator_arrays(t, below))
+        hi = np.array(propagator_arrays(t, above))
+        rel = np.abs(hi - lo) / np.maximum(np.abs(lo), np.abs(hi))
+        assert float(np.max(rel)) <= 1e-8
 
     def test_dk1_analytic_off_seam(self):
         rng = np.random.default_rng(7)
@@ -167,20 +181,6 @@ class TestPositivityAndRange:
     def test_decay_at_infinity(self):
         k0, k1, *_ = propagator_arrays(1e5, 0.37)
         assert abs(k0) < 1e-300 and abs(k1) < 1e-300
-
-
-class TestModeSymbol:
-    def test_degenerate_window(self):
-        assert ModeSymbol(1.00005).degenerate
-        assert ModeSymbol(0.99995).degenerate
-        assert not ModeSymbol(1.0 + 2 * BRANCH_DELTA).degenerate
-        assert not ModeSymbol(1.2).degenerate
-
-    def test_root_factorization(self):
-        for a in (0.0, 0.5, 1.0, 2.7, 100.0):
-            m = ModeSymbol(a)
-            assert m.lambda_plus * m.lambda_minus == a
-            assert m.lambda_plus + m.lambda_minus == -(1.0 + a)
 
 
 class TestDecayProfile:

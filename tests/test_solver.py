@@ -373,6 +373,18 @@ class TestNorms:
             direct, rel=1e-12
         )
 
+    @pytest.mark.parametrize("n,linear_only",
+                             [(1, False), (2, False), (1, True)])
+    def test_step_sup_is_the_norms_sup(self, n, linear_only):
+        # run() steers dt with the sup step() attaches; it must be the
+        # very value norms() would report, bit for bit
+        grid = GridSpec(n=n, N=32, L=10.0)
+        data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
+        state, _ = make_initial_data(grid, data, 1.0)
+        new = step(state, 0.1, PARAMS_34, grid, linear_only=linear_only)
+        assert new.sup == max(norms(grid, new, 1.0)["sup"])
+        assert new.sup > 0.0
+
 
 class TestRun:
     def test_schedule_and_snapshots(self):
@@ -395,13 +407,6 @@ class TestRun:
         r2 = run(PARAMS_34, grid, gaussian_data(0.3), t_end=1.0, dt=0.02)
         assert np.array_equal(r1.l2, r2.l2)
         assert np.array_equal(r1.hsigma, r2.hsigma)
-
-    def test_xnorm_present_iff_decay_predicted(self):
-        grid = GridSpec(n=1, N=64, L=10.0)
-        sup = run(PARAMS_34, grid, gaussian_data(0.01), t_end=1.0, dt=0.05)
-        assert sup.xnorm is not None and sup.xnorm.shape == sup.l2.shape
-        sub = run(PARAMS_22, grid, gaussian_data(0.01), t_end=1.0, dt=0.05)
-        assert sub.xnorm is None
 
     def test_blowup_verdict_and_time(self):
         grid = GridSpec(n=1, N=256, L=40.0)

@@ -253,7 +253,7 @@ def fake_run(grid, snapshots, k=2):
     return RunResult(
         params=SystemParams(n=grid.n, sigma=1.0, k=k, p=(2.0,) * k),
         times=np.array([t for t, _ in snapshots]),
-        l2=z, hsigma=z, sup=z, mean=z, xnorm=None,
+        l2=z, hsigma=z, sup=z, mean=z,
         blown_up=False, blowup_time=None,
         snapshots=tuple(snapshots), steps=0,
     )
