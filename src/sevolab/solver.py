@@ -7,6 +7,18 @@ dealiased by the 2/3 rule, and injected through the Duhamel moment
 weights with one predictor-corrector sweep, so the stepper is second
 order in dt while remaining exact on linear problems.
 
+The fields are real, so step() works on rfftn half spectra (the m >= 0
+half of the last axis) and real transforms only: the propagator tables,
+the dealias mask and the nonlinearity live on that half, and the
+inverse transforms are irfftn, which returns real fields by
+construction.  At the boundary, states keep the full fftn layout, with
+the other half filled in by Hermitian symmetry, because norms(),
+make_initial_data and the closed-form checks multiply them by
+full-layout symbols.  The physical field step() computes for its
+blow-up check rides along in the state, so the next step does not
+transform it again: a stepped state costs 2 rfftn + 2 irfftn per
+nonlinear step.
+
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
 images; drivers pick L accordingly and fit on intermediate windows.
@@ -98,11 +110,15 @@ class GridSpec:
 class FieldState:
     """Spectral state (u_hat, v_hat) of all k components at one time.
 
-    Arrays have shape (k,) + grid.shape, complex, conjugate-symmetric
-    while the fields stay real.  blown_up marks a state whose physical
-    values crossed the blow-up threshold or went non-finite.  sup is
-    max |u| over all components and points when the state came out of
-    step(), which measures it for the blow-up check anyway; else None.
+    Arrays have shape (k,) + grid.shape, complex, in the full fftn
+    layout.  States out of step() are conjugate-symmetric by
+    construction: their m < 0 half of the last axis is the Hermitian
+    mirror of the half spectrum step() advances.  blown_up marks a
+    state whose physical values crossed the blow-up threshold or went
+    non-finite.  sup is max |u| over all components and points, and u
+    the real physical field of shape (k,) + grid.shape, when the state
+    came out of step(), which computes both for the blow-up check
+    anyway; else None.
     """
 
     t: float
@@ -110,6 +126,7 @@ class FieldState:
     v_hat: np.ndarray
     blown_up: bool = False
     sup: float | None = None
+    u: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -215,9 +232,39 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     return state, report
 
 
+def _half(arr: np.ndarray) -> np.ndarray:
+    """The rfftn half (m >= 0 on the last axis) of a full-layout array.
+
+    On grid.symbol and grid.dealias_mask this is exactly their rfftn
+    layout, since both are even in m.
+    """
+    return arr[..., : arr.shape[-1] // 2 + 1]
+
+
+def _full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Full fftn layout of a half spectrum of real fields: the missing
+    m < 0 columns are conj(u_hat(-m)), mirrored on the last axis and
+    flipped and rolled on the others."""
+    h = grid.N // 2 + 1
+    full = np.empty(half.shape[:-1] + (grid.N,), dtype=half.dtype)
+    full[..., :h] = half
+    tail = half[..., h - 2 : 0 : -1]
+    for ax in grid.spatial_axes[:-1]:
+        tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
+    np.conjugate(tail, out=full[..., h:])
+    return full
+
+
+def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
+    if state.u is not None:
+        return state.u
+    return np.fft.irfftn(_half(state.u_hat), s=grid.shape,
+                         axes=grid.spatial_axes)
+
+
 @lru_cache(maxsize=64)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
-    a = grid.symbol(sigma)
+    a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # Duhamel weights of the linear-in-time nonlinearity model
     w_old_u = j1 / dt
@@ -228,8 +275,16 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
+    """|u|^p for p > 1, magnitudes <= TINY flushed to 0.  Integer p by
+    repeated multiplication, which costs a fraction of a pow call."""
     au = np.abs(u)
-    return np.where(au > TINY, au, 0.0) ** p
+    au = np.where(au > TINY, au, 0.0)
+    if not float(p).is_integer():
+        return au ** p
+    out = au * au
+    for _ in range(int(p) - 2):
+        out *= au
+    return out
 
 
 def _nonlinearity_hat(u_phys, params, mask, axes):
@@ -237,7 +292,7 @@ def _nonlinearity_hat(u_phys, params, mask, axes):
     N = np.empty_like(u_phys)
     for ell in range(k):
         N[ell] = _power(u_phys[(ell - 1) % k], params.p[ell])
-    return np.fft.fftn(N, axes=axes) * mask
+    return np.fft.rfftn(N, axes=axes) * mask
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
@@ -246,9 +301,11 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  The new state carries its sup.
-    Raises BlowUpDetected carrying the flagged state when physical
-    values cross the threshold or go non-finite.
+    predictor-corrector (second order).  The new state carries its sup
+    and physical field; state.u, when set, stands in for the inverse
+    transform of state.u_hat.  Raises BlowUpDetected carrying the
+    flagged state when physical values cross the threshold or go
+    non-finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -258,52 +315,52 @@ def step(state: FieldState, dt: float, params: SystemParams,
         grid, params.sigma, dt
     )
     axes = grid.spatial_axes
-    uh, vh = state.u_hat, state.v_hat
+    t = state.t + dt
+    uh, vh = _half(state.u_hat), _half(state.v_hat)
     lin_u = k0 * uh + k1 * vh
     lin_v = dk0 * uh + dk1 * vh
     if linear_only:
-        new = FieldState(t=state.t + dt, u_hat=lin_u, v_hat=lin_v)
-        return _checked(new, grid, threshold)
-    u_phys = np.fft.ifftn(uh, axes=axes).real
-    Nh_old = _nonlinearity_hat(u_phys, params, grid.dealias_mask, axes)
-    u_pred = np.fft.ifftn(lin_u + i1 * Nh_old, axes=axes).real
+        return _checked(t, lin_u, lin_v, grid, threshold)
+    mask = _half(grid.dealias_mask)
+    Nh_old = _nonlinearity_hat(_physical(state, grid), params, mask, axes)
+    u_pred = np.fft.irfftn(lin_u + i1 * Nh_old, s=grid.shape, axes=axes)
     if not np.all(np.isfinite(u_pred)):
         raise BlowUpDetected(
-            f"non-finite predictor at t = {state.t + dt:.6g}",
-            state=FieldState(state.t + dt, lin_u, lin_v, blown_up=True),
+            f"non-finite predictor at t = {t:.6g}",
+            state=FieldState(t, _full(lin_u, grid), _full(lin_v, grid),
+                             blown_up=True),
         )
-    Nh_new = _nonlinearity_hat(u_pred, params, grid.dealias_mask, axes)
-    new = FieldState(
-        t=state.t + dt,
-        u_hat=lin_u + w_ou * Nh_old + w_nu * Nh_new,
-        v_hat=lin_v + w_ov * Nh_old + w_nv * Nh_new,
-    )
-    return _checked(new, grid, threshold)
+    Nh_new = _nonlinearity_hat(u_pred, params, mask, axes)
+    return _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
+                    lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
 
 
-def _checked(state: FieldState, grid: GridSpec,
-             threshold: float) -> FieldState:
-    u_phys = np.fft.ifftn(state.u_hat, axes=grid.spatial_axes).real
-    sup = float(np.max(np.abs(u_phys)))
+def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
+             grid: GridSpec, threshold: float) -> FieldState:
+    """Full-layout state at time t from half spectra, carrying its
+    physical field and sup, or BlowUpDetected with the flagged state."""
+    u = np.fft.irfftn(u_half, s=grid.shape, axes=grid.spatial_axes)
+    sup = float(np.max(np.abs(u)))
+    u_hat, v_hat = _full(u_half, grid), _full(v_half, grid)
     if not math.isfinite(sup) or sup > threshold:
-        flagged = FieldState(state.t, state.u_hat, state.v_hat,
-                             blown_up=True)
         raise BlowUpDetected(
-            f"|u| reached {sup:.3e} at t = {state.t:.6g}", state=flagged
+            f"|u| reached {sup:.3e} at t = {t:.6g}",
+            state=FieldState(t, u_hat, v_hat, blown_up=True),
         )
-    return FieldState(state.t, state.u_hat, state.v_hat, sup=sup)
+    return FieldState(t, u_hat, v_hat, sup=sup, u=u)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
     L2 and |D|^sigma L2 by Parseval from the coefficients, sup and mean
-    in physical space.
+    in physical space; sup reads the field step() carried, if any, so it
+    is the sup that step() measured.
     """
     k = state.u_hat.shape[0]
     a = grid.symbol(sigma)
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
-    u_phys = np.fft.ifftn(state.u_hat, axes=grid.spatial_axes).real
+    u_phys = _physical(state, grid)
     sq = np.abs(state.u_hat) ** 2
     sum_axes = grid.spatial_axes
     l2 = np.sqrt(vol_factor * np.sum(sq, axis=sum_axes))
@@ -415,8 +472,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         rows.append(norms(grid, st, params.sigma))
 
     def snap(st: FieldState):
-        u_phys = np.fft.ifftn(st.u_hat, axes=grid.spatial_axes).real
-        snapshots.append((st.t, u_phys))
+        snapshots.append((st.t, _physical(st, grid)))
 
     record(state)
     if snap_wanted and near(snap_wanted[0], 0.0):

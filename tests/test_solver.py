@@ -15,11 +15,13 @@ import pytest
 from sevolab.errors import BlowUpDetected, DataLeakage
 from sevolab.kernels import propagator_arrays
 from sevolab.solver import (
+    TINY,
     ComponentData,
     FieldState,
     GridSpec,
     InitialData,
     RunResult,
+    _power,
     make_initial_data,
     norms,
     run,
@@ -329,6 +331,157 @@ class TestNonlinearStep:
         with pytest.raises(BlowUpDetected) as exc:
             step(state, 0.1, PARAMS_34, grid, threshold=1e-6)
         assert exc.value.state.blown_up
+
+
+def reference_step(state, dt, params, grid):
+    """The full-spectrum predictor-corrector: complex fftn/ifftn on the
+    whole m range, a .real projection after every inverse transform,
+    tables on the full symbol and |u|^p by pow."""
+    axes = grid.spatial_axes
+    k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, grid.symbol(params.sigma))
+    w_ou = j1 / dt
+    w_nu = i1 - w_ou
+    w_nv = i1 / dt
+    w_ov = k1 - w_nv
+
+    def nonlinearity_hat(u):
+        au = np.abs(u)
+        au = np.where(au > TINY, au, 0.0)
+        force = np.stack([au[(ell - 1) % params.k] ** params.p[ell]
+                          for ell in range(params.k)])
+        return np.fft.fftn(force, axes=axes) * grid.dealias_mask
+
+    uh, vh = state.u_hat, state.v_hat
+    lin_u = k0 * uh + k1 * vh
+    lin_v = dk0 * uh + dk1 * vh
+    nh_old = nonlinearity_hat(np.fft.ifftn(uh, axes=axes).real)
+    u_pred = np.fft.ifftn(lin_u + i1 * nh_old, axes=axes).real
+    nh_new = nonlinearity_hat(u_pred)
+    return (lin_u + w_ou * nh_old + w_nu * nh_new,
+            lin_v + w_ov * nh_old + w_nv * nh_new)
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("p", [(3.0, 4.0), (2.5, 2.0)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_full_spectrum_oracle(self, n, p):
+        # a first step (no carried field) and a step from a stepped
+        # state (carried field); the 2D case pins the flip-and-roll of
+        # the Hermitian extension, the two p both _power branches
+        params = SystemParams(n=n, sigma=1.0, k=2, p=p)
+        grid = GridSpec(n=n, N=32, L=10.0)
+        data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
+        state, _ = make_initial_data(grid, data, params.sigma)
+        for _ in range(2):
+            want_u, want_v = reference_step(state, 0.1, params, grid)
+            state = step(state, 0.1, params, grid)
+            assert rel_err(state.u_hat, want_u) <= 1e-13
+            assert rel_err(state.v_hat, want_v) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_by_construction(self, n):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        data = gaussian_data(0.4, ((1.0, 0.2), (0.6, -0.1)))
+        state, _ = make_initial_data(grid, data, params.sigma)
+        for _ in range(50):
+            state = step(state, 0.05, params, grid)
+        if n == 1:
+            assert symmetry_defect(state) == 0.0
+        else:
+            assert symmetry_defect(state) <= 1e-15
+        again = np.fft.irfftn(state.u_hat[..., : grid.N // 2 + 1],
+                              s=grid.shape, axes=grid.spatial_axes)
+        assert np.array_equal(state.u, again)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_blown_up_state_is_full_layout(self, n):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.5), 1.0)
+        with pytest.raises(BlowUpDetected) as exc:
+            step(state, 0.1, params, grid, threshold=1e-6)
+        flagged = exc.value.state
+        assert flagged.u_hat.shape == (2,) + grid.shape
+        assert flagged.v_hat.shape == (2,) + grid.shape
+        assert symmetry_defect(flagged) <= 1e-15
+
+
+class TestPower:
+    def test_odd_power_of_negative_is_absolute(self):
+        u = np.array([-2.0, -0.5, 3.0])
+        assert np.array_equal(_power(u, 3.0), np.array([8.0, 0.125, 27.0]))
+        assert np.array_equal(_power(u, 2.5), np.abs(u) ** 2.5)
+
+    @pytest.mark.parametrize("p", [1.01, 2.0, 3.0, 4.0])
+    def test_tiny_flushed_to_zero(self, p):
+        # 1e-300 ** 1.01 is a subnormal, not 0: only the flush zeroes it
+        u = np.array([TINY, -TINY, 0.5 * TINY, 0.0, -0.0])
+        assert np.array_equal(_power(u, p), np.zeros(5))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_integer_branch_within_four_ulp_of_pow(self, p):
+        rng = np.random.default_rng(17)
+        u = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-60, 60,
+                                                                4096)
+        want = np.abs(u) ** p
+        got = _power(u, p)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+             "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts calls through numpy.fft by name."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft,
+                                                                 name)))
+    return calls
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stepped_state_nonlinear_step(self, n, fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        state = step(state, 0.1, params, grid)
+        fft_calls.clear()
+        step(state, 0.1, params, grid)
+        assert fft_calls == {"rfftn": 2, "irfftn": 2}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_linear_only_step(self, n, fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        fft_calls.clear()
+        step(state, 0.1, params, grid, linear_only=True)
+        assert fft_calls == {"irfftn": 1}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_step_from_initial_data(self, n, fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        fft_calls.clear()
+        step(state, 0.1, params, grid)
+        assert fft_calls == {"rfftn": 2, "irfftn": 3}
 
 
 class TestNorms:
