@@ -208,6 +208,12 @@ def _fit_dict(fit) -> dict:
     }
 
 
+def _step_stats(result) -> dict:
+    """Accepted and rejected step counts and the accepted dt range."""
+    return {"steps": result.steps, "rejected_steps": result.rejected_steps,
+            "dt_min": result.dt_min, "dt_max": result.dt_max}
+
+
 def _cmd_exponents(args) -> int:
     config = _resolve_config(args, "exponents")
     rep = report(config.params)
@@ -292,7 +298,7 @@ def _cmd_simulate(args) -> int:
     verdict = {
         "blown_up": result.blown_up,
         "blowup_time": result.blowup_time,
-        "steps": result.steps,
+        **_step_stats(result),
         "t_final": float(result.times[-1]),
     }
     write_json(out_dir / "run.json", verdict)
@@ -328,6 +334,7 @@ def _cmd_decay(args) -> int:
         "hsigma": [_fit_dict(f) for f in rep.hsigma],
         "xnorm_ratios": list(rep.xnorm_ratios),
         "xnorm_passed": rep.xnorm_passed,
+        **_step_stats(rep.run),
     }
     write_json(out_dir / "decay.json", summary)
     failed = not rep.xnorm_passed

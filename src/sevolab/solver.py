@@ -5,7 +5,9 @@ propagator from kernels; the nonlinearity |u_{l-1}|^{p_l} (component 1
 is forced by component k) is evaluated pointwise in physical space,
 dealiased by the 2/3 rule, and injected through the Duhamel moment
 weights with one predictor-corrector sweep, so the stepper is second
-order in dt while remaining exact on linear problems.
+order in dt while remaining exact on linear problems.  The gap between
+the predictor and the corrector is the local error estimate by which
+adaptive runs accept, reject and size their steps.
 
 The fields are real, so step() works on rfftn half spectra (the m >= 0
 half of the last axis) and real transforms only: the propagator tables,
@@ -27,8 +29,9 @@ images; drivers pick L accordingly and fit on intermediate windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +40,14 @@ from .exponents import SystemParams
 from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
+# adaptive runs accept a step when max|u_corr - u_pred| / sup <= STEP_TOL
+STEP_TOL = 1e-4
 # physical magnitudes below this are flushed to zero before |u|^p
 TINY = 1e-300
+# bytes of reused propagator tables kept: about 55 entries on a 1D grid
+# of N = 2048 (a lifespan run walks some 60 dt-ladder rungs), and the
+# two newest entries on any grid however large
+TABLE_CACHE_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,11 @@ class FieldState:
     non-finite.  sup is max |u| over all components and points, and u
     the real physical field of shape (k,) + grid.shape, when the state
     came out of step(), which computes both for the blow-up check
-    anyway; else None.
+    anyway; else None.  err is the local error estimate of the step
+    that made the state, max |u_corr - u_pred| / max(sup, TINY) with
+    u_pred the exponential-Euler predictor and u_corr the second-order
+    corrector (0.0 for linear_only, whose steps are exact), when
+    step() was asked for it; else None.
     """
 
     t: float
@@ -127,6 +140,7 @@ class FieldState:
     blown_up: bool = False
     sup: float | None = None
     u: np.ndarray | None = None
+    err: float | None = None
 
 
 @dataclass(frozen=True)
@@ -262,8 +276,8 @@ def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
                          axes=grid.spatial_axes)
 
 
-@lru_cache(maxsize=64)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
+    """Propagator tables and Duhamel weights on the half spectrum."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # Duhamel weights of the linear-in-time nonlinearity model
@@ -272,6 +286,41 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     w_new_v = i1 / dt
     w_old_v = k1 - w_new_v
     return k0, k1, dk0, dk1, i1, w_old_u, w_new_u, w_old_v, w_new_v
+
+
+class _TableCache:
+    """_tables by (grid, sigma, dt).  A first use parks an entry in a
+    two-entry probation queue; a second use moves it to a least
+    recently used store bounded by max_bytes (never below two entries).
+    Tables used once -- steps clipped to an output time, blow-up
+    bisection probes -- so never displace the ones steps reuse."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.probation = OrderedDict()
+        self.kept = OrderedDict()
+        self.kept_bytes = 0
+
+    def get(self, grid: GridSpec, sigma: float, dt: float) -> tuple:
+        key = (grid, sigma, dt)
+        if key in self.kept:
+            self.kept.move_to_end(key)
+            return self.kept[key]
+        out = self.probation.pop(key, None)
+        if out is None:
+            out = self.probation[key] = _tables(grid, sigma, dt)
+            if len(self.probation) > 2:
+                self.probation.popitem(last=False)
+            return out
+        self.kept[key] = out
+        self.kept_bytes += sum(x.nbytes for x in out)
+        while len(self.kept) > 2 and self.kept_bytes > self.max_bytes:
+            _, old = self.kept.popitem(last=False)
+            self.kept_bytes -= sum(x.nbytes for x in old)
+        return out
+
+
+_table_cache = _TableCache(TABLE_CACHE_BYTES)
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -297,21 +346,23 @@ def _nonlinearity_hat(u_phys, params, mask, axes):
 
 def step(state: FieldState, dt: float, params: SystemParams,
          grid: GridSpec, *, linear_only: bool = False,
-         threshold: float = BLOWUP_THRESHOLD) -> FieldState:
+         threshold: float = BLOWUP_THRESHOLD,
+         estimate: bool = False) -> FieldState:
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
     predictor-corrector (second order).  The new state carries its sup
-    and physical field; state.u, when set, stands in for the inverse
-    transform of state.u_hat.  Raises BlowUpDetected carrying the
-    flagged state when physical values cross the threshold or go
-    non-finite.
+    and physical field, and with estimate=True its local error
+    estimate err (one more pass over the field); state.u, when set,
+    stands in for the inverse transform of state.u_hat.  Raises
+    BlowUpDetected carrying the flagged state when physical values
+    cross the threshold or go non-finite.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if state.blown_up:
         raise BlowUpDetected("cannot step a blown-up state", state=state)
-    k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _tables(
+    k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _table_cache.get(
         grid, params.sigma, dt
     )
     axes = grid.spatial_axes
@@ -320,7 +371,8 @@ def step(state: FieldState, dt: float, params: SystemParams,
     lin_u = k0 * uh + k1 * vh
     lin_v = dk0 * uh + dk1 * vh
     if linear_only:
-        return _checked(t, lin_u, lin_v, grid, threshold)
+        new = _checked(t, lin_u, lin_v, grid, threshold)
+        return replace(new, err=0.0) if estimate else new
     mask = _half(grid.dealias_mask)
     Nh_old = _nonlinearity_hat(_physical(state, grid), params, mask, axes)
     u_pred = np.fft.irfftn(lin_u + i1 * Nh_old, s=grid.shape, axes=axes)
@@ -331,8 +383,12 @@ def step(state: FieldState, dt: float, params: SystemParams,
                              blown_up=True),
         )
     Nh_new = _nonlinearity_hat(u_pred, params, mask, axes)
-    return _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
-                    lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
+    new = _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
+                   lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
+    if not estimate:
+        return new
+    err = float(np.max(np.abs(new.u - u_pred))) / max(new.sup, TINY)
+    return replace(new, err=err)
 
 
 def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
@@ -396,7 +452,10 @@ class RunResult:
     """Norm history of one integration plus the blow-up verdict.
 
     Series arrays have shape (k, len(times)).  snapshots are
-    (t, u_physical) pairs at the requested times.
+    (t, u_physical) pairs at the requested times.  steps counts the
+    accepted steps and rejected_steps the ones the adaptive policy
+    retried; dt_min and dt_max span the accepted step sizes (None
+    without any).
     """
 
     params: SystemParams
@@ -410,6 +469,9 @@ class RunResult:
     snapshots: tuple
     steps: int
     data_report: dict = field(default_factory=dict)
+    rejected_steps: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
 
 
 def _refine_blowup_time(good: FieldState, dt: float, params, grid,
@@ -428,6 +490,11 @@ def _refine_blowup_time(good: FieldState, dt: float, params, grid,
     return good.t + 0.5 * (lo + hi)
 
 
+def _ladder(x: float, dt: float) -> float:
+    """Largest dt * 2^(j/4), j integer, not above x (up to roundoff)."""
+    return dt * 2.0 ** (math.floor(4.0 * math.log2(x / dt) + 1e-9) / 4)
+
+
 def run(params: SystemParams, grid: GridSpec, data: InitialData,
         t_end: float, dt: float, *, dt_policy: str = "fixed",
         outputs: int = 64, snapshot_times: tuple = (),
@@ -436,12 +503,18 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     """Integrate to t_end or blow-up, recording norms on a logarithmic
     output schedule (plus t = 0 and t_end themselves).
 
-    dt_policy "fixed" keeps dt; "adaptive" halves it after a step whose
-    relative sup change exceeds 10% and grows it by 1.2x (up to 8x the
-    initial dt) when the change stays under 3%; the sup is the one each
-    step measures, so norms() runs only at recorded outputs.  Steps are
-    clipped so output and snapshot times are hit exactly.  Blow-up is a
-    verdict in the result, not an exception.
+    dt_policy "fixed" steps with dt.  "adaptive" controls the local
+    error: every step carries the estimate err of step(), a step with
+    err > STEP_TOL is rejected and retried from the same state, and
+    the next step is h * clip(0.9 (STEP_TOL / err)^(1/2), 1/4, 2),
+    rounded down to the ladder dt * 2^(j/4) (integer j) so that the
+    propagator tables are reused, and never below dt / 1024, where
+    steps are accepted whatever their estimate.  There is no upper
+    bound.  Steps are clipped so output and snapshot times are hit
+    exactly; a clipped step does not shrink the next one unless its
+    estimate asks for it.  steps counts accepted steps, rejected_steps
+    the rejected ones, and dt_min/dt_max span the accepted step sizes.
+    Blow-up is a verdict in the result, not an exception.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -479,12 +552,12 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         snap(state)
         snap_wanted.pop(0)
 
+    adaptive = dt_policy == "adaptive"
     dt_now = float(dt)
-    dt_min = dt / 1024.0
-    dt_max = dt * 8.0
-    sup_prev = max(rows[0]["sup"]) or None
+    dt_floor = dt / 1024.0
     blown, t_blow = False, None
-    steps = 0
+    steps = rejected = 0
+    h_min, h_max = math.inf, 0.0
     ev_idx = 0
     while state.t < t_end and not near(state.t, t_end):
         while ev_idx < len(events) and (events[ev_idx] <= state.t
@@ -494,19 +567,25 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         h = min(dt_now, next_event - state.t)
         try:
             new = step(state, h, params, grid, linear_only=linear_only,
-                       threshold=threshold)
+                       threshold=threshold, estimate=adaptive)
         except BlowUpDetected:
             blown = True
             t_blow = _refine_blowup_time(state, h, params, grid, threshold)
             break
+        if adaptive:
+            fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
+                   if new.err else 2.0)
+            proposal = max(dt_floor, _ladder(h * fac, dt))
+            # a step clipped to an output time shrinks the next one
+            # only when its estimate asks for it
+            if h < dt_now and fac >= 1.0:
+                proposal = max(dt_now, proposal)
+            dt_now = proposal
+            if new.err > STEP_TOL and h > dt_floor:
+                rejected += 1
+                continue
         steps += 1
-        if dt_policy == "adaptive" and sup_prev:
-            change = abs(new.sup - sup_prev) / sup_prev
-            if change > 0.10:
-                dt_now = max(dt_min, dt_now * 0.5)
-            elif change < 0.03:
-                dt_now = min(dt_max, dt_now * 1.2)
-        sup_prev = new.sup or sup_prev
+        h_min, h_max = min(h_min, h), max(h_max, h)
         state = new
         if near(state.t, next_event):
             record(state)
@@ -529,4 +608,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         snapshots=tuple(snapshots),
         steps=steps,
         data_report=report,
+        rejected_steps=rejected,
+        dt_min=h_min if steps else None,
+        dt_max=h_max if steps else None,
     )

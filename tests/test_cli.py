@@ -265,6 +265,22 @@ class TestCliExitCodes:
         assert doc["xnorm_passed"] is True
         ET.parse(out / "decay.svg")
 
+    @pytest.mark.parametrize("argv, name, policy", [
+        (["decay", "--set", "options.t_end=400"], "decay.json", "adaptive"),
+        (["simulate", "--set", "options.dt_policy=fixed"], "run.json",
+         "fixed"),
+    ])
+    def test_step_statistics_written(self, tmp_path, capsys, argv, name,
+                                     policy):
+        out = tmp_path / "stats"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        assert doc["steps"] > 0 and doc["rejected_steps"] >= 0
+        assert 0.0 < doc["dt_min"] <= doc["dt_max"]
+        if policy == "fixed":
+            assert doc["rejected_steps"] == 0
+            assert doc["dt_max"] == 0.05
+
     def test_decay_respects_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

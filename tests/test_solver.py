@@ -8,10 +8,12 @@ the nonlinear oracle.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sevolab import solver
 from sevolab.errors import BlowUpDetected, DataLeakage
 from sevolab.kernels import propagator_arrays
 from sevolab.solver import (
@@ -336,7 +338,8 @@ class TestNonlinearStep:
 def reference_step(state, dt, params, grid):
     """The full-spectrum predictor-corrector: complex fftn/ifftn on the
     whole m range, a .real projection after every inverse transform,
-    tables on the full symbol and |u|^p by pow."""
+    tables on the full symbol and |u|^p by pow.  Returns the corrected
+    (u_hat, v_hat) and the physical predictor."""
     axes = grid.spatial_axes
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, grid.symbol(params.sigma))
     w_ou = j1 / dt
@@ -358,7 +361,7 @@ def reference_step(state, dt, params, grid):
     u_pred = np.fft.ifftn(lin_u + i1 * nh_old, axes=axes).real
     nh_new = nonlinearity_hat(u_pred)
     return (lin_u + w_ou * nh_old + w_nu * nh_new,
-            lin_v + w_ov * nh_old + w_nv * nh_new)
+            lin_v + w_ov * nh_old + w_nv * nh_new, u_pred)
 
 
 def rel_err(got, want):
@@ -377,7 +380,7 @@ class TestHalfSpectrumStep:
         data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
         state, _ = make_initial_data(grid, data, params.sigma)
         for _ in range(2):
-            want_u, want_v = reference_step(state, 0.1, params, grid)
+            want_u, want_v, _ = reference_step(state, 0.1, params, grid)
             state = step(state, 0.1, params, grid)
             assert rel_err(state.u_hat, want_u) <= 1e-13
             assert rel_err(state.v_hat, want_v) <= 1e-13
@@ -473,6 +476,19 @@ class TestTransformBudget:
         fft_calls.clear()
         step(state, 0.1, params, grid, linear_only=True)
         assert fft_calls == {"irfftn": 1}
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_estimate_costs_no_transform(self, linear_only, fft_calls):
+        grid = GridSpec(n=1, N=32, L=10.0)
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        state = step(state, 0.1, PARAMS_34, grid)
+        counts = []
+        for estimate in (False, True):
+            fft_calls.clear()
+            step(state, 0.1, PARAMS_34, grid, linear_only=linear_only,
+                 estimate=estimate)
+            counts.append(dict(fft_calls))
+        assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_step_from_initial_data(self, n, fft_calls):
@@ -613,3 +629,212 @@ class TestRun:
         assert isinstance(res, RunResult)
         assert res.steps > 0
         assert res.data_report["data_norm"] > 0
+
+
+BLOWUP_GRID = GridSpec(n=1, N=256, L=40.0)
+BLOWUP_DATA = gaussian_data(0.3, ((1.0, 1.0), (1.0, 1.0)))
+
+
+def adaptive_blowup_run():
+    """The adaptive case of TestRun.test_adaptive_matches_fixed."""
+    return run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05,
+               dt_policy="adaptive")
+
+
+def recording_step(monkeypatch, calls, edit=None):
+    """Patch solver.step to record (state, dt, new state) of every step
+    the run loop asks an estimate of, optionally editing the result."""
+    real_step = solver.step
+
+    def recorded(state, dt, *args, **kwargs):
+        new = real_step(state, dt, *args, **kwargs)
+        if kwargs.get("estimate"):
+            if edit is not None:
+                new = edit(len(calls), new)
+            calls.append((state, dt, new))
+        return new
+
+    monkeypatch.setattr(solver, "step", recorded)
+
+
+def on_ladder(h, dt):
+    j = 4.0 * math.log2(h / dt)
+    return abs(j - round(j)) <= 1e-9
+
+
+class TestStepControl:
+    def test_estimate_attached_only_on_request(self):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        assert step(state, 0.1, PARAMS_34, grid).err is None
+        assert step(state, 0.1, PARAMS_34, grid, linear_only=True,
+                    estimate=True).err == 0.0
+        assert step(state, 0.1, PARAMS_34, grid, estimate=True).err > 0.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_estimate_is_the_relative_predictor_gap(self, n):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(
+            grid, gaussian_data(0.5, ((1.0, 1.0), (1.0, 1.0))), 1.0)
+        new = step(state, 0.1, params, grid, estimate=True)
+        want_u, _, u_pred = reference_step(state, 0.1, params, grid)
+        u = np.fft.ifftn(want_u, axes=grid.spatial_axes).real
+        want = np.max(np.abs(u - u_pred)) / np.max(np.abs(u))
+        assert new.err == pytest.approx(want, rel=1e-8)
+
+    def test_estimate_shrinks_like_a_power_of_dt(self):
+        # u_corr - u_pred = w_new_u (N_new - N_old): O(dt^3) as dt -> 0,
+        # closer to O(dt^2) at the steps adaptive runs take
+        grid = GridSpec(n=1, N=64, L=10.0)
+        state, _ = make_initial_data(
+            grid, gaussian_data(0.5, ((1.0, 1.0), (1.0, 1.0))), 1.0)
+        state = step(state, 0.05, PARAMS_22, grid)
+        errs = [step(state, h, PARAMS_22, grid, estimate=True).err
+                for h in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.5 < coarse / fine < 8.5
+
+    def test_blowup_time_stable_under_halved_tolerance(self, monkeypatch):
+        base = adaptive_blowup_run()
+        monkeypatch.setattr(solver, "STEP_TOL", 0.5 * solver.STEP_TOL)
+        tight = adaptive_blowup_run()
+        assert base.blown_up and tight.blown_up
+        assert tight.steps > base.steps
+        assert tight.blowup_time == pytest.approx(base.blowup_time,
+                                                  rel=1e-3)
+
+    def test_rejected_step_neither_advances_nor_counts(self, monkeypatch):
+        calls = []
+        forced = 5
+
+        def reject_one(i, new):
+            return replace(new, err=10.0 * solver.STEP_TOL) \
+                if i == forced else new
+
+        recording_step(monkeypatch, calls, reject_one)
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.1), t_end=50.0, dt=0.05,
+                  dt_policy="adaptive", outputs=4)
+        assert not res.blown_up
+        assert res.rejected_steps == 1
+        assert res.steps == len(calls) - 1
+        (s_rej, h_rej, _), (s_retry, h_retry, _) = calls[forced:forced + 2]
+        assert s_retry is s_rej
+        assert h_retry <= 0.9 * math.sqrt(0.1) * h_rej
+        # each call starts where the last accepted one ended
+        t = 0.0
+        for i, (st, _, new) in enumerate(calls):
+            assert st.t == t
+            if i != forced:
+                t = new.t
+        assert res.dt_min == min(h for i, (_, h, _) in enumerate(calls)
+                                 if i != forced)
+
+    def test_unclipped_accepted_steps_on_ladder(self, monkeypatch):
+        calls = []
+        recording_step(monkeypatch, calls)
+        res = adaptive_blowup_run()
+        assert res.blown_up and res.rejected_steps > 0
+        floor = 0.05 / 1024
+        accepted = [(st, h) for st, h, new in calls
+                    if new.err <= solver.STEP_TOL or h <= floor]
+        assert len(accepted) == res.steps
+        assert res.dt_min == min(h for _, h in accepted)
+        assert res.dt_max == max(h for _, h in accepted)
+        rungs = set()
+        for st, h in accepted:
+            if on_ladder(h, 0.05):
+                rungs.add(round(4.0 * math.log2(h / 0.05)))
+            else:  # clipped: the step ends on a recorded output time
+                assert np.min(np.abs(res.times - (st.t + h))) <= 1e-9 * (
+                    st.t + h)
+        assert len(rungs) > 10
+        assert min(rungs) >= -40
+
+    def test_linear_only_rejects_nothing(self):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        kw = dict(t_end=100.0, dt=0.05, dt_policy="adaptive", outputs=16,
+                  linear_only=True)
+        small = run(PARAMS_34, grid, gaussian_data(1e-3), **kw)
+        large = run(PARAMS_34, grid,
+                    gaussian_data(3.0, ((0.5, 2.0), (1.0, -1.0)),
+                                  width=1.5), **kw)
+        assert small.rejected_steps == large.rejected_steps == 0
+        # exact steps: the count depends on the schedule, not the data
+        assert small.steps == large.steps
+        assert small.steps <= 16 + math.ceil(math.log2(100.0 / 0.05))
+
+    def test_fixed_policy_is_a_plain_step_loop(self, monkeypatch):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        data = gaussian_data(0.5)
+        estimated = []
+        recording_step(monkeypatch, estimated)
+        res = run(PARAMS_34, grid, data, t_end=2.0, dt=0.125, outputs=2,
+                  snapshot_times=(2.0,))
+        monkeypatch.undo()
+        assert estimated == []  # no estimate pass on the fixed path
+        state, _ = make_initial_data(grid, data, PARAMS_34.sigma)
+        for _ in range(16):
+            state = step(state, 0.125, PARAMS_34, grid)
+        assert state.t == 2.0 and res.times[-1] == 2.0
+        assert (res.steps, res.rejected_steps) == (16, 0)
+        assert res.dt_min == res.dt_max == 0.125
+        assert np.array_equal(res.snapshots[-1][1], state.u)
+        assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
+        assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
+
+
+def counting_builds(monkeypatch):
+    builds = []
+    real = solver.propagator_arrays
+
+    def counting(dt, a):
+        builds.append(dt)
+        return real(dt, a)
+
+    monkeypatch.setattr(solver, "propagator_arrays", counting)
+    return builds
+
+
+class TestTableCache:
+    GRID = GridSpec(n=1, N=64, L=10.0)
+
+    def test_reuse_is_a_hit(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        cache = solver._TableCache(2**20)
+        first = cache.get(self.GRID, 1.0, 0.3)
+        assert cache.get(self.GRID, 1.0, 0.3) is first
+        assert cache.get(self.GRID, 1.0, 0.3) is first
+        assert builds == [0.3]
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(first, solver._tables(self.GRID, 1.0, 0.3)))
+
+    def test_tables_used_once_are_not_kept(self, monkeypatch):
+        builds = counting_builds(monkeypatch)
+        cache = solver._TableCache(2**20)
+        cache.get(self.GRID, 1.0, 0.1)
+        cache.get(self.GRID, 1.0, 0.1)
+        for j in range(20):  # one-off steps, e.g. clipped to outputs
+            cache.get(self.GRID, 1.0, 0.05 + 0.001 * j)
+        assert list(cache.kept) == [(self.GRID, 1.0, 0.1)]
+        assert len(cache.probation) == 2
+        cache.get(self.GRID, 1.0, 0.1)
+        assert builds.count(0.1) == 1
+
+    def test_kept_bytes_bounded_least_recent_out(self):
+        entry = sum(x.nbytes for x in solver._tables(self.GRID, 1.0, 0.1))
+        cache = solver._TableCache(3 * entry)
+        dts = [0.1 * 2.0 ** (j / 4) for j in range(10)]
+        for dt in dts:
+            cache.get(self.GRID, 1.0, dt)
+            cache.get(self.GRID, 1.0, dt)
+        assert [key[2] for key in cache.kept] == dts[-3:]
+        assert cache.kept_bytes == 3 * entry
+
+    def test_two_newest_kept_past_the_budget(self):
+        cache = solver._TableCache(0)
+        for dt in (0.1, 0.2, 0.3):
+            cache.get(self.GRID, 1.0, dt)
+            cache.get(self.GRID, 1.0, dt)
+        assert [key[2] for key in cache.kept] == [0.2, 0.3]
