@@ -29,9 +29,8 @@ images; drivers pick L accordingly and fit on intermediate windows.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,14 +39,11 @@ from .exponents import SystemParams
 from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
-# adaptive runs accept a step when max|u_corr - u_pred| / sup <= STEP_TOL
+# adaptive runs accept a step when, in every component, max|u_corr - u_pred|
+# is at most STEP_TOL times that component's sup
 STEP_TOL = 1e-4
 # physical magnitudes below this are flushed to zero before |u|^p
 TINY = 1e-300
-# bytes of reused propagator tables kept: about 55 entries on a 1D grid
-# of N = 2048 (a lifespan run walks some 60 dt-ladder rungs), and the
-# two newest entries on any grid however large
-TABLE_CACHE_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,12 @@ class FieldState:
     the real physical field of shape (k,) + grid.shape, when the state
     came out of step(), which computes both for the blow-up check
     anyway; else None.  err is the local error estimate of the step
-    that made the state, max |u_corr - u_pred| / max(sup, TINY) with
-    u_pred the exponential-Euler predictor and u_corr the second-order
-    corrector (0.0 for linear_only, whose steps are exact), when
-    step() was asked for it; else None.
+    that made the state, the largest over components l of
+    max |u_corr_l - u_pred_l| / max(max |u_corr_l|, TINY) with u_pred
+    the exponential-Euler predictor and u_corr the second-order
+    corrector, so a component far smaller than the others still has
+    its relative error bounded (0.0 for linear_only, whose steps are
+    exact), when step() was asked for it; else None.
     """
 
     t: float
@@ -276,6 +274,10 @@ def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
                          axes=grid.spatial_axes)
 
 
+# a fixed-dt run needs its own dt plus the one-off dt of a step clipped
+# to an output time; an entry holds 9 half-spectrum tables (2.3 MB on a
+# 2D grid of N = 256)
+@lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables and Duhamel weights on the half spectrum."""
     a = _half(grid.symbol(sigma))
@@ -286,41 +288,6 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     w_new_v = i1 / dt
     w_old_v = k1 - w_new_v
     return k0, k1, dk0, dk1, i1, w_old_u, w_new_u, w_old_v, w_new_v
-
-
-class _TableCache:
-    """_tables by (grid, sigma, dt).  A first use parks an entry in a
-    two-entry probation queue; a second use moves it to a least
-    recently used store bounded by max_bytes (never below two entries).
-    Tables used once -- steps clipped to an output time, blow-up
-    bisection probes -- so never displace the ones steps reuse."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.probation = OrderedDict()
-        self.kept = OrderedDict()
-        self.kept_bytes = 0
-
-    def get(self, grid: GridSpec, sigma: float, dt: float) -> tuple:
-        key = (grid, sigma, dt)
-        if key in self.kept:
-            self.kept.move_to_end(key)
-            return self.kept[key]
-        out = self.probation.pop(key, None)
-        if out is None:
-            out = self.probation[key] = _tables(grid, sigma, dt)
-            if len(self.probation) > 2:
-                self.probation.popitem(last=False)
-            return out
-        self.kept[key] = out
-        self.kept_bytes += sum(x.nbytes for x in out)
-        while len(self.kept) > 2 and self.kept_bytes > self.max_bytes:
-            _, old = self.kept.popitem(last=False)
-            self.kept_bytes -= sum(x.nbytes for x in old)
-        return out
-
-
-_table_cache = _TableCache(TABLE_CACHE_BYTES)
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -362,7 +329,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
         raise ValueError(f"dt must be positive, got {dt}")
     if state.blown_up:
         raise BlowUpDetected("cannot step a blown-up state", state=state)
-    k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _table_cache.get(
+    k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _tables(
         grid, params.sigma, dt
     )
     axes = grid.spatial_axes
@@ -387,8 +354,9 @@ def step(state: FieldState, dt: float, params: SystemParams,
                    lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
     if not estimate:
         return new
-    err = float(np.max(np.abs(new.u - u_pred))) / max(new.sup, TINY)
-    return replace(new, err=err)
+    gap = np.max(np.abs(new.u - u_pred), axis=axes)
+    size = np.maximum(np.max(np.abs(new.u), axis=axes), TINY)
+    return replace(new, err=float(np.max(gap / size)))
 
 
 def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
