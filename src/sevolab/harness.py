@@ -37,6 +37,7 @@ from .exponents import (
     predicted_decay,
 )
 from .solver import GridSpec, InitialData, RunResult, make_initial_data, run
+from .solver import _half
 
 R2_GATE = 0.98
 WINDOW_START = 20.0
@@ -352,8 +353,8 @@ def convergence_study(params: SystemParams, grid: GridSpec,
     for N in n_ladder:
         g = GridSpec(n=grid.n, N=int(N), L=grid.L)
         u = final_u(g, dt_ladder[-1])
-        hat = np.fft.fftn(u, axes=g.spatial_axes)
-        top = float(np.max(np.abs(hat[:, ~g.dealias_mask])))
+        hat = np.fft.rfftn(u, axes=g.spatial_axes)
+        top = float(np.max(np.abs(hat[:, ~_half(g.dealias_mask)])))
         full = float(np.max(np.abs(hat)))
         tails.append(top / full if full > 0.0 else 0.0)
     return ConvergenceReport(

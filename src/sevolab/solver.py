@@ -9,17 +9,15 @@ order in dt while remaining exact on linear problems.  The gap between
 the predictor and the corrector is the local error estimate by which
 adaptive runs accept, reject and size their steps.
 
-The fields are real, so step() works on rfftn half spectra (the m >= 0
-half of the last axis) and real transforms only: the propagator tables,
-the dealias mask and the nonlinearity live on that half, and the
-inverse transforms are irfftn, which returns real fields by
-construction.  At the boundary, states keep the full fftn layout, with
-the other half filled in by Hermitian symmetry, because norms(),
-make_initial_data and the closed-form checks multiply them by
-full-layout symbols.  The physical field step() computes for its
-blow-up check rides along in the state, so the next step does not
-transform it again: a stepped state costs 2 rfftn + 2 irfftn per
-nonlinear step.
+The fields are real, so a state holds rfftn half spectra (the m >= 0
+half of the last axis) and the solver uses real transforms only: the
+propagator tables, the dealias mask, the nonlinearity and the Parseval
+sums of norms() live on that half, and the inverse transforms are
+irfftn, which returns real fields by construction.  The full fftn
+layout is built only when a caller reads FieldState.u_hat or v_hat.
+The physical field step() computes for its blow-up check rides along
+in the state, so the next step does not transform it again: a stepped
+state costs 2 rfftn + 2 irfftn per nonlinear step.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -110,35 +108,43 @@ class GridSpec:
             keep = keep[:, None] & keep[None, :]
         return keep
 
+    @cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Last-axis weights that turn sums over an rfftn half spectrum
+        into sums over the full one: 1 on the self-mirrored m = 0 and
+        m = N/2 columns, 2 on the others, which stand for two."""
+        return np.r_[1.0, np.full(self.N // 2 - 1, 2.0), 1.0]
+
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Spectral state (u_hat, v_hat) of all k components at one time.
-
-    Arrays have shape (k,) + grid.shape, complex, in the full fftn
-    layout.  States out of step() are conjugate-symmetric by
-    construction: their m < 0 half of the last axis is the Hermitian
-    mirror of the half spectrum step() advances.  blown_up marks a
-    state whose physical values crossed the blow-up threshold or went
-    non-finite.  sup is max |u| over all components and points, and u
-    the real physical field of shape (k,) + grid.shape, when the state
-    came out of step(), which computes both for the blow-up check
-    anyway; else None.  err is the local error estimate of the step
-    that made the state, the largest over components l of
-    max |u_corr_l - u_pred_l| / max(max |u_corr_l|, TINY) with u_pred
-    the exponential-Euler predictor and u_corr the second-order
-    corrector, so a component far smaller than the others still has
-    its relative error bounded (0.0 for linear_only, whose steps are
-    exact), when step() was asked for it; else None.
+    """rfftn half spectra (u_half, v_half) of the real fields u and u_t
+    of all k components at one time, complex of shape (k,) +
+    grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
+    layout on each read, for callers; the solver never reads them.
+    blown_up marks a state whose physical values crossed the blow-up
+    threshold or went non-finite.  sup is max |u| over all components
+    and points, and u the real physical field of shape (k,) +
+    grid.shape, when the state came out of step(), which computes both
+    for the blow-up check anyway; else None.  err is the local error
+    estimate of the step that made the state, the largest over
+    components l of max |u_corr_l - u_pred_l| / max(max |u_corr_l|,
+    TINY) with u_pred the exponential-Euler predictor and u_corr the
+    second-order corrector, so a component far smaller than the others
+    still has its relative error bounded (0.0 for linear_only, whose
+    steps are exact), when step() was asked for it; else None.
     """
 
     t: float
-    u_hat: np.ndarray
-    v_hat: np.ndarray
+    u_half: np.ndarray
+    v_half: np.ndarray
     blown_up: bool = False
     sup: float | None = None
     u: np.ndarray | None = None
     err: float | None = None
+
+    u_hat = property(lambda self: _full(self.u_half))
+    v_hat = property(lambda self: _full(self.v_half))
 
 
 @dataclass(frozen=True)
@@ -214,22 +220,17 @@ def make_initial_data(grid: GridSpec, data: InitialData,
                     f"{edge / peak:.2e} of peak; enlarge L or shrink width"
                 )
     axes = grid.spatial_axes
-    state = FieldState(
-        t=0.0,
-        u_hat=np.fft.fftn(u0, axes=axes),
-        v_hat=np.fft.fftn(u1, axes=axes),
-    )
+    state = FieldState(0.0, np.fft.rfftn(u0, axes=axes),
+                       np.fft.rfftn(u1, axes=axes))
+    # u0 stands in for the inverse transform norms() would take for sup
+    u0_norms = norms(grid, replace(state, u=u0), sigma)
     dv = grid.cell_volume
-    a = grid.symbol(sigma)
     norm_parts = []
     total = 0.0
     for ell in range(k):
         l1_0 = float(np.sum(np.abs(u0[ell]))) * dv
         l1_1 = float(np.sum(np.abs(u1[ell]))) * dv
-        hs_0 = math.sqrt(
-            float(np.sum((1.0 + a) * np.abs(state.u_hat[ell]) ** 2))
-            * (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
-        )
+        hs_0 = math.hypot(u0_norms["l2"][ell], u0_norms["hsigma"][ell])
         l2_1 = math.sqrt(float(np.sum(u1[ell] ** 2)) * dv)
         norm_parts.append(
             {"l1_u0": l1_0, "hsigma_u0": hs_0, "l1_u1": l1_1, "l2_u1": l2_1}
@@ -253,15 +254,15 @@ def _half(arr: np.ndarray) -> np.ndarray:
     return arr[..., : arr.shape[-1] // 2 + 1]
 
 
-def _full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Full fftn layout of a half spectrum of real fields: the missing
-    m < 0 columns are conj(u_hat(-m)), mirrored on the last axis and
-    flipped and rolled on the others."""
-    h = grid.N // 2 + 1
-    full = np.empty(half.shape[:-1] + (grid.N,), dtype=half.dtype)
+def _full(half: np.ndarray) -> np.ndarray:
+    """Full fftn layout of half spectra of real fields (N = 2 (h - 1) for
+    h last-axis columns): the missing m < 0 columns are conj(u_hat(-m)),
+    mirrored on the last axis and flipped and rolled on the others."""
+    h = half.shape[-1]
+    full = np.empty(half.shape[:-1] + (2 * (h - 1),), dtype=half.dtype)
     full[..., :h] = half
     tail = half[..., h - 2 : 0 : -1]
-    for ax in grid.spatial_axes[:-1]:
+    for ax in range(1, half.ndim - 1):
         tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
     np.conjugate(tail, out=full[..., h:])
     return full
@@ -270,8 +271,7 @@ def _full(half: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
     if state.u is not None:
         return state.u
-    return np.fft.irfftn(_half(state.u_hat), s=grid.shape,
-                         axes=grid.spatial_axes)
+    return np.fft.irfftn(state.u_half, s=grid.shape, axes=grid.spatial_axes)
 
 
 # a fixed-dt run needs its own dt plus the one-off dt of a step clipped
@@ -321,7 +321,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
     predictor-corrector (second order).  The new state carries its sup
     and physical field, and with estimate=True its local error
     estimate err (one more pass over the field); state.u, when set,
-    stands in for the inverse transform of state.u_hat.  Raises
+    stands in for the inverse transform of state.u_half.  Raises
     BlowUpDetected carrying the flagged state when physical values
     cross the threshold or go non-finite.
     """
@@ -334,7 +334,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
     )
     axes = grid.spatial_axes
     t = state.t + dt
-    uh, vh = _half(state.u_hat), _half(state.v_hat)
+    uh, vh = state.u_half, state.v_half
     lin_u = k0 * uh + k1 * vh
     lin_v = dk0 * uh + dk1 * vh
     if linear_only:
@@ -346,8 +346,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
     if not np.all(np.isfinite(u_pred)):
         raise BlowUpDetected(
             f"non-finite predictor at t = {t:.6g}",
-            state=FieldState(t, _full(lin_u, grid), _full(lin_v, grid),
-                             blown_up=True),
+            state=FieldState(t, lin_u, lin_v, blown_up=True),
         )
     Nh_new = _nonlinearity_hat(u_pred, params, mask, axes)
     new = _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
@@ -361,37 +360,35 @@ def step(state: FieldState, dt: float, params: SystemParams,
 
 def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
              grid: GridSpec, threshold: float) -> FieldState:
-    """Full-layout state at time t from half spectra, carrying its
-    physical field and sup, or BlowUpDetected with the flagged state."""
+    """State at time t holding the half spectra, its physical field and
+    sup, or BlowUpDetected with the flagged state."""
     u = np.fft.irfftn(u_half, s=grid.shape, axes=grid.spatial_axes)
     sup = float(np.max(np.abs(u)))
-    u_hat, v_hat = _full(u_half, grid), _full(v_half, grid)
     if not math.isfinite(sup) or sup > threshold:
         raise BlowUpDetected(
             f"|u| reached {sup:.3e} at t = {t:.6g}",
-            state=FieldState(t, u_hat, v_hat, blown_up=True),
+            state=FieldState(t, u_half, v_half, blown_up=True),
         )
-    return FieldState(t, u_hat, v_hat, sup=sup, u=u)
+    return FieldState(t, u_half, v_half, sup=sup, u=u)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
-    L2 and |D|^sigma L2 by Parseval from the coefficients, sup and mean
-    in physical space; sup reads the field step() carried, if any, so it
-    is the sup that step() measured.
+    L2 and |D|^sigma L2 by Parseval on the half spectrum, mean from its
+    zero mode, sup in physical space from the field step() carried, if
+    any, so it is the sup that step() measured.
     """
-    k = state.u_hat.shape[0]
-    a = grid.symbol(sigma)
+    a = _half(grid.symbol(sigma))
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
     u_phys = _physical(state, grid)
-    sq = np.abs(state.u_hat) ** 2
+    sq = grid.parseval_weights * np.abs(state.u_half) ** 2
     sum_axes = grid.spatial_axes
     l2 = np.sqrt(vol_factor * np.sum(sq, axis=sum_axes))
     hs = np.sqrt(vol_factor * np.sum(a * sq, axis=sum_axes))
     sup = np.max(np.abs(u_phys), axis=sum_axes)
     zero = (slice(None),) + (0,) * grid.n
-    mean = state.u_hat[zero].real / grid.N ** grid.n
+    mean = state.u_half[zero].real / grid.N ** grid.n
     return {
         "l2": tuple(float(x) for x in l2),
         "hsigma": tuple(float(x) for x in hs),

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     InsufficientSnapshots,
 )
-from .solver import GridSpec, RunResult
+from .solver import GridSpec, RunResult, _half
 
 INTEGER_TOL = 1e-12
 CONDITION_CAP = 1e6
@@ -181,9 +181,9 @@ def frac_laplacian_grid(grid: GridSpec, field: np.ndarray, nu: float,
                     f"field edge value is {edge / peak:.2e} of peak; "
                     f"enlarge the box or pass tail_tol=None"
                 )
-    hat = np.fft.fftn(field)
-    out = np.fft.ifftn(grid.symbol(nu) * hat)
-    return out.real
+    hat = np.fft.rfftn(field)
+    return np.fft.irfftn(_half(grid.symbol(nu)) * hat, s=grid.shape,
+                         axes=range(grid.n))
 
 
 def check_weight_decay(grid: GridSpec, nu: float, q: float) -> float:

@@ -62,7 +62,8 @@ def random_state(grid, k, seed, modes=20):
         u[ell] += rng.normal() * 0.1
     axes = grid.spatial_axes
     return FieldState(
-        t=0.0, u_hat=np.fft.fftn(u, axes=axes), v_hat=np.fft.fftn(v, axes=axes)
+        t=0.0, u_half=np.fft.rfftn(u, axes=axes),
+        v_half=np.fft.rfftn(v, axes=axes)
     )
 
 
@@ -211,12 +212,10 @@ class TestLinearExactness:
         # follows m(t) = m0 + (1 - e^(-t)) m1.
         grid = GridSpec(n=1, N=64, L=3.0)
         m0, m1 = 0.4, -0.7
-        Nn = grid.N ** grid.n
-        u_hat = np.zeros((2,) + grid.shape, dtype=complex)
-        v_hat = np.zeros((2,) + grid.shape, dtype=complex)
-        u_hat[:, 0] = m0 * Nn
-        v_hat[:, 0] = m1 * Nn
-        state = FieldState(t=0.0, u_hat=u_hat, v_hat=v_hat)
+        u = np.full((2,) + grid.shape, m0)
+        v = np.full((2,) + grid.shape, m1)
+        state = FieldState(t=0.0, u_half=np.fft.rfftn(u, axes=(1,)),
+                           v_half=np.fft.rfftn(v, axes=(1,)))
         for t in (0.3, 1.0, 4.0):
             new = step(state, t, PARAMS_34, grid, linear_only=True)
             got = norms(grid, new, 1.0)["mean"][0]
@@ -231,12 +230,12 @@ class TestNonlinearStep:
         params = SystemParams(n=1, sigma=1.0, k=2, p=(2.0, 3.0))
         u0 = np.array([0.3, 0.2])
         v0 = np.array([0.1, -0.05])
-        Nn = grid.N ** grid.n
-        u_hat = np.zeros((2,) + grid.shape, dtype=complex)
-        v_hat = np.zeros((2,) + grid.shape, dtype=complex)
-        u_hat[:, 0] = u0 * Nn
-        v_hat[:, 0] = v0 * Nn
-        state = FieldState(t=0.0, u_hat=u_hat, v_hat=v_hat)
+        ones = np.ones(grid.shape)
+        state = FieldState(
+            t=0.0,
+            u_half=np.fft.rfftn(u0[:, None] * ones, axes=(1,)),
+            v_half=np.fft.rfftn(v0[:, None] * ones, axes=(1,)),
+        )
         T, nsteps = 1.0, 200
         for _ in range(nsteps):
             state = step(state, T / nsteps, params, grid)
@@ -306,8 +305,8 @@ class TestNonlinearStep:
         axes = grid.spatial_axes
         state = FieldState(
             t=0.0,
-            u_hat=np.fft.fftn(u, axes=axes),
-            v_hat=np.zeros_like(np.fft.fftn(u, axes=axes)),
+            u_half=np.fft.rfftn(u, axes=axes),
+            v_half=np.zeros_like(np.fft.rfftn(u, axes=axes)),
         )
         new = step(state, 0.1, params, grid)
         spec = np.abs(new.u_hat[0])
@@ -322,7 +321,7 @@ class TestNonlinearStep:
                                      PARAMS_34.sigma)
         with pytest.raises(ValueError, match="dt"):
             step(state, 0.0, PARAMS_34, grid)
-        flagged = FieldState(0.0, state.u_hat, state.v_hat, blown_up=True)
+        flagged = FieldState(0.0, state.u_half, state.v_half, blown_up=True)
         with pytest.raises(BlowUpDetected):
             step(flagged, 0.1, PARAMS_34, grid)
 
@@ -519,8 +518,8 @@ class TestNorms:
         u[0] = np.cos(xi0 * x)
         state = FieldState(
             t=0.0,
-            u_hat=np.fft.fftn(u, axes=(1,)),
-            v_hat=np.zeros_like(np.fft.fftn(u, axes=(1,))),
+            u_half=np.fft.rfftn(u, axes=(1,)),
+            v_half=np.zeros_like(np.fft.rfftn(u, axes=(1,))),
         )
         out = norms(grid, state, 1.5)
         assert out["hsigma"][0] == pytest.approx(
@@ -534,13 +533,32 @@ class TestNorms:
         u = rng.normal(size=(1,) + grid.shape)
         state = FieldState(
             t=0.0,
-            u_hat=np.fft.fftn(u, axes=(1, 2)),
-            v_hat=np.zeros((1,) + grid.shape, dtype=complex),
+            u_half=np.fft.rfftn(u, axes=(1, 2)),
+            v_half=np.zeros_like(np.fft.rfftn(u, axes=(1, 2))),
         )
         direct = math.sqrt(float(np.sum(u ** 2)) * grid.cell_volume)
         assert norms(grid, state, 1.0)["l2"][0] == pytest.approx(
             direct, rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_half_spectrum_parseval_white_noise(self, n):
+        # white noise fills every column, the self-mirrored m = 0 and
+        # m = N/2 ones included, so a wrong weight on any of them shows
+        grid = GridSpec(n=n, N=32, L=3.0)
+        rng = np.random.default_rng(21 + n)
+        half = np.fft.rfftn(rng.normal(size=(2,) + grid.shape),
+                            axes=grid.spatial_axes)
+        state = FieldState(t=0.0, u_half=half, v_half=np.zeros_like(half))
+        assert np.min(np.abs(state.u_half[..., -1])) > 0.0
+        vol = (2.0 * grid.L) ** n / grid.N ** (2 * n)
+        sq = np.abs(state.u_hat) ** 2
+        out = norms(grid, state, 0.75)
+        for ell in range(2):
+            l2 = math.sqrt(vol * float(np.sum(sq[ell])))
+            hs = math.sqrt(vol * float(np.sum(grid.symbol(0.75) * sq[ell])))
+            assert out["l2"][ell] == pytest.approx(l2, rel=1e-13, abs=0.0)
+            assert out["hsigma"][ell] == pytest.approx(hs, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("n,linear_only",
                              [(1, False), (2, False), (1, True)])
@@ -801,6 +819,46 @@ class TestStepControl:
         assert np.array_equal(res.snapshots[-1][1], state.u)
         assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
         assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
+
+
+class TestHalfLayoutOnly:
+    """Runs keep the half spectra only: the full fftn layout is built
+    for callers that read u_hat or v_hat, never by the solver."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_full_layout(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the solver built the full fftn layout")
+        monkeypatch.setattr(solver, "_full", refuse)
+
+    @pytest.mark.parametrize("dt_policy", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_run_to_completion(self, n, dt_policy):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
+        res = run(params, grid, data, t_end=2.0, dt=0.1,
+                  dt_policy=dt_policy, outputs=4, snapshot_times=(1.0,))
+        assert not res.blown_up and res.steps >= 4
+        assert res.times[-1] == pytest.approx(2.0)
+        assert len(res.snapshots) == 1
+
+    def test_blowup_run(self, monkeypatch):
+        checked = []
+        real_checked = solver._checked
+
+        def counting(*args):
+            try:
+                return real_checked(*args)
+            except BlowUpDetected:
+                checked.append(args[0])
+                raise
+
+        monkeypatch.setattr(solver, "_checked", counting)
+        res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
+        assert res.blown_up and 5.0 < res.blowup_time < 25.0
+        # the threshold check fired once in the run and in the bisection
+        assert len(checked) >= 2
 
 
 def counting_builds(monkeypatch):
