@@ -370,8 +370,7 @@ def _cmd_lifespan(args) -> int:
     write_lifespan_csv(out_dir / "lifespan.csv", sweep)
     write_json(out_dir / "lifespan.json", {
         "epsilons": list(sweep.epsilons),
-        "lifespans": [t if t is not None else None
-                      for t in sweep.lifespans],
+        "lifespans": list(sweep.lifespans),
         "capped": list(sweep.capped),
         "fit": _fit_dict(sweep.fit),
         "monotone": sweep.monotone,
@@ -393,7 +392,7 @@ def _cmd_lifespan(args) -> int:
         fit=sweep.fit, guide_slope=sweep.fit.expected,
         title="lifespan scaling", xlabel="epsilon", ylabel="T")
     print(f"outputs: {out_dir}")
-    return VERDICT_FAILED if ok is False else PASS
+    return VERDICT_FAILED if not ok else PASS
 
 
 def _cmd_testfunc(args) -> int:

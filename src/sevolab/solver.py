@@ -2,22 +2,24 @@
 
 The linear flow is applied exactly mode by mode with the closed-form
 propagator from kernels; the nonlinearity |u_{l-1}|^{p_l} (component 1
-is forced by component k) is evaluated pointwise in physical space,
-dealiased by the 2/3 rule, and injected through the Duhamel moment
-weights with one predictor-corrector sweep, so the stepper is second
-order in dt while remaining exact on linear problems.  The gap between
-the predictor and the corrector is the local error estimate by which
-adaptive runs accept, reject and size their steps.
+is forced by component k) is evaluated pointwise in physical space
+and injected through the Duhamel moment weights with one
+predictor-corrector sweep, so the stepper is second order in dt while
+remaining exact on linear problems.  The weights carry the 2/3-rule
+dealias mask, so the forcing is dealiased as it enters, at no extra
+pass over the spectrum.  The gap between the predictor and the
+corrector is the local error estimate by which adaptive runs accept,
+reject and size their steps.
 
 The fields are real, so a state holds rfftn half spectra (the m >= 0
 half of the last axis) and the solver uses real transforms only: the
-propagator tables, the dealias mask, the nonlinearity and the Parseval
-sums of norms() live on that half, and the inverse transforms are
-irfftn, which returns real fields by construction.  The full fftn
-layout is built only when a caller reads FieldState.u_hat or v_hat.
-The physical field step() computes for its blow-up check rides along
-in the state, so the next step does not transform it again: a stepped
-state costs 2 rfftn + 2 irfftn per nonlinear step.
+propagator tables, the masked Duhamel weights, the nonlinearity and
+the Parseval sums of norms() live on that half, and the inverse
+transforms are irfftn, which returns real fields by construction.  The
+full fftn layout is built only when a caller reads FieldState.u_hat or
+v_hat.  The physical field step() computes for its blow-up check rides
+along in the state, so the next step does not transform it again: a
+stepped state costs 2 rfftn + 2 irfftn per nonlinear step.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -123,12 +125,11 @@ class FieldState:
     grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
     layout on each read, for callers; the solver never reads them.
     blown_up marks a state whose physical values crossed the blow-up
-    threshold or went non-finite.  sup is max |u| over all components
-    and points, and u the real physical field of shape (k,) +
-    grid.shape, when the state came out of step(), which computes both
-    for the blow-up check anyway; else None.  err is the local error
-    estimate of the step that made the state, the largest over
-    components l of max |u_corr_l - u_pred_l| / max(max |u_corr_l|,
+    threshold or went non-finite.  u is the real physical field of
+    shape (k,) + grid.shape when the state came out of step(), which
+    computes it for the blow-up check anyway; else None.  err is the
+    local error estimate of the step that made the state, the largest
+    over components l of max |u_corr_l - u_pred_l| / max(max |u_corr_l|,
     TINY) with u_pred the exponential-Euler predictor and u_corr the
     second-order corrector, so a component far smaller than the others
     still has its relative error bounded (0.0 for linear_only, whose
@@ -139,7 +140,6 @@ class FieldState:
     u_half: np.ndarray
     v_half: np.ndarray
     blown_up: bool = False
-    sup: float | None = None
     u: np.ndarray | None = None
     err: float | None = None
 
@@ -207,17 +207,11 @@ def make_initial_data(grid: GridSpec, data: InitialData,
         u1[ell] = data.epsilon * comp.amp1 * g
     for ell in range(k):
         for f in (u0[ell], u1[ell]):
-            peak = float(np.max(np.abs(f)))
-            if peak == 0.0:
-                continue
-            edge = max(
-                float(np.max(np.abs(np.take(f, idx, axis=ax))))
-                for ax in range(grid.n) for idx in (0, grid.N - 1)
-            )
-            if edge > 1e-8 * peak:
+            ratio = _edge_ratio(grid, f)
+            if ratio > 1e-8:
                 raise DataLeakage(
                     f"component {ell + 1} tail at the box edge is "
-                    f"{edge / peak:.2e} of peak; enlarge L or shrink width"
+                    f"{ratio:.2e} of peak; enlarge L or shrink width"
                 )
     axes = grid.spatial_axes
     state = FieldState(0.0, np.fft.rfftn(u0, axes=axes),
@@ -243,6 +237,18 @@ def make_initial_data(grid: GridSpec, data: InitialData,
         "parts": tuple(norm_parts),
     }
     return state, report
+
+
+def _edge_ratio(grid: GridSpec, f: np.ndarray) -> float:
+    """Largest |f| on the faces of the box over the largest |f| anywhere
+    (0.0 for f = 0): how strongly a field of shape grid.shape would see
+    its periodic images."""
+    peak = float(np.max(np.abs(f)))
+    if peak == 0.0:
+        return 0.0
+    edge = max(float(np.max(np.abs(np.take(f, idx, axis=ax))))
+               for ax in range(grid.n) for idx in (0, grid.N - 1))
+    return edge / peak
 
 
 def _half(arr: np.ndarray) -> np.ndarray:
@@ -275,11 +281,15 @@ def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
 
 
 # a fixed-dt run needs its own dt plus the one-off dt of a step clipped
-# to an output time; an entry holds 9 half-spectrum tables (2.3 MB on a
-# 2D grid of N = 256)
+# to an output time; an entry holds 9 float64 half-spectrum tables
+# (2.4 MB on a 2D grid of N = 256, 74 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
-    """Propagator tables and Duhamel weights on the half spectrum."""
+    """Propagator tables k0, k1, dk0, dk1 and Duhamel weights i1,
+    w_old_u, w_new_u, w_old_v, w_new_v on the half spectrum.  The
+    2/3-rule dealias mask lives only here, folded into the five weights
+    that multiply a nonlinearity spectrum; the propagator tables, which
+    act on the state, stay unmasked."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # Duhamel weights of the linear-in-time nonlinearity model
@@ -287,7 +297,10 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     w_new_u = i1 - w_old_u
     w_new_v = i1 / dt
     w_old_v = k1 - w_new_v
-    return k0, k1, dk0, dk1, i1, w_old_u, w_new_u, w_old_v, w_new_v
+    mask = _half(grid.dealias_mask)
+    return (k0, k1, dk0, dk1) + tuple(
+        w * mask for w in (i1, w_old_u, w_new_u, w_old_v, w_new_v)
+    )
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:
@@ -303,12 +316,14 @@ def _power(u: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _nonlinearity_hat(u_phys, params, mask, axes):
+def _nonlinearity_hat(u_phys, params, axes):
+    """rfftn of the forcing |u_{l-1}|^{p_l}, undealiased: the weights of
+    _tables carry the mask."""
     k = u_phys.shape[0]
     N = np.empty_like(u_phys)
     for ell in range(k):
         N[ell] = _power(u_phys[(ell - 1) % k], params.p[ell])
-    return np.fft.rfftn(N, axes=axes) * mask
+    return np.fft.rfftn(N, axes=axes)
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
@@ -318,8 +333,8 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  The new state carries its sup
-    and physical field, and with estimate=True its local error
+    predictor-corrector (second order).  The new state carries its
+    physical field, and with estimate=True its local error
     estimate err (one more pass over the field); state.u, when set,
     stands in for the inverse transform of state.u_half.  Raises
     BlowUpDetected carrying the flagged state when physical values
@@ -340,15 +355,14 @@ def step(state: FieldState, dt: float, params: SystemParams,
     if linear_only:
         new = _checked(t, lin_u, lin_v, grid, threshold)
         return replace(new, err=0.0) if estimate else new
-    mask = _half(grid.dealias_mask)
-    Nh_old = _nonlinearity_hat(_physical(state, grid), params, mask, axes)
+    Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
     u_pred = np.fft.irfftn(lin_u + i1 * Nh_old, s=grid.shape, axes=axes)
     if not np.all(np.isfinite(u_pred)):
         raise BlowUpDetected(
             f"non-finite predictor at t = {t:.6g}",
             state=FieldState(t, lin_u, lin_v, blown_up=True),
         )
-    Nh_new = _nonlinearity_hat(u_pred, params, mask, axes)
+    Nh_new = _nonlinearity_hat(u_pred, params, axes)
     new = _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
                    lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
     if not estimate:
@@ -360,8 +374,8 @@ def step(state: FieldState, dt: float, params: SystemParams,
 
 def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
              grid: GridSpec, threshold: float) -> FieldState:
-    """State at time t holding the half spectra, its physical field and
-    sup, or BlowUpDetected with the flagged state."""
+    """State at time t holding the half spectra and its physical field,
+    or BlowUpDetected with the flagged state."""
     u = np.fft.irfftn(u_half, s=grid.shape, axes=grid.spatial_axes)
     sup = float(np.max(np.abs(u)))
     if not math.isfinite(sup) or sup > threshold:
@@ -369,7 +383,7 @@ def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
             f"|u| reached {sup:.3e} at t = {t:.6g}",
             state=FieldState(t, u_half, v_half, blown_up=True),
         )
-    return FieldState(t, u_half, v_half, sup=sup, u=u)
+    return FieldState(t, u_half, v_half, u=u)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
@@ -395,21 +409,6 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
         "sup": tuple(float(x) for x in sup),
         "mean": tuple(float(x) for x in mean),
     }
-
-
-def symmetry_defect(state: FieldState) -> float:
-    """Relative violation of conjugate symmetry u_hat(-m) = conj(u_hat(m))."""
-    worst = 0.0
-    for arr in (state.u_hat, state.v_hat):
-        spatial = tuple(range(1, arr.ndim))
-        rev = arr
-        for ax in spatial:
-            rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-        scale = float(np.max(np.abs(arr)))
-        if scale == 0.0:
-            continue
-        worst = max(worst, float(np.max(np.abs(arr - np.conj(rev)))) / scale)
-    return worst
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     InsufficientSnapshots,
 )
-from .solver import GridSpec, RunResult, _half
+from .solver import GridSpec, RunResult, _edge_ratio, _half
 
 INTEGER_TOL = 1e-12
 CONDITION_CAP = 1e6
@@ -170,17 +170,12 @@ def frac_laplacian_grid(grid: GridSpec, field: np.ndarray, nu: float,
             f"field shape {field.shape} does not match grid {grid.shape}"
         )
     if tail_tol is not None:
-        peak = float(np.max(np.abs(field)))
-        if peak > 0.0:
-            edge = max(
-                float(np.max(np.abs(np.take(field, idx, axis=ax))))
-                for ax in range(grid.n) for idx in (0, grid.N - 1)
+        ratio = _edge_ratio(grid, field)
+        if ratio > tail_tol:
+            raise DataLeakage(
+                f"field edge value is {ratio:.2e} of peak; "
+                f"enlarge the box or pass tail_tol=None"
             )
-            if edge > tail_tol * peak:
-                raise DataLeakage(
-                    f"field edge value is {edge / peak:.2e} of peak; "
-                    f"enlarge the box or pass tail_tol=None"
-                )
     hat = np.fft.rfftn(field)
     return np.fft.irfftn(_half(grid.symbol(nu)) * hat, s=grid.shape,
                          axes=range(grid.n))
