@@ -66,6 +66,5 @@ from .config import (
     config_hash,
     config_to_json,
 )
-from .cli import cli_main
 
 __version__ = "0.1.0"

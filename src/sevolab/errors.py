@@ -1,9 +1,8 @@
 """Shared error taxonomy.
 
 Every failure mode that callers are expected to branch on gets its own
-class; anything else is a plain ValueError.  BlowUpDetected is special:
-for the experiment drivers it is a verdict, not a failure, and run()
-converts it into a RunResult entry instead of letting it escape.
+class; anything else is a plain ValueError.  Blow-up is no error here:
+it is a verdict, which run() reports in its RunResult.
 """
 
 
@@ -33,14 +32,6 @@ class FitUnstable(SevolabError):
 
 class DataLeakage(SevolabError):
     """Field does not decay at the box edge; periodic wraparound unsafe."""
-
-
-class BlowUpDetected(SevolabError):
-    """Solution crossed the blow-up threshold; carries the flagged state."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class InsufficientSnapshots(SevolabError):

@@ -17,9 +17,10 @@ propagator tables, the masked Duhamel weights, the nonlinearity and
 the Parseval sums of norms() live on that half, and the inverse
 transforms are irfftn, which returns real fields by construction.  The
 full fftn layout is built only when a caller reads FieldState.u_hat or
-v_hat.  The physical field step() computes for its blow-up check rides
-along in the state, so the next step does not transform it again: a
-stepped state costs 2 rfftn + 2 irfftn per nonlinear step.
+v_hat.  The physical field step() computes rides along in the state,
+so neither run()'s blow-up check nor norms() nor the next step
+transforms it again: a stepped state costs 2 rfftn + 2 irfftn per
+nonlinear step.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BlowUpDetected, DataLeakage
+from .errors import DataLeakage
 from .exponents import SystemParams
 from .kernels import propagator_arrays
 
@@ -123,23 +124,22 @@ class FieldState:
     """rfftn half spectra (u_half, v_half) of the real fields u and u_t
     of all k components at one time, complex of shape (k,) +
     grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
-    layout on each read, for callers; the solver never reads them.
-    blown_up marks a state whose physical values crossed the blow-up
-    threshold or went non-finite.  u is the real physical field of
-    shape (k,) + grid.shape when the state came out of step(), which
-    computes it for the blow-up check anyway; else None.  err is the
-    local error estimate of the step that made the state, the largest
-    over components l of max |u_corr_l - u_pred_l| / max(max |u_corr_l|,
-    TINY) with u_pred the exponential-Euler predictor and u_corr the
-    second-order corrector, so a component far smaller than the others
-    still has its relative error bounded (0.0 for linear_only, whose
-    steps are exact), when step() was asked for it; else None.
+    layout on each read, for callers; the solver never reads them.  u
+    is the real physical field of shape (k,) + grid.shape when the
+    state came out of step(), so that run()'s blow-up check, norms()
+    and the next step read it without another transform; else None.
+    err is the local error estimate of the step that made the state,
+    the largest over components l of max |u_corr_l - u_pred_l| /
+    max(max |u_corr_l|, TINY) with u_pred the exponential-Euler
+    predictor and u_corr the second-order corrector, so a component far
+    smaller than the others still has its relative error bounded (0.0
+    for linear_only, whose steps are exact), when step() was asked for
+    it; else None.
     """
 
     t: float
     u_half: np.ndarray
     v_half: np.ndarray
-    blown_up: bool = False
     u: np.ndarray | None = None
     err: float | None = None
 
@@ -328,7 +328,6 @@ def _nonlinearity_hat(u_phys, params, axes):
 
 def step(state: FieldState, dt: float, params: SystemParams,
          grid: GridSpec, *, linear_only: bool = False,
-         threshold: float = BLOWUP_THRESHOLD,
          estimate: bool = False) -> FieldState:
     """Advance one step of size dt.
 
@@ -336,54 +335,34 @@ def step(state: FieldState, dt: float, params: SystemParams,
     predictor-corrector (second order).  The new state carries its
     physical field, and with estimate=True its local error
     estimate err (one more pass over the field); state.u, when set,
-    stands in for the inverse transform of state.u_half.  Raises
-    BlowUpDetected carrying the flagged state when physical values
-    cross the threshold or go non-finite.
+    stands in for the inverse transform of state.u_half.  Pure
+    numerics: a step that overflows returns non-finite fields, and
+    judging blow-up is left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if state.blown_up:
-        raise BlowUpDetected("cannot step a blown-up state", state=state)
     k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _tables(
         grid, params.sigma, dt
     )
     axes = grid.spatial_axes
-    t = state.t + dt
     uh, vh = state.u_half, state.v_half
-    lin_u = k0 * uh + k1 * vh
-    lin_v = dk0 * uh + dk1 * vh
-    if linear_only:
-        new = _checked(t, lin_u, lin_v, grid, threshold)
-        return replace(new, err=0.0) if estimate else new
-    Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
-    u_pred = np.fft.irfftn(lin_u + i1 * Nh_old, s=grid.shape, axes=axes)
-    if not np.all(np.isfinite(u_pred)):
-        raise BlowUpDetected(
-            f"non-finite predictor at t = {t:.6g}",
-            state=FieldState(t, lin_u, lin_v, blown_up=True),
-        )
-    Nh_new = _nonlinearity_hat(u_pred, params, axes)
-    new = _checked(t, lin_u + w_ou * Nh_old + w_nu * Nh_new,
-                   lin_v + w_ov * Nh_old + w_nv * Nh_new, grid, threshold)
-    if not estimate:
-        return new
-    gap = np.max(np.abs(new.u - u_pred), axis=axes)
-    size = np.maximum(np.max(np.abs(new.u), axis=axes), TINY)
-    return replace(new, err=float(np.max(gap / size)))
-
-
-def _checked(t: float, u_half: np.ndarray, v_half: np.ndarray,
-             grid: GridSpec, threshold: float) -> FieldState:
-    """State at time t holding the half spectra and its physical field,
-    or BlowUpDetected with the flagged state."""
-    u = np.fft.irfftn(u_half, s=grid.shape, axes=grid.spatial_axes)
-    sup = float(np.max(np.abs(u)))
-    if not math.isfinite(sup) or sup > threshold:
-        raise BlowUpDetected(
-            f"|u| reached {sup:.3e} at t = {t:.6g}",
-            state=FieldState(t, u_half, v_half, blown_up=True),
-        )
-    return FieldState(t, u_half, v_half, u=u)
+    u_half = k0 * uh + k1 * vh
+    v_half = dk0 * uh + dk1 * vh
+    if not linear_only:
+        Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
+        u_pred = np.fft.irfftn(u_half + i1 * Nh_old, s=grid.shape, axes=axes)
+        Nh_new = _nonlinearity_hat(u_pred, params, axes)
+        u_half = u_half + w_ou * Nh_old + w_nu * Nh_new
+        v_half = v_half + w_ov * Nh_old + w_nv * Nh_new
+    u = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
+    err = None
+    if estimate and linear_only:
+        err = 0.0
+    elif estimate:
+        gap = np.max(np.abs(u - u_pred), axis=axes)
+        size = np.maximum(np.max(np.abs(u), axis=axes), TINY)
+        err = float(np.max(gap / size))
+    return FieldState(state.t + dt, u_half, v_half, u=u, err=err)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
@@ -438,22 +417,6 @@ class RunResult:
     dt_max: float | None = None
 
 
-def _refine_blowup_time(good: FieldState, dt: float, params, grid,
-                        threshold: float) -> float:
-    """Bisect the last step: largest single-step advance from the last
-    good state that stays under the threshold, to +-dt/16."""
-    lo, hi = 0.0, dt
-    for _ in range(4):
-        mid = 0.5 * (lo + hi)
-        try:
-            step(good, mid, params, grid, threshold=threshold)
-        except BlowUpDetected:
-            hi = mid
-        else:
-            lo = mid
-    return good.t + 0.5 * (lo + hi)
-
-
 def _ladder(x: float, dt: float) -> float:
     """Largest dt * 2^(j/4), j integer, not above x (up to roundoff)."""
     return dt * 2.0 ** (math.floor(4.0 * math.log2(x / dt) + 1e-9) / 4)
@@ -462,8 +425,7 @@ def _ladder(x: float, dt: float) -> float:
 def run(params: SystemParams, grid: GridSpec, data: InitialData,
         t_end: float, dt: float, *, dt_policy: str = "fixed",
         outputs: int = 64, snapshot_times: tuple = (),
-        linear_only: bool = False,
-        threshold: float = BLOWUP_THRESHOLD) -> RunResult:
+        linear_only: bool = False) -> RunResult:
     """Integrate to t_end or blow-up, recording norms on a logarithmic
     output schedule (plus t = 0 and t_end themselves).
 
@@ -478,7 +440,14 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     exactly; a clipped step does not shrink the next one unless its
     estimate asks for it.  steps counts accepted steps, rejected_steps
     the rejected ones, and dt_min/dt_max span the accepted step sizes.
-    Blow-up is a verdict in the result, not an exception.
+
+    Blow-up is a verdict in the result, not an exception.  The run
+    stops at the first step h from a state at time t whose field has
+    a sup that is not at most BLOWUP_THRESHOLD (NaN and inf included);
+    that check comes before the step's accept/reject.  blowup_time is
+    then t + h/2, the midpoint of the bracket [t, t + h], and the last
+    good state at t is the final record, so times[-1] is the bracket's
+    lower end and blowup_time - times[-1] its half-width.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -529,12 +498,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             ev_idx += 1
         next_event = events[ev_idx] if ev_idx < len(events) else t_end
         h = min(dt_now, next_event - state.t)
-        try:
-            new = step(state, h, params, grid, linear_only=linear_only,
-                       threshold=threshold, estimate=adaptive)
-        except BlowUpDetected:
-            blown = True
-            t_blow = _refine_blowup_time(state, h, params, grid, threshold)
+        new = step(state, h, params, grid, linear_only=linear_only,
+                   estimate=adaptive)
+        # NaN and inf fail the comparison too
+        if not float(np.max(np.abs(new.u))) <= BLOWUP_THRESHOLD:
+            blown, t_blow = True, state.t + 0.5 * h
+            if times[-1] != state.t:
+                record(state)
             break
         if adaptive:
             fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 
@@ -229,6 +232,17 @@ class TestCliExitCodes:
         assert "gamma = (1, 1)" in out
         assert "Subcritical" in out
         assert "lifespan exponent: -2" in out
+
+    def test_module_entry_point_warns_nothing(self):
+        # importing the package must not import sevolab.cli first, or
+        # runpy warns that the module it is about to run is loaded
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sevolab.cli", "exponents"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_singular_system_is_usage_error(self, capsys):
         code = cli_main(["exponents", "--p", "1.0,2"])

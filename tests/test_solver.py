@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sevolab import solver
-from sevolab.errors import BlowUpDetected, DataLeakage
+from sevolab.errors import DataLeakage
 from sevolab.kernels import propagator_arrays
 from sevolab.solver import (
     TINY,
@@ -319,17 +319,14 @@ class TestNonlinearStep:
                                      PARAMS_34.sigma)
         with pytest.raises(ValueError, match="dt"):
             step(state, 0.0, PARAMS_34, grid)
-        flagged = FieldState(0.0, state.u_half, state.v_half, blown_up=True)
-        with pytest.raises(BlowUpDetected):
-            step(flagged, 0.1, PARAMS_34, grid)
 
-    def test_threshold_triggers(self):
+    def test_threshold_triggers(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 1e-6)
         grid = GridSpec(n=1, N=64, L=10.0)
-        state, _ = make_initial_data(grid, gaussian_data(0.5),
-                                     PARAMS_34.sigma)
-        with pytest.raises(BlowUpDetected) as exc:
-            step(state, 0.1, PARAMS_34, grid, threshold=1e-6)
-        assert exc.value.state.blown_up
+        res = run(PARAMS_34, grid, gaussian_data(0.5), t_end=1.0, dt=0.1)
+        assert res.blown_up
+        assert res.blowup_time == 0.05
+        assert list(res.times) == [0.0]
 
 
 def reference_step(state, dt, params, grid):
@@ -393,17 +390,6 @@ class TestHalfSpectrumStep:
         again = np.fft.irfftn(state.u_hat[..., : grid.N // 2 + 1],
                               s=grid.shape, axes=grid.spatial_axes)
         assert np.array_equal(state.u, again)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_blown_up_state_is_full_layout(self, n):
-        grid = GridSpec(n=n, N=32, L=10.0)
-        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        state, _ = make_initial_data(grid, gaussian_data(0.5), 1.0)
-        with pytest.raises(BlowUpDetected) as exc:
-            step(state, 0.1, params, grid, threshold=1e-6)
-        flagged = exc.value.state
-        assert flagged.u_hat.shape == (2,) + grid.shape
-        assert flagged.v_hat.shape == (2,) + grid.shape
 
 
 class TestPower:
@@ -607,6 +593,34 @@ class TestRun:
         assert coarse.blowup_time == pytest.approx(fine.blowup_time,
                                                    rel=0.02)
 
+    def test_blowup_time_is_midpoint_of_crossing_step(self, monkeypatch):
+        calls = recording_every_step(monkeypatch)
+        res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
+        good, h, crossed = calls[-1]
+        assert res.blown_up and res.steps == len(calls) - 1
+        assert (np.max(np.abs(good.u)) <= solver.BLOWUP_THRESHOLD
+                < np.max(np.abs(crossed.u)))
+        assert res.blowup_time == good.t + 0.5 * h
+
+    def test_blowup_run_records_last_good_state(self, monkeypatch):
+        calls = recording_every_step(monkeypatch)
+        res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
+        good, h, _ = calls[-1]
+        assert res.times[-1] == good.t
+        assert np.count_nonzero(res.times == good.t) == 1
+        assert tuple(res.sup[:, -1]) == norms(BLOWUP_GRID, good, 1.0)["sup"]
+        assert res.blowup_time - res.times[-1] == pytest.approx(0.5 * h)
+
+    def test_non_finite_field_is_blow_up(self, monkeypatch):
+        calls = recording_every_step(monkeypatch)
+        params = SystemParams(n=1, sigma=1.0, k=2, p=(70.0, 70.0))
+        grid = GridSpec(n=1, N=64, L=10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(params, grid, gaussian_data(1e5), t_end=1.0, dt=0.1)
+        assert not np.all(np.isfinite(calls[-1][2].u))
+        assert res.blown_up and res.blowup_time == 0.05
+        assert list(res.times) == [0.0]
+
     def test_adaptive_matches_fixed(self):
         grid = GridSpec(n=1, N=256, L=40.0)
         data = gaussian_data(0.3, ((1.0, 1.0), (1.0, 1.0)))
@@ -641,6 +655,21 @@ class TestRun:
         assert isinstance(res, RunResult)
         assert res.steps > 0
         assert res.data_report["data_norm"] > 0
+
+
+def recording_every_step(monkeypatch):
+    """Patch solver.step to record (state, dt, new state) of every call;
+    returns the list it appends to."""
+    calls = []
+    real_step = solver.step
+
+    def recorded(state, dt, *args, **kwargs):
+        new = real_step(state, dt, *args, **kwargs)
+        calls.append((state, dt, new))
+        return new
+
+    monkeypatch.setattr(solver, "step", recorded)
+    return calls
 
 
 BLOWUP_GRID = GridSpec(n=1, N=256, L=40.0)
@@ -766,6 +795,9 @@ class TestStepControl:
         recording_step(monkeypatch, calls)
         res = adaptive_blowup_run()
         assert res.blown_up and res.rejected_steps > 0
+        # the last call crossed the threshold: returned, never accepted
+        *calls, (_, _, crossed) = calls
+        assert np.max(np.abs(crossed.u)) > solver.BLOWUP_THRESHOLD
         floor = 0.05 / 1024
         accepted = [(st, h) for st, h, new in calls
                     if new.err <= solver.STEP_TOL or h <= floor]
@@ -837,22 +869,9 @@ class TestHalfLayoutOnly:
         assert res.times[-1] == pytest.approx(2.0)
         assert len(res.snapshots) == 1
 
-    def test_blowup_run(self, monkeypatch):
-        checked = []
-        real_checked = solver._checked
-
-        def counting(*args):
-            try:
-                return real_checked(*args)
-            except BlowUpDetected:
-                checked.append(args[0])
-                raise
-
-        monkeypatch.setattr(solver, "_checked", counting)
+    def test_blowup_run(self):
         res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
         assert res.blown_up and 5.0 < res.blowup_time < 25.0
-        # the threshold check fired once in the run and in the bisection
-        assert len(checked) >= 2
 
 
 def counting_builds(monkeypatch):
