@@ -17,10 +17,16 @@ propagator tables, the masked Duhamel weights, the nonlinearity and
 the Parseval sums of norms() live on that half, and the inverse
 transforms are irfftn, which returns real fields by construction.  The
 full fftn layout is built only when a caller reads FieldState.u_hat or
-v_hat.  The physical field step() computes rides along in the state,
-so neither run()'s blow-up check nor norms() nor the next step
-transforms it again: a stepped state costs 2 rfftn + 2 irfftn per
-nonlinear step.
+v_hat.
+
+A stepped state carries the spectrum of the forcing its step evaluated
+at the predictor, which the next step uses in place of the forcing at
+the corrected field ("first same as last", Dormand & Prince 1980): the
+local error stays O(dt^3).  A nonlinear step thus costs 1 irfftn (the
+predictor) + 1 rfftn (its forcing).  The corrector stays a spectrum;
+it is transformed only when norms() or a snapshot reads it, and the
+step's error estimate and run()'s blow-up check read the predictor and
+the spectral predictor-corrector gap instead.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -30,7 +36,7 @@ images; drivers pick L accordingly and fit on intermediate windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -40,8 +46,8 @@ from .exponents import SystemParams
 from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
-# adaptive runs accept a step when, in every component, max|u_corr - u_pred|
-# is at most STEP_TOL times that component's sup
+# adaptive runs accept a step when, in every component, the l1 bound on
+# max|u_corr - u_pred| is at most STEP_TOL times max|u_pred|
 STEP_TOL = 1e-4
 # physical magnitudes below this are flushed to zero before |u|^p
 TINY = 1e-300
@@ -124,23 +130,27 @@ class FieldState:
     """rfftn half spectra (u_half, v_half) of the real fields u and u_t
     of all k components at one time, complex of shape (k,) +
     grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
-    layout on each read, for callers; the solver never reads them.  u
-    is the real physical field of shape (k,) + grid.shape when the
-    state came out of step(), so that run()'s blow-up check, norms()
-    and the next step read it without another transform; else None.
-    err is the local error estimate of the step that made the state,
-    the largest over components l of max |u_corr_l - u_pred_l| /
-    max(max |u_corr_l|, TINY) with u_pred the exponential-Euler
-    predictor and u_corr the second-order corrector, so a component far
-    smaller than the others still has its relative error bounded (0.0
-    for linear_only, whose steps are exact), when step() was asked for
-    it; else None.
+    layout on each read, for callers; the solver never reads them.
+
+    The other fields are set when the state came out of step(), else
+    None.  nl_half is the rfftn of the forcing |u_{l-1}|^{p_l} at the
+    step's predictor u_pred, same layout (None after a linear_only
+    step), which the next step reuses.  pred_sup holds max |u_pred_l|
+    per component, the numbers run()'s blow-up check reads (for
+    linear_only, whose steps are exact, the sup of the field itself).
+    err is the local error estimate of the step, the largest over
+    components l of the l1 bound sum |g_l| / N^n on max |u_corr_l -
+    u_pred_l|, with g the spectral gap between the corrector u_corr and
+    u_pred, over max(pred_sup_l, TINY), so a component far smaller than
+    the others still has its relative error bounded (0.0 for
+    linear_only), when step() was asked for it.
     """
 
     t: float
     u_half: np.ndarray
     v_half: np.ndarray
-    u: np.ndarray | None = None
+    nl_half: np.ndarray | None = None
+    pred_sup: np.ndarray | None = None
     err: float | None = None
 
     u_hat = property(lambda self: _full(self.u_half))
@@ -216,8 +226,7 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     axes = grid.spatial_axes
     state = FieldState(0.0, np.fft.rfftn(u0, axes=axes),
                        np.fft.rfftn(u1, axes=axes))
-    # u0 stands in for the inverse transform norms() would take for sup
-    u0_norms = norms(grid, replace(state, u=u0), sigma)
+    u0_norms = norms(grid, state, sigma)
     dv = grid.cell_volume
     norm_parts = []
     total = 0.0
@@ -275,31 +284,29 @@ def _full(half: np.ndarray) -> np.ndarray:
 
 
 def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
-    if state.u is not None:
-        return state.u
     return np.fft.irfftn(state.u_half, s=grid.shape, axes=grid.spatial_axes)
 
 
 # a fixed-dt run needs its own dt plus the one-off dt of a step clipped
-# to an output time; an entry holds 9 float64 half-spectrum tables
-# (2.4 MB on a 2D grid of N = 256, 74 KB on a 1D grid of N = 2048)
+# to an output time; an entry holds 8 float64 half-spectrum tables
+# (2.1 MB on a 2D grid of N = 256, 66 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 and Duhamel weights i1,
-    w_old_u, w_new_u, w_old_v, w_new_v on the half spectrum.  The
-    2/3-rule dealias mask lives only here, folded into the five weights
-    that multiply a nonlinearity spectrum; the propagator tables, which
-    act on the state, stay unmasked."""
+    w_new_u, w_old_v, w_new_v on the half spectrum.  The 2/3-rule
+    dealias mask lives only here, folded into the four weights that
+    multiply a nonlinearity spectrum; the propagator tables, which act
+    on the state, stay unmasked.  u's old-forcing weight j1 / dt is
+    i1 - w_new_u, which step() uses in that form."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # Duhamel weights of the linear-in-time nonlinearity model
-    w_old_u = j1 / dt
-    w_new_u = i1 - w_old_u
+    w_new_u = i1 - j1 / dt
     w_new_v = i1 / dt
     w_old_v = k1 - w_new_v
     mask = _half(grid.dealias_mask)
     return (k0, k1, dk0, dk1) + tuple(
-        w * mask for w in (i1, w_old_u, w_new_u, w_old_v, w_new_v)
+        w * mask for w in (i1, w_new_u, w_old_v, w_new_v)
     )
 
 
@@ -332,45 +339,53 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  The new state carries its
-    physical field, and with estimate=True its local error
-    estimate err (one more pass over the field); state.u, when set,
-    stands in for the inverse transform of state.u_half.  Pure
-    numerics: a step that overflows returns non-finite fields, and
-    judging blow-up is left to run().
+    predictor-corrector (second order).  The old forcing is the
+    state's nl_half when set, else it is evaluated at the state's field
+    (one more irfftn and rfftn).  With w_old_u + w_new_u = i1 the
+    corrector is the predictor's spectrum plus the gap w_new_u (N_new -
+    N_old), so the corrected field is never transformed here.  The new
+    state carries the new forcing, the predictor's sup per component
+    and, with estimate=True, the estimate err, which costs no
+    transform.  Pure numerics: a step that overflows returns non-finite
+    spectra or sups, and judging blow-up is left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k0, k1, dk0, dk1, i1, w_ou, w_nu, w_ov, w_nv = _tables(
-        grid, params.sigma, dt
-    )
+    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = _tables(grid, params.sigma, dt)
     axes = grid.spatial_axes
     uh, vh = state.u_half, state.v_half
     u_half = k0 * uh + k1 * vh
     v_half = dk0 * uh + dk1 * vh
     if not linear_only:
-        Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
-        u_pred = np.fft.irfftn(u_half + i1 * Nh_old, s=grid.shape, axes=axes)
-        Nh_new = _nonlinearity_hat(u_pred, params, axes)
-        u_half = u_half + w_ou * Nh_old + w_nu * Nh_new
-        v_half = v_half + w_ov * Nh_old + w_nv * Nh_new
-    u = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
+        Nh_old = state.nl_half
+        if Nh_old is None:
+            Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
+        u_half += i1 * Nh_old
+    # the predictor, or for linear_only the exact new field
+    u_pred = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
+    sup = np.max(np.abs(u_pred), axis=axes)
+    if linear_only:
+        return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
+                          err=0.0 if estimate else None)
+    Nh_new = _nonlinearity_hat(u_pred, params, axes)
+    gap = w_nu * (Nh_new - Nh_old)
+    u_half += gap
+    v_half += w_ov * Nh_old
+    v_half += w_nv * Nh_new
     err = None
-    if estimate and linear_only:
-        err = 0.0
-    elif estimate:
-        gap = np.max(np.abs(u - u_pred), axis=axes)
-        size = np.maximum(np.max(np.abs(u), axis=axes), TINY)
-        err = float(np.max(gap / size))
-    return FieldState(state.t + dt, u_half, v_half, u=u, err=err)
+    if estimate:
+        bound = np.sum(grid.parseval_weights * np.abs(gap), axis=axes)
+        err = float(np.max(bound / grid.N ** grid.n / np.maximum(sup, TINY)))
+    return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
+                      pred_sup=sup, err=err)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
     L2 and |D|^sigma L2 by Parseval on the half spectrum, mean from its
-    zero mode, sup in physical space from the field step() carried, if
-    any, so it is the sup that step() measured.
+    zero mode, sup in physical space from one irfftn of the half
+    spectrum, so it is the corrected field's sup.
     """
     a = _half(grid.symbol(sigma))
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
@@ -442,12 +457,17 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     the rejected ones, and dt_min/dt_max span the accepted step sizes.
 
     Blow-up is a verdict in the result, not an exception.  The run
-    stops at the first step h from a state at time t whose field has
-    a sup that is not at most BLOWUP_THRESHOLD (NaN and inf included);
-    that check comes before the step's accept/reject.  blowup_time is
-    then t + h/2, the midpoint of the bracket [t, t + h], and the last
-    good state at t is the final record, so times[-1] is the bracket's
-    lower end and blowup_time - times[-1] its half-width.
+    stops at the first step h from a state at time t whose predictor
+    (the one physical field a step holds) has a sup that is not at
+    most BLOWUP_THRESHOLD (NaN and inf included), or whose corrector
+    or carried forcing spectrum is not finite, as when a finite
+    predictor's |u|^p overflows.  That check comes before the step's
+    accept/reject, and numpy's overflow and invalid-value warnings are
+    silenced while step() runs, since the check judges what they
+    report.  blowup_time is then t + h/2, the midpoint of the bracket
+    [t, t + h], and the last good state at t is the final record, so
+    times[-1] is the bracket's lower end and blowup_time - times[-1]
+    its half-width.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -498,10 +518,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             ev_idx += 1
         next_event = events[ev_idx] if ev_idx < len(events) else t_end
         h = min(dt_now, next_event - state.t)
-        new = step(state, h, params, grid, linear_only=linear_only,
-                   estimate=adaptive)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = step(state, h, params, grid, linear_only=linear_only,
+                       estimate=adaptive)
         # NaN and inf fail the comparison too
-        if not float(np.max(np.abs(new.u))) <= BLOWUP_THRESHOLD:
+        if not (float(np.max(new.pred_sup)) <= BLOWUP_THRESHOLD
+                and np.isfinite(new.u_half).all()
+                and (linear_only or np.isfinite(new.nl_half).all())):
             blown, t_blow = True, state.t + 0.5 * h
             if times[-1] != state.t:
                 record(state)

@@ -244,6 +244,20 @@ class TestCliExitCodes:
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_overflowing_run_warns_nothing(self, tmp_path):
+        # |u|^70 of data at 1e5 overflows on the first step; run() judges
+        # the non-finite fields itself, so numpy has nothing to report
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "overflow"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sevolab.cli", "simulate", "--p", "70,70",
+             "--set", "data.epsilon=1e5", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.loads((out / "run.json").read_text())["blown_up"] is True
+
     def test_singular_system_is_usage_error(self, capsys):
         code = cli_main(["exponents", "--p", "1.0,2"])
         assert code == 1

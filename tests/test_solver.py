@@ -16,6 +16,7 @@ import pytest
 from sevolab import solver
 from sevolab.errors import DataLeakage
 from sevolab.kernels import propagator_arrays
+from sevolab.outputs import read_norms_csv, write_norms_csv
 from sevolab.solver import (
     TINY,
     ComponentData,
@@ -23,6 +24,7 @@ from sevolab.solver import (
     GridSpec,
     InitialData,
     RunResult,
+    _physical,
     _power,
     make_initial_data,
     norms,
@@ -329,33 +331,39 @@ class TestNonlinearStep:
         assert list(res.times) == [0.0]
 
 
-def reference_step(state, dt, params, grid):
+def reference_step(state, dt, params, grid, nh_old=None):
     """The full-spectrum predictor-corrector: complex fftn/ifftn on the
     whole m range, a .real projection after every inverse transform,
-    tables on the full symbol and |u|^p by pow.  Returns the corrected
-    (u_hat, v_hat) and the physical predictor."""
+    tables on the full symbol, |u|^p by pow and the dealias mask
+    applied to the weighted sums.  The old forcing spectrum is nh_old
+    when given (the carried one), else that of the state's field.
+    Returns the corrected (u_hat, v_hat), the physical predictor and
+    the undealiased forcing spectrum at the predictor, for the next
+    step to carry."""
     axes = grid.spatial_axes
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, grid.symbol(params.sigma))
     w_ou = j1 / dt
     w_nu = i1 - w_ou
     w_nv = i1 / dt
     w_ov = k1 - w_nv
+    mask = grid.dealias_mask
 
     def nonlinearity_hat(u):
         au = np.abs(u)
         au = np.where(au > TINY, au, 0.0)
         force = np.stack([au[(ell - 1) % params.k] ** params.p[ell]
                           for ell in range(params.k)])
-        return np.fft.fftn(force, axes=axes) * grid.dealias_mask
+        return np.fft.fftn(force, axes=axes)
 
     uh, vh = state.u_hat, state.v_hat
     lin_u = k0 * uh + k1 * vh
     lin_v = dk0 * uh + dk1 * vh
-    nh_old = nonlinearity_hat(np.fft.ifftn(uh, axes=axes).real)
-    u_pred = np.fft.ifftn(lin_u + i1 * nh_old, axes=axes).real
+    if nh_old is None:
+        nh_old = nonlinearity_hat(np.fft.ifftn(uh, axes=axes).real)
+    u_pred = np.fft.ifftn(lin_u + mask * i1 * nh_old, axes=axes).real
     nh_new = nonlinearity_hat(u_pred)
-    return (lin_u + w_ou * nh_old + w_nu * nh_new,
-            lin_v + w_ov * nh_old + w_nv * nh_new, u_pred)
+    return (lin_u + mask * (w_ou * nh_old + w_nu * nh_new),
+            lin_v + mask * (w_ov * nh_old + w_nv * nh_new), u_pred, nh_new)
 
 
 def rel_err(got, want):
@@ -366,18 +374,22 @@ class TestHalfSpectrumStep:
     @pytest.mark.parametrize("p", [(3.0, 4.0), (2.5, 2.0)])
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_full_spectrum_oracle(self, n, p):
-        # a first step (no carried field) and a step from a stepped
-        # state (carried field); the 2D case pins the flip-and-roll of
-        # the Hermitian extension, the two p both _power branches
+        # a first step (forcing from the state's field) and a step that
+        # carries the forcing at the last predictor; the 2D case pins
+        # the flip-and-roll of the Hermitian extension, the two p both
+        # _power branches
         params = SystemParams(n=n, sigma=1.0, k=2, p=p)
         grid = GridSpec(n=n, N=32, L=10.0)
         data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
         state, _ = make_initial_data(grid, data, params.sigma)
+        nh = None
         for _ in range(2):
-            want_u, want_v, _ = reference_step(state, 0.1, params, grid)
+            want_u, want_v, _, nh = reference_step(state, 0.1, params, grid,
+                                                   nh)
             state = step(state, 0.1, params, grid)
             assert rel_err(state.u_hat, want_u) <= 1e-13
             assert rel_err(state.v_hat, want_v) <= 1e-13
+            assert rel_err(solver._full(state.nl_half), nh) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_by_construction(self, n):
@@ -389,7 +401,7 @@ class TestHalfSpectrumStep:
             state = step(state, 0.05, params, grid)
         again = np.fft.irfftn(state.u_hat[..., : grid.N // 2 + 1],
                               s=grid.shape, axes=grid.spatial_axes)
-        assert np.array_equal(state.u, again)
+        assert np.array_equal(_physical(state, grid), again)
 
 
 class TestPower:
@@ -444,7 +456,7 @@ class TestTransformBudget:
         state = step(state, 0.1, params, grid)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        assert fft_calls == {"rfftn": 2, "irfftn": 2}
+        assert fft_calls == {"rfftn": 1, "irfftn": 1}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_linear_only_step(self, n, fft_calls):
@@ -475,7 +487,31 @@ class TestTransformBudget:
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        assert fft_calls == {"rfftn": 2, "irfftn": 3}
+        assert fft_calls == {"rfftn": 2, "irfftn": 2}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_recorded_output_transforms_the_corrector(self, n, fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        state = step(state, 0.1, params, grid)
+        fft_calls.clear()
+        norms(grid, state, 1.0)
+        assert fft_calls == {"irfftn": 1}
+
+    def test_fixed_2d_run_budget(self, fft_calls):
+        # the count perfbench reports as fft.per_step, exactly: a step
+        # that went back to transforming its corrector shows here
+        grid = GridSpec(n=2, N=32, L=10.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        res = run(params, grid, gaussian_data(0.3), t_end=2.0, dt=0.1,
+                  outputs=8)
+        assert res.steps >= 20 and not res.blown_up
+        records = len(res.times)
+        # setup: rfftn of u0 and u1, and the data report's norms(); the
+        # first step evaluates its old forcing from the state's field
+        assert fft_calls == {"rfftn": 2 + 1 + res.steps,
+                             "irfftn": 1 + 1 + res.steps + records}
 
 
 class TestNorms:
@@ -542,15 +578,21 @@ class TestNorms:
     @pytest.mark.parametrize("n,linear_only",
                              [(1, False), (2, False), (1, True)])
     def test_step_sup_is_the_norms_sup(self, n, linear_only):
-        # norms() reads the sup off the physical field step() carries,
-        # bit for bit, per component
+        # norms() records the corrected field's sup, bit for bit, per
+        # component, not the predictor's sup that the blow-up check
+        # reads; only an exact linear step has the two the same
         grid = GridSpec(n=n, N=32, L=10.0)
         data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
         state, _ = make_initial_data(grid, data, 1.0)
         new = step(state, 0.1, PARAMS_34, grid, linear_only=linear_only)
-        want = np.max(np.abs(new.u), axis=grid.spatial_axes)
+        u = np.fft.irfftn(new.u_half, s=grid.shape, axes=grid.spatial_axes)
+        want = np.max(np.abs(u), axis=grid.spatial_axes)
         assert norms(grid, new, 1.0)["sup"] == tuple(float(x) for x in want)
         assert np.all(want > 0.0)
+        if linear_only:
+            assert np.array_equal(new.pred_sup, want)
+        else:
+            assert np.all(new.pred_sup != want)
 
 
 class TestRun:
@@ -598,8 +640,9 @@ class TestRun:
         res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
         good, h, crossed = calls[-1]
         assert res.blown_up and res.steps == len(calls) - 1
-        assert (np.max(np.abs(good.u)) <= solver.BLOWUP_THRESHOLD
-                < np.max(np.abs(crossed.u)))
+        # the check reads the predictor's sup, the field a step holds
+        assert (np.max(good.pred_sup) <= solver.BLOWUP_THRESHOLD
+                < np.max(crossed.pred_sup))
         assert res.blowup_time == good.t + 0.5 * h
 
     def test_blowup_run_records_last_good_state(self, monkeypatch):
@@ -615,11 +658,31 @@ class TestRun:
         calls = recording_every_step(monkeypatch)
         params = SystemParams(n=1, sigma=1.0, k=2, p=(70.0, 70.0))
         grid = GridSpec(n=1, N=64, L=10.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run(params, grid, gaussian_data(1e5), t_end=1.0, dt=0.1)
-        assert not np.all(np.isfinite(calls[-1][2].u))
+        res = run(params, grid, gaussian_data(1e5), t_end=1.0, dt=0.1)
+        assert not np.all(np.isfinite(_physical(calls[-1][2], grid)))
         assert res.blown_up and res.blowup_time == 0.05
         assert list(res.times) == [0.0]
+
+    @pytest.mark.parametrize("dt_policy", ["fixed", "adaptive"])
+    def test_non_finite_corrector_is_blow_up_on_its_step(
+            self, monkeypatch, tmp_path, dt_policy):
+        # a finite predictor below the threshold whose |u|^70 overflows:
+        # u0 = 0.1 g keeps the old forcing finite, u1 = 1e6 g lifts the
+        # predictor to ~9e4, and 9e4^70 is past the float range
+        calls = recording_every_step(monkeypatch)
+        params = SystemParams(n=1, sigma=1.0, k=2, p=(70.0, 70.0))
+        grid = GridSpec(n=1, N=64, L=10.0)
+        data = gaussian_data(1.0, ((0.1, 1e6), (0.1, 1e6)))
+        res = run(params, grid, data, t_end=1.0, dt=0.1, dt_policy=dt_policy)
+        good, h, crossed = calls[-1]
+        assert len(calls) == 1
+        assert np.max(crossed.pred_sup) <= solver.BLOWUP_THRESHOLD
+        assert not np.all(np.isfinite(crossed.nl_half))
+        assert not np.all(np.isfinite(crossed.u_half))
+        assert res.blown_up and res.blowup_time == good.t + 0.5 * h == 0.05
+        assert list(res.times) == [0.0]
+        table = read_norms_csv(write_norms_csv(tmp_path / "norms.csv", res))
+        assert all(np.all(np.isfinite(col)) for col in table.values())
 
     def test_adaptive_matches_fixed(self):
         grid = GridSpec(n=1, N=256, L=40.0)
@@ -717,17 +780,29 @@ class TestStepControl:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("amp2", [1.0, 1e-4])
     def test_estimate_is_the_relative_predictor_gap(self, n, amp2):
+        # err is the l1 sum of the corrector-predictor gap spectrum over
+        # N^n, relative to the predictor's sup, on a first step and on
+        # one that carries its forcing; it bounds the sup of the gap
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         state, _ = make_initial_data(
             grid, gaussian_data(0.5, ((1.0, 1.0), (amp2, amp2))), 1.0)
-        new = step(state, 0.1, params, grid, estimate=True)
-        want_u, _, u_pred = reference_step(state, 0.1, params, grid)
-        u = np.fft.ifftn(want_u, axes=grid.spatial_axes).real
         axes = grid.spatial_axes
-        want = np.max(np.max(np.abs(u - u_pred), axis=axes)
-                      / np.max(np.abs(u), axis=axes))
-        assert new.err == pytest.approx(want, rel=1e-8)
+        nh = None
+        for _ in range(2):
+            want_u, _, u_pred, nh = reference_step(state, 0.1, params, grid,
+                                                   nh)
+            state = step(state, 0.1, params, grid, estimate=True)
+            size = np.max(np.abs(u_pred), axis=axes)
+            gap_hat = want_u - np.fft.fftn(u_pred, axes=axes)
+            bound = np.sum(np.abs(gap_hat), axis=axes) / grid.N ** n
+            assert state.err == pytest.approx(np.max(bound / size), rel=1e-8)
+            u = np.fft.ifftn(want_u, axes=axes).real
+            true = np.max(np.max(np.abs(u - u_pred), axis=axes) / size)
+            # a gap peaked on a grid point with aligned phases, as from
+            # these centred bumps, meets the bound; the two sides differ
+            # then by the roundoff of the fields, relative to their sup
+            assert state.err >= true - 1e-13 and true > 0.0
 
     def test_small_component_error_controlled(self):
         # by t = 1 component 2 is about 1/8 of component 1; an estimate
@@ -797,7 +872,7 @@ class TestStepControl:
         assert res.blown_up and res.rejected_steps > 0
         # the last call crossed the threshold: returned, never accepted
         *calls, (_, _, crossed) = calls
-        assert np.max(np.abs(crossed.u)) > solver.BLOWUP_THRESHOLD
+        assert np.max(crossed.pred_sup) > solver.BLOWUP_THRESHOLD
         floor = 0.05 / 1024
         accepted = [(st, h) for st, h, new in calls
                     if new.err <= solver.STEP_TOL or h <= floor]
@@ -842,7 +917,7 @@ class TestStepControl:
         assert state.t == 2.0 and res.times[-1] == 2.0
         assert (res.steps, res.rejected_steps) == (16, 0)
         assert res.dt_min == res.dt_max == 0.125
-        assert np.array_equal(res.snapshots[-1][1], state.u)
+        assert np.array_equal(res.snapshots[-1][1], _physical(state, grid))
         assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
         assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
 
@@ -899,9 +974,9 @@ class TestMaskedWeights:
         # the propagator tables act on the state and stay unmasked
         for got, want in zip(tables[:4], (k0, k1, dk0, dk1)):
             assert np.array_equal(got, want)
-        # i1, w_old_u, w_new_u, w_old_v, w_new_v multiply a nonlinearity
-        # spectrum and carry the 2/3-rule mask
-        weights = (i1, j1 / dt, i1 - j1 / dt, k1 - i1 / dt, i1 / dt)
+        # i1, w_new_u, w_old_v, w_new_v multiply a nonlinearity spectrum
+        # and carry the 2/3-rule mask
+        weights = (i1, i1 - j1 / dt, k1 - i1 / dt, i1 / dt)
         assert len(tables) == 4 + len(weights)
         for got, want in zip(tables[4:], weights):
             assert np.all(got[~mask] == 0.0)
