@@ -21,7 +21,7 @@ from .exponents import (
     gn_theta,
     report,
 )
-from .kernels import decay_profile, ode_residual, propagator, propagator_arrays
+from .kernels import decay_profile, ode_residual, propagator_arrays
 from .solver import (
     ComponentData,
     FieldState,
@@ -62,9 +62,7 @@ from .harness import (
 from .config import (
     ExperimentConfig,
     apply_overrides,
-    config_from_json,
     config_hash,
-    config_to_json,
 )
 
 __version__ = "0.1.0"

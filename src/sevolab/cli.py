@@ -19,6 +19,7 @@ import copy
 import inspect
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,10 @@ def _resolve_config(args, kind: str) -> ExperimentConfig:
     if getattr(args, "epsilon", None) is not None:
         doc.setdefault("data", {})["epsilon"] = args.epsilon
     if args.set:
-        apply_overrides(doc, args.set)
+        try:
+            apply_overrides(doc, args.set)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     if args.out:
         doc["out"] = args.out
     _check_keys(doc, kind)
@@ -197,15 +201,6 @@ def _emit(config: ExperimentConfig):
     out_dir = resolve_out_dir(config)
     write_config_echo(out_dir, config)
     return out_dir
-
-
-def _fit_dict(fit) -> dict:
-    return {
-        "slope": fit.slope, "intercept": fit.intercept,
-        "r_squared": fit.r_squared, "window": list(fit.window),
-        "expected": fit.expected, "tolerance": fit.tolerance,
-        "passed": fit.passed,
-    }
 
 
 def _step_stats(result) -> dict:
@@ -330,8 +325,8 @@ def _cmd_decay(args) -> int:
     write_norms_csv(out_dir / "norms.csv", rep.run)
     summary = {
         "window": list(rep.window),
-        "l2": [_fit_dict(f) for f in rep.l2],
-        "hsigma": [_fit_dict(f) for f in rep.hsigma],
+        "l2": [asdict(f) for f in rep.l2],
+        "hsigma": [asdict(f) for f in rep.hsigma],
         "xnorm_ratios": list(rep.xnorm_ratios),
         "xnorm_passed": rep.xnorm_passed,
         **_step_stats(rep.run),
@@ -368,13 +363,7 @@ def _cmd_lifespan(args) -> int:
     )
     out_dir = _emit(config)
     write_lifespan_csv(out_dir / "lifespan.csv", sweep)
-    write_json(out_dir / "lifespan.json", {
-        "epsilons": list(sweep.epsilons),
-        "lifespans": list(sweep.lifespans),
-        "capped": list(sweep.capped),
-        "fit": _fit_dict(sweep.fit),
-        "monotone": sweep.monotone,
-    })
+    write_json(out_dir / "lifespan.json", asdict(sweep))
     for eps, T, capped in zip(sweep.epsilons, sweep.lifespans, sweep.capped):
         print(f"epsilon {eps:<8g} T = "
               + (f"{T:.6g}" if T is not None else "cap exceeded"))
@@ -464,13 +453,7 @@ def _cmd_convergence(args) -> int:
           f"{'pass' if tail_ok else 'FAIL'}")
     if args.out:
         out_dir = _emit(config)
-        write_json(out_dir / "convergence.json", {
-            "dt_ladder": list(rep.dt_ladder),
-            "errors": list(rep.errors),
-            "ratios": list(rep.ratios),
-            "n_ladder": list(rep.n_ladder),
-            "tails": list(rep.tails),
-        })
+        write_json(out_dir / "convergence.json", asdict(rep))
     return VERDICT_FAILED if failed else PASS
 
 

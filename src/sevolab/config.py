@@ -25,8 +25,7 @@ class ExperimentConfig:
 
     grid and data may be None for kinds that need neither (exponents,
     kernels, testfunc).  tolerances and options are free-form scalar
-    maps; the seed is recorded for provenance (the experiments
-    themselves are deterministic).
+    maps.
     """
 
     kind: str
@@ -36,7 +35,6 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
     out: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -57,7 +55,7 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    doc = {
+    return {
         "kind": config.kind,
         "params": {
             "n": config.params.n,
@@ -76,52 +74,22 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "tolerances": dict(config.tolerances),
         "options": dict(config.options),
         "out": config.out,
-        "seed": config.seed,
     }
-    return doc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    p = doc["params"]
-    params = SystemParams(n=int(p["n"]), sigma=float(p["sigma"]),
-                          k=len(p["p"]), p=tuple(float(x) for x in p["p"]))
-    grid = None
-    if doc.get("grid") is not None:
-        g = doc["grid"]
-        grid = GridSpec(n=params.n, N=int(g["N"]), L=float(g["L"]))
-    data = None
-    if doc.get("data") is not None:
-        d = doc["data"]
-        data = InitialData(
-            epsilon=float(d["epsilon"]),
-            components=tuple(
-                ComponentData(
-                    amp0=float(c.get("amp0", 0.0)),
-                    amp1=float(c.get("amp1", 0.0)),
-                    width=float(c.get("width", 1.0)),
-                    center=tuple(float(x) for x in c.get("center", ())),
-                )
-                for c in d["components"]
-            ),
-        )
-    return ExperimentConfig(
-        kind=doc["kind"],
-        params=params,
-        grid=grid,
-        data=data,
-        tolerances=dict(doc.get("tolerances", {})),
-        options=dict(doc.get("options", {})),
-        out=doc.get("out"),
-        seed=int(doc.get("seed", 0)),
-    )
-
-
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(config), sort_keys=True, indent=2) + "\n"
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(json.loads(text))
+    """Inverse of config_to_dict.  Each section goes to its dataclass
+    as it is, so an unknown key is a TypeError and the dataclasses
+    check and convert the values."""
+    params = SystemParams(k=len(doc["params"]["p"]), **doc["params"])
+    grid, data = doc.get("grid"), doc.get("data")
+    if grid is not None:
+        grid = GridSpec(n=params.n, **grid)
+    if data is not None:
+        data = InitialData(**data | {"components": tuple(
+            ComponentData(**c) for c in data["components"])})
+    return ExperimentConfig(**doc | {"params": params, "grid": grid,
+                                     "data": data})
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -144,7 +112,8 @@ def apply_overrides(doc: dict, assignments) -> dict:
     """Apply `dotted.path=value` assignments to a config document.
 
     Integer segments index into lists (data.components.0.amp0=2);
-    missing dict levels are created on the way down.
+    missing dict levels are created on the way down.  A path that runs
+    past the end of a list or into a scalar is a ValueError.
     """
     for assignment in assignments:
         if "=" not in assignment:
@@ -153,15 +122,17 @@ def apply_overrides(doc: dict, assignments) -> dict:
             )
         path, _, raw = assignment.partition("=")
         keys = path.split(".")
+        value = _parse_value(raw)
         node = doc
-        for key in keys[:-1]:
-            if isinstance(node, list):
-                node = node[int(key)]
-            else:
-                node = node.setdefault(key, {})
-        last = keys[-1]
-        if isinstance(node, list):
-            node[int(last)] = _parse_value(raw)
-        else:
-            node[last] = _parse_value(raw)
+        try:
+            for key in keys[:-1]:
+                if isinstance(node, list):
+                    node = node[int(key)]
+                else:
+                    node = node.setdefault(key, {})
+            last = keys[-1]
+            node[int(last) if isinstance(node, list) else last] = value
+        except (AttributeError, IndexError, TypeError, ValueError):
+            raise ValueError(
+                f"override {assignment!r}: no such path") from None
     return doc

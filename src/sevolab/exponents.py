@@ -41,8 +41,10 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        if int(self.n) != self.n or self.n < 1:
+        if not float(self.n).is_integer() or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "sigma", float(self.sigma))
         if not self.sigma >= 1:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")
         if int(self.k) != self.k or self.k < 2:
@@ -67,15 +69,14 @@ class GammaVector:
     argmax_index is 1-based (component number).  When the maximal entry
     is not the last one, `rotation` gives the cyclic relabeling (new
     component ell = old component ell + rotation, indices mod k) that
-    moves the argmax to position k, and relabeled_p is the exponent
-    chain after that rotation.  rotation == 0 means no relabeling needed.
+    would move the argmax to position k.  rotation == 0 means no
+    relabeling needed.
     """
 
     gamma: tuple
     argmax_index: int
     residual: float
     rotation: int
-    relabeled_p: tuple
 
     @property
     def max(self) -> float:
@@ -115,16 +116,11 @@ def compute_gamma(params: SystemParams) -> GammaVector:
         raise SingularSystem(f"linear solve residual {residual:.3e} too large")
     # Ties broken by the smallest index; argmax reported 1-based.
     imax = int(np.argmax(gamma))
-    rotation = (imax + 1) % params.k
-    relabeled = tuple(
-        params.p[(ell + rotation) % params.k] for ell in range(params.k)
-    )
     return GammaVector(
         gamma=tuple(float(g) for g in gamma),
         argmax_index=imax + 1,
         residual=residual,
-        rotation=rotation,
-        relabeled_p=relabeled,
+        rotation=(imax + 1) % params.k,
     )
 
 

@@ -263,10 +263,11 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
         raise NotSubcritical(
             "lifespan scaling requires a subcritical system"
         )
-    if len(epsilons) < 4:
-        raise ValueError(f"need at least 4 epsilons, got {len(epsilons)}")
-    expected = lifespan_exponent(params)
     eps_desc = tuple(sorted(set(float(e) for e in epsilons), reverse=True))
+    if len(eps_desc) < 4:
+        raise ValueError(
+            f"need at least 4 epsilons, got {len(eps_desc)} distinct")
+    expected = lifespan_exponent(params)
 
     _, report = make_initial_data(
         grid, InitialData(epsilon=eps_desc[0], components=tuple(components)),

@@ -33,24 +33,6 @@ BRANCH_DELTA = 1e-4
 T_CAP = 1e6
 
 
-@dataclass(frozen=True)
-class PropagatorSample:
-    """Propagator entries and Duhamel weights at one (t, a) pair.
-
-    j1 is the first moment int_0^t s k1(s) ds; it is not part of the
-    minimal contract but the second-order corrector needs it, so it
-    rides along.
-    """
-
-    t: float
-    k0: float
-    k1: float
-    dk0: float
-    dk1: float
-    i1: float
-    j1: float
-
-
 def _phi1(x):
     """(1 - e^{-x}) / x, the entire function with phi1(0) = 1."""
     x = np.asarray(x, dtype=float)
@@ -123,15 +105,6 @@ def propagator_arrays(t, a):
     i1 = np.maximum(i1, 0.0)
     j1 = np.maximum(j1, 0.0)
     return k0, k1, dk0, dk1, i1, j1
-
-
-def propagator(t: float, a: float) -> PropagatorSample:
-    """Scalar propagator sample at one (t, a)."""
-    k0, k1, dk0, dk1, i1, j1 = propagator_arrays(float(t), float(a))
-    return PropagatorSample(
-        t=float(min(t, T_CAP)), k0=float(k0), k1=float(k1),
-        dk0=float(dk0), dk1=float(dk1), i1=float(i1), j1=float(j1),
-    )
 
 
 def ode_residual(t, a, h: float = 1e-4):

@@ -66,6 +66,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValueError(f"n must be 1 or 2, got {self.n}")
+        if not float(self.N).is_integer():
+            raise ValueError(f"N must be a whole number, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "L", float(self.L))
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not self.L > 0:
@@ -86,11 +90,6 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return self.dx ** self.n
-
-    @property
-    def resolution_bound(self) -> float:
-        """Largest resolved |xi| component."""
-        return math.pi / self.L * (self.N / 2.0)
 
     def axes(self) -> tuple:
         x = -self.L + self.dx * np.arange(self.N)
@@ -168,6 +167,10 @@ class ComponentData:
     center: tuple = ()
 
     def __post_init__(self):
+        for name in ("amp0", "amp1", "width"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "center",
+                           tuple(float(x) for x in self.center))
         if not self.width > 0:
             raise ValueError(f"width must be positive, got {self.width}")
 
@@ -180,6 +183,7 @@ class InitialData:
     components: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("need at least one component")
@@ -228,22 +232,17 @@ def make_initial_data(grid: GridSpec, data: InitialData,
                        np.fft.rfftn(u1, axes=axes))
     u0_norms = norms(grid, state, sigma)
     dv = grid.cell_volume
-    norm_parts = []
     total = 0.0
     for ell in range(k):
         l1_0 = float(np.sum(np.abs(u0[ell]))) * dv
         l1_1 = float(np.sum(np.abs(u1[ell]))) * dv
         hs_0 = math.hypot(u0_norms["l2"][ell], u0_norms["hsigma"][ell])
         l2_1 = math.sqrt(float(np.sum(u1[ell] ** 2)) * dv)
-        norm_parts.append(
-            {"l1_u0": l1_0, "hsigma_u0": hs_0, "l1_u1": l1_1, "l2_u1": l2_1}
-        )
         total += l1_0 + hs_0 + l1_1 + l2_1
     report = {
         "means_u0": tuple(float(np.mean(u0[ell])) for ell in range(k)),
         "means_u1": tuple(float(np.mean(u1[ell])) for ell in range(k)),
         "data_norm": total,
-        "parts": tuple(norm_parts),
     }
     return state, report
 
@@ -416,7 +415,6 @@ class RunResult:
     without any).
     """
 
-    params: SystemParams
     times: np.ndarray
     l2: np.ndarray
     hsigma: np.ndarray
@@ -554,7 +552,6 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     get = lambda key: np.array([[r[key][ell] for r in rows]
                                 for ell in range(k)])
     return RunResult(
-        params=params,
         times=tarr,
         l2=get("l2"),
         hsigma=get("hsigma"),

@@ -64,15 +64,14 @@ def weight_decay_exponent(nu: float, n: int) -> float:
 class TestFunctionParams:
     """Shape parameters of the space-time weight.
 
-    sigma drives the parabolic time scale R^(2 sigma); sigma_bar the
-    space decay; q = n + 2 sigma_bar the weight exponent; mu the cutoff
-    smoothness knob.
+    sigma drives the parabolic time scale R^(2 sigma) and fixes the
+    space decay order sigma_bar = tail_order(sigma); q = n + 2 sigma_bar
+    is the weight exponent; mu the cutoff smoothness knob.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     sigma: float
-    sigma_bar: float
     q: float
     R: float
     mu: int = 16
@@ -80,11 +79,6 @@ class TestFunctionParams:
     def __post_init__(self):
         if not self.sigma >= 1.0:
             raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        if abs(self.sigma_bar - tail_order(self.sigma)) > INTEGER_TOL:
-            raise ValueError(
-                f"sigma_bar {self.sigma_bar} inconsistent with "
-                f"sigma {self.sigma}"
-            )
         if not self.q > 0:
             raise ValueError(f"q must be positive, got {self.q}")
         if not self.R > 0:
@@ -95,8 +89,11 @@ class TestFunctionParams:
     @classmethod
     def for_system(cls, n: int, sigma: float, R: float = 1.0,
                    mu: int = 16) -> "TestFunctionParams":
-        bar = tail_order(sigma)
-        return cls(sigma=sigma, sigma_bar=bar, q=n + 2.0 * bar, R=R, mu=mu)
+        return cls(sigma=sigma, q=n + 2.0 * tail_order(sigma), R=R, mu=mu)
+
+    @property
+    def sigma_bar(self) -> float:
+        return tail_order(self.sigma)
 
     @property
     def time_scale(self) -> float:

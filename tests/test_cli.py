@@ -19,10 +19,8 @@ from sevolab.config import (
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
-    config_from_json,
     config_hash,
     config_to_dict,
-    config_to_json,
 )
 from sevolab.exponents import SystemParams
 from sevolab.harness import FitResult, LifespanSweep
@@ -36,8 +34,6 @@ from sevolab.outputs import (
     write_norms_csv,
 )
 from sevolab.solver import ComponentData, GridSpec, InitialData, RunResult
-
-P22 = SystemParams(n=1, sigma=1.0, k=2, p=(2.0, 2.0))
 
 
 def small_config(**kw):
@@ -82,7 +78,6 @@ def configs(draw):
         options={"t_end": draw(st.floats(1.0, 1e4)),
                  "epsilons": [0.1, 0.2]},
         out=draw(st.sampled_from([None, "somewhere"])),
-        seed=draw(st.integers(0, 2 ** 31)),
     )
 
 
@@ -91,15 +86,18 @@ class TestConfig:
     @given(configs())
     def test_round_trip(self, config):
         assert config_from_dict(config_to_dict(config)) == config
-        assert config_from_json(config_to_json(config)) == config
+        assert config_from_dict(
+            json.loads(json.dumps(config_to_dict(config)))) == config
 
     @settings(max_examples=20, deadline=None)
     @given(configs())
     def test_hash_stable_and_sensitive(self, config):
         h = config_hash(config)
-        assert h == config_hash(config_from_json(config_to_json(config)))
-        bumped = config_from_dict(
-            apply_overrides(config_to_dict(config), ["seed=999999999999"]))
+        assert h == config_hash(config_from_dict(
+            json.loads(json.dumps(config_to_dict(config)))))
+        bumped = config_from_dict(apply_overrides(
+            config_to_dict(config),
+            [f"options.t_end={config.options['t_end'] + 1.0}"]))
         assert config_hash(bumped) != h
 
     def test_kind_validation(self):
@@ -136,12 +134,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="path=value"):
             apply_overrides({}, ["no_equals_sign"])
 
+    def test_whole_number_sizes_are_stored_as_int(self):
+        cfg = config_from_dict(apply_overrides(
+            config_to_dict(small_config()),
+            ["params.n=1.0", "grid.N=64.0", "grid.L=10"]))
+        assert cfg == small_config()
+        assert type(cfg.params.n) is int and type(cfg.grid.N) is int
+        assert type(cfg.grid.L) is float
+
 
 def fake_run(times, k=2, seed=3):
     rng = np.random.default_rng(seed)
     shape = (k, times.size)
     return RunResult(
-        params=P22, times=times, l2=rng.uniform(0.1, 2.0, shape),
+        times=times, l2=rng.uniform(0.1, 2.0, shape),
         hsigma=rng.uniform(0.1, 2.0, shape),
         sup=rng.uniform(0.1, 2.0, shape),
         mean=rng.normal(0.0, 1.0, shape), blown_up=False,
@@ -390,13 +396,41 @@ class _Stop(Exception):
     pass
 
 
+# every config section a command's document has; None is the top level
+MISSPELT = [(cmd, section) for cmd in sorted(KINDS)
+            for section in ("options", "tolerances", "params", "grid", "data",
+                            "data.components.0", None)
+            if section in (None, "options", "tolerances")
+            or section.split(".")[0] in cli._DEFAULTS[KINDS[cmd]]]
+
+
 class TestCliKeys:
-    @pytest.mark.parametrize("section", ["options", "tolerances"])
-    @pytest.mark.parametrize("cmd", sorted(KINDS))
+    @pytest.mark.parametrize("cmd,section", MISSPELT)
     def test_misspelt_key_is_usage_error(self, cmd, section, capsys):
-        assert cli_main([cmd, "--set", f"{section}.t_edn=1"]) == 1
+        path = "t_edn" if section is None else f"{section}.t_edn"
+        assert cli_main([cmd, "--set", f"{path}=1"]) == 1
         err = capsys.readouterr().err
-        assert "usage error" in err and f"{section}.t_edn" in err
+        assert "usage error" in err and "t_edn" in err
+        if section in ("options", "tolerances"):
+            assert path in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exponents", "--set", "params.n=1.5", "--p", "3,4"],
+        ["simulate", "--set", "grid.N=256.9"],
+    ])
+    def test_non_integer_size_is_usage_error(self, argv, capsys):
+        assert cli_main(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "data.components.5.amp0=1", "grid.N.x=1", "grid.N.x.y=1",
+        "data.components.x.amp0=1"])
+    def test_override_past_the_document_is_usage_error(self, override,
+                                                       capsys):
+        assert cli_main(["simulate", "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "no such path" in err
+        assert "Traceback" not in err
 
     def test_misspelt_key_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -66,7 +66,6 @@ class TestGamma:
         assert g.gamma == pytest.approx((4 / 11, 5 / 11), abs=1e-14)
         assert g.argmax_index == 2
         assert g.rotation == 0
-        assert g.relabeled_p == (3.0, 4.0)
         assert g.residual <= 1e-12
         assert g.max == pytest.approx(5 / 11, abs=1e-14)
 
@@ -86,7 +85,6 @@ class TestGamma:
         assert g.gamma == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
         assert g.argmax_index == 1
         assert g.rotation == 1
-        assert g.relabeled_p == (2.0, 2.0, 2.0)
 
     def test_closed_form_matches_exact(self):
         params = sys_(1, 1.0, (3, 4))

@@ -119,7 +119,7 @@ class TestMeanModeCutoff:
     def test_no_mean_runs_to_the_end(self):
         times = np.linspace(0.0, 10.0, 11)
         zeros = np.zeros((2, 11))
-        res = RunResult(params=P34, times=times, l2=np.ones((2, 11)),
+        res = RunResult(times=times, l2=np.ones((2, 11)),
                         hsigma=zeros, sup=zeros, mean=zeros, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
@@ -132,7 +132,7 @@ class TestMeanModeCutoff:
         mean = np.zeros((2, 11))
         # component 1 floor fraction crosses 0.9 at t = 6
         mean[0, 6:] = 0.95 / (2.0 * grid.L) ** 0.5
-        res = RunResult(params=P34, times=times, l2=l2, hsigma=l2 * 0,
+        res = RunResult(times=times, l2=l2, hsigma=l2 * 0,
                         sup=l2 * 0, mean=mean, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
@@ -197,7 +197,7 @@ class TestXnormDiagnostic:
     def test_zero_run_is_trivially_bounded(self):
         times = np.linspace(0.0, 5.0, 6)
         zeros = np.zeros((2, 6))
-        res = RunResult(params=P34, times=times, l2=zeros, hsigma=zeros,
+        res = RunResult(times=times, l2=zeros, hsigma=zeros,
                         sup=zeros, mean=zeros, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
@@ -212,7 +212,7 @@ class TestXnormDiagnostic:
         l2 = np.array([np.exp(-0.24 * np.log1p(times)),
                        np.exp(-0.25 * np.log1p(times))])
         zeros = np.zeros((2, 101))
-        res = RunResult(params=P34, times=times, l2=l2, hsigma=zeros,
+        res = RunResult(times=times, l2=l2, hsigma=zeros,
                         sup=zeros, mean=zeros, blown_up=False,
                         blowup_time=None, snapshots=(), steps=0,
                         data_report={})
@@ -251,6 +251,9 @@ class TestLifespanSweep:
     def test_needs_four_epsilons(self):
         with pytest.raises(ValueError, match="4 epsilons"):
             lifespan_sweep(P22, self.GRID, self.COMPS, (0.3, 0.6))
+        # duplicates count once, so this fails before the first run
+        with pytest.raises(ValueError, match="4 epsilons"):
+            lifespan_sweep(P22, self.GRID, self.COMPS, (1, 1, 2, 4))
 
     def test_cheap_sweep(self):
         # measured once on this grid: T = 86.14, 54.08, 38.63, 29.85

@@ -17,7 +17,6 @@ from sevolab.kernels import (
     T_CAP,
     decay_profile,
     ode_residual,
-    propagator,
     propagator_arrays,
 )
 
@@ -26,40 +25,40 @@ E1, E2 = math.exp(-1.0), math.exp(-2.0)
 
 class TestClosedFormValues:
     def test_double_root(self):
-        s = propagator(2.0, 1.0)
-        assert s.k1 == pytest.approx(2 * E2, abs=1e-15)
-        assert s.k0 == pytest.approx(3 * E2, abs=1e-15)
-        assert s.dk0 == pytest.approx(-2 * E2, abs=1e-15)
-        assert s.dk1 == pytest.approx(-E2, abs=1e-15)
-        assert s.i1 == pytest.approx(1 - 3 * E2, abs=1e-15)
-        assert s.j1 == pytest.approx(2 - 10 * E2, abs=1e-14)
+        k0, k1, dk0, dk1, i1, j1 = propagator_arrays(2.0, 1.0)
+        assert k1 == pytest.approx(2 * E2, abs=1e-15)
+        assert k0 == pytest.approx(3 * E2, abs=1e-15)
+        assert dk0 == pytest.approx(-2 * E2, abs=1e-15)
+        assert dk1 == pytest.approx(-E2, abs=1e-15)
+        assert i1 == pytest.approx(1 - 3 * E2, abs=1e-15)
+        assert j1 == pytest.approx(2 - 10 * E2, abs=1e-14)
 
     def test_zero_frequency(self):
-        s = propagator(1.0, 0.0)
-        assert s.k0 == 1.0
-        assert s.k1 == pytest.approx(1 - E1, abs=1e-16)
-        assert s.dk0 == 0.0
-        assert s.dk1 == pytest.approx(E1, abs=1e-16)
-        assert s.i1 == pytest.approx(E1, abs=1e-15)
-        assert s.j1 == pytest.approx(2 * E1 - 0.5, abs=1e-15)
+        k0, k1, dk0, dk1, i1, j1 = propagator_arrays(1.0, 0.0)
+        assert k0 == 1.0
+        assert k1 == pytest.approx(1 - E1, abs=1e-16)
+        assert dk0 == 0.0
+        assert dk1 == pytest.approx(E1, abs=1e-16)
+        assert i1 == pytest.approx(E1, abs=1e-15)
+        assert j1 == pytest.approx(2 * E1 - 0.5, abs=1e-15)
 
     def test_generic_mode(self):
-        s = propagator(1.0, 2.0)
-        assert s.k1 == pytest.approx(E1 - E2, abs=1e-15)
-        assert s.i1 == pytest.approx((1 - E1 - (E1 - E2)) / 2, abs=1e-15)
-        assert s.j1 == pytest.approx(
+        _, k1, _, _, i1, j1 = propagator_arrays(1.0, 2.0)
+        assert k1 == pytest.approx(E1 - E2, abs=1e-15)
+        assert i1 == pytest.approx((1 - E1 - (E1 - E2)) / 2, abs=1e-15)
+        assert j1 == pytest.approx(
             (1 - 2 * E1) - (1 - 3 * E2) / 4, abs=1e-14
         )
 
     def test_initial_values(self):
         for a in (0.0, 0.3, 1.0, 1.0 + 1e-7, 40.0):
-            s = propagator(0.0, a)
-            assert (s.k0, s.k1, s.dk0, s.dk1) == (1.0, 0.0, 0.0, 1.0)
-            assert s.i1 == 0.0 and s.j1 == 0.0
+            k0, k1, dk0, dk1, i1, j1 = propagator_arrays(0.0, a)
+            assert (k0, k1, dk0, dk1) == (1.0, 0.0, 0.0, 1.0)
+            assert i1 == 0.0 and j1 == 0.0
 
     def test_time_cap(self):
-        assert propagator(2e6, 0.5).t == T_CAP
-        assert propagator(2e6, 0.5) == propagator(T_CAP, 0.5)
+        assert np.array_equal(propagator_arrays(2e6, 0.5),
+                              propagator_arrays(T_CAP, 0.5))
 
 
 class TestOdeResidual:
@@ -150,9 +149,9 @@ class TestMomentWeights:
         t = 2.5
         s = np.linspace(0.0, t, 200001)
         _, k1s, *_ = propagator_arrays(s, a)
-        p = propagator(t, a)
-        assert p.i1 == pytest.approx(float(np.trapezoid(k1s, s)), abs=1e-8)
-        assert p.j1 == pytest.approx(
+        *_, i1, j1 = propagator_arrays(t, a)
+        assert i1 == pytest.approx(float(np.trapezoid(k1s, s)), abs=1e-8)
+        assert j1 == pytest.approx(
             float(np.trapezoid(s * k1s, s)), abs=1e-8
         )
 

@@ -83,7 +83,6 @@ class TestGridSpec:
         g = GridSpec(n=1, N=64, L=4.0)
         assert g.dx == pytest.approx(0.125)
         assert g.cell_volume == pytest.approx(0.125)
-        assert g.resolution_bound == pytest.approx(math.pi / 4.0 * 32)
         x = g.axes()[0]
         assert x[0] == pytest.approx(-4.0)
         assert x[-1] == pytest.approx(4.0 - g.dx)

@@ -19,7 +19,6 @@ from sevolab.errors import (
     DomainError,
     InsufficientSnapshots,
 )
-from sevolab.exponents import SystemParams
 from sevolab.solver import GridSpec, RunResult
 from sevolab.testfunc import (
     TestFunctionParams,
@@ -85,12 +84,10 @@ class TestParams:
         assert tp.time_scale == pytest.approx(16.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            TestFunctionParams(sigma=1.0, sigma_bar=0.3, q=3.0, R=1.0)
         with pytest.raises(ValueError, match="R"):
-            TestFunctionParams(sigma=1.0, sigma_bar=1.0, q=3.0, R=0.0)
+            TestFunctionParams(sigma=1.0, q=3.0, R=0.0)
         with pytest.raises(ValueError, match="mu"):
-            TestFunctionParams(sigma=1.0, sigma_bar=1.0, q=3.0, R=1.0, mu=0)
+            TestFunctionParams(sigma=1.0, q=3.0, R=1.0, mu=0)
 
 
 class TestSpaceWeight:
@@ -251,7 +248,6 @@ class TestEtaCondition:
 def fake_run(grid, snapshots, k=2):
     z = np.zeros((k, len(snapshots)))
     return RunResult(
-        params=SystemParams(n=grid.n, sigma=1.0, k=k, p=(2.0,) * k),
         times=np.array([t for t, _ in snapshots]),
         l2=z, hsigma=z, sup=z, mean=z,
         blown_up=False, blowup_time=None,
