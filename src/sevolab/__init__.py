@@ -34,16 +34,10 @@ from .solver import (
     step,
 )
 from .testfunc import (
-    TestFunctionParams,
-    blowup_functional,
     check_scaling,
     check_weight_decay,
     frac_laplacian_grid,
-    snapshot_schedule,
     space_weight,
-    spacetime_weight,
-    tail_order,
-    time_cutoff,
     verify_eta_condition,
     weight_decay_exponent,
 )

@@ -217,7 +217,7 @@ def _cmd_exponents(args) -> int:
         f"p={config.params.p}",
         f"gamma = ({', '.join(f'{g:.6g}' for g in rep.gamma.gamma)})",
         f"max gamma = {rep.gamma.max:.6g} vs n/(2 sigma) = "
-        f"{config.params.n / (2 * config.params.sigma):.6g}",
+        f"{config.params.fujita_ratio:.6g}",
         f"classification: {rep.classification}",
         "lifespan exponent: " + (
             f"{rep.lifespan_exponent:.6g}" if rep.lifespan_exponent is not None

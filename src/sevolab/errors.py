@@ -34,10 +34,6 @@ class DataLeakage(SevolabError):
     """Field does not decay at the box edge; periodic wraparound unsafe."""
 
 
-class InsufficientSnapshots(SevolabError):
-    """Too few time-quadrature nodes to evaluate a spacetime functional."""
-
-
 class ConditionViolated(SevolabError):
     """Cutoff regularity condition fails for the requested conjugate exponent."""
 

@@ -267,6 +267,8 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
     if len(eps_desc) < 4:
         raise ValueError(
             f"need at least 4 epsilons, got {len(eps_desc)} distinct")
+    if not all(e > 0 for e in eps_desc):
+        raise ValueError(f"epsilons must be positive, got {epsilons}")
     expected = lifespan_exponent(params)
 
     _, report = make_initial_data(

@@ -195,7 +195,7 @@ def decay_profile(s: float, regime: str, n: int, sigma: float,
         rho = np.geomspace(1e-6, 1.0, 2048)
         _, k1, *_ = propagator_arrays(t_grid[:, None],
                                       rho[None, :] ** (2.0 * sigma))
-        omega = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[n]
+        omega = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)  # |S^(n-1)|
         # integrate f rho^{n-1} d rho = f rho^n d(log rho)
         integrand = np.abs(k1) ** 2 * rho[None, :] ** n
         vals = np.sqrt(omega * np.trapezoid(integrand, np.log(rho),

@@ -95,6 +95,19 @@ class GridSpec:
         x = -self.L + self.dx * np.arange(self.N)
         return (x,) * self.n
 
+    def radius_sq(self, center: tuple = ()) -> np.ndarray:
+        """|x - center|^2 at the grid nodes; () is the origin."""
+        center = center or (0.0,) * self.n
+        if len(center) != self.n:
+            raise ValueError(f"center needs {self.n} coordinates, "
+                             f"got {center}")
+        r2 = np.zeros(self.shape)
+        for i, x in enumerate(self.axes()):
+            shape = [1] * self.n
+            shape[i] = self.N
+            r2 = r2 + ((x - center[i]) ** 2).reshape(shape)
+        return r2
+
     @cached_property
     def xi_squared(self) -> np.ndarray:
         m = np.fft.fftfreq(self.N, d=1.0 / self.N)
@@ -189,19 +202,6 @@ class InitialData:
             raise ValueError("need at least one component")
 
 
-def _profile(grid: GridSpec, comp: ComponentData) -> np.ndarray:
-    center = comp.center or (0.0,) * grid.n
-    if len(center) != grid.n:
-        raise ValueError(f"center needs {grid.n} coordinates, got {center}")
-    axes = grid.axes()
-    r2 = np.zeros(grid.shape)
-    for i in range(grid.n):
-        shape = [1] * grid.n
-        shape[i] = grid.N
-        r2 = r2 + ((axes[i] - center[i]) ** 2).reshape(shape)
-    return np.exp(-r2 / comp.width ** 2)
-
-
 def make_initial_data(grid: GridSpec, data: InitialData,
                       sigma: float) -> tuple:
     """Build the spectral state at t = 0 plus a data report.
@@ -216,7 +216,7 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     u0 = np.zeros((k,) + grid.shape)
     u1 = np.zeros((k,) + grid.shape)
     for ell, comp in enumerate(data.components):
-        g = _profile(grid, comp)
+        g = np.exp(-grid.radius_sq(comp.center) / comp.width ** 2)
         u0[ell] = data.epsilon * comp.amp0 * g
         u1[ell] = data.epsilon * comp.amp1 * g
     for ell in range(k):
@@ -440,7 +440,9 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         outputs: int = 64, snapshot_times: tuple = (),
         linear_only: bool = False) -> RunResult:
     """Integrate to t_end or blow-up, recording norms on a logarithmic
-    output schedule (plus t = 0 and t_end themselves).
+    output schedule (plus t = 0 and t_end themselves).  Each of
+    snapshot_times must lie in [0, t_end]; it is an output time too,
+    and a record at it also keeps the physical field.
 
     dt_policy "fixed" steps with dt.  "adaptive" controls the local
     error: every step carries the estimate err of step(), a step with
@@ -471,6 +473,10 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         raise ValueError(f"unknown dt policy {dt_policy!r}")
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+    snap_at = sorted(set(float(x) for x in snapshot_times))
+    if not all(0.0 <= s <= t_end for s in snap_at):
+        raise ValueError(f"snapshot times must lie in [0, {t_end}], "
+                         f"got {snapshot_times}")
     k = params.k
     if len(data.components) != k:
         raise ValueError(
@@ -480,10 +486,8 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     start = min(max(dt, t_end * 1e-4), t_end)
     sched = np.geomspace(start, t_end, outputs)
-    events = sorted(set(float(x) for x in sched)
-                    | set(float(x) for x in snapshot_times if x > 0)
+    events = sorted(set(float(x) for x in sched) | set(snap_at)
                     | {float(t_end)})
-    snap_wanted = sorted(set(float(x) for x in snapshot_times))
 
     times, rows = [], []
     snapshots = []
@@ -494,14 +498,10 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     def record(st: FieldState):
         times.append(st.t)
         rows.append(norms(grid, st, params.sigma))
-
-    def snap(st: FieldState):
-        snapshots.append((st.t, _physical(st, grid)))
+        if any(near(st.t, s) for s in snap_at):
+            snapshots.append((st.t, _physical(st, grid)))
 
     record(state)
-    if snap_wanted and near(snap_wanted[0], 0.0):
-        snap(state)
-        snap_wanted.pop(0)
 
     adaptive = dt_policy == "adaptive"
     dt_now = float(dt)
@@ -511,10 +511,9 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
     while state.t < t_end and not near(state.t, t_end):
-        while ev_idx < len(events) and (events[ev_idx] <= state.t
-                                        or near(events[ev_idx], state.t)):
+        while events[ev_idx] <= state.t or near(events[ev_idx], state.t):
             ev_idx += 1
-        next_event = events[ev_idx] if ev_idx < len(events) else t_end
+        next_event = events[ev_idx]
         h = min(dt_now, next_event - state.t)
         with np.errstate(over="ignore", invalid="ignore"):
             new = step(state, h, params, grid, linear_only=linear_only,
@@ -544,19 +543,10 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         state = new
         if near(state.t, next_event):
             record(state)
-            if snap_wanted and near(state.t, snap_wanted[0]):
-                snap(state)
-                snap_wanted.pop(0)
 
-    tarr = np.array(times)
-    get = lambda key: np.array([[r[key][ell] for r in rows]
-                                for ell in range(k)])
     return RunResult(
-        times=tarr,
-        l2=get("l2"),
-        hsigma=get("hsigma"),
-        sup=get("sup"),
-        mean=get("mean"),
+        times=np.array(times),
+        **{key: np.array([r[key] for r in rows]).T for key in rows[0]},
         blown_up=blown,
         blowup_time=t_blow,
         snapshots=tuple(snapshots),

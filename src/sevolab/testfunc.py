@@ -1,30 +1,21 @@
 """Weighted test functions for the blow-up machinery.
 
-A polynomially decaying radial space weight, a C^2 compactly supported
-time cutoff, and their parabolic-scaled product.  The fractional
-Laplacian is realized spectrally on the periodic grid, which makes two
-facts checkable numerically: the dilation covariance of the weight
-under the operator, and the decay order of the operator applied to the
-weight.  Both are certified by grid sup-ratios rather than symbolics.
-
-Component indices in the space-time functionals are 1-based, matching
-the column naming of the norm tables.
+A polynomially decaying radial space weight and a C^2 compactly
+supported time cutoff.  The fractional Laplacian is realized spectrally
+on the periodic grid, which makes two facts checkable numerically: the
+dilation covariance of the weight under the operator, and the decay
+order of the operator applied to the weight.  Both are certified by
+grid sup-ratios rather than symbolics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditionViolated,
-    DataLeakage,
-    DomainError,
-    InsufficientSnapshots,
-)
-from .solver import GridSpec, RunResult, _edge_ratio, _half
+from .errors import ConditionViolated, DataLeakage, DomainError
+from .solver import GridSpec, _edge_ratio, _half
 
 INTEGER_TOL = 1e-12
 CONDITION_CAP = 1e6
@@ -36,15 +27,6 @@ def _fractional_part(value: float) -> tuple:
     if frac <= INTEGER_TOL or frac >= 1.0 - INTEGER_TOL:
         return True, 0.0
     return False, frac
-
-
-def tail_order(sigma: float) -> float:
-    """Decay-order parameter of the space weight: 1 for integer sigma,
-    else the fractional part."""
-    if not sigma >= 1.0:
-        raise ValueError(f"sigma must be >= 1, got {sigma}")
-    is_int, frac = _fractional_part(sigma)
-    return 1.0 if is_int else frac
 
 
 def weight_decay_exponent(nu: float, n: int) -> float:
@@ -60,59 +42,9 @@ def weight_decay_exponent(nu: float, n: int) -> float:
     return n + 2.0 * round(nu) if is_int else n + 2.0 * frac
 
 
-@dataclass(frozen=True)
-class TestFunctionParams:
-    """Shape parameters of the space-time weight.
-
-    sigma drives the parabolic time scale R^(2 sigma) and fixes the
-    space decay order sigma_bar = tail_order(sigma); q = n + 2 sigma_bar
-    is the weight exponent; mu the cutoff smoothness knob.
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    sigma: float
-    q: float
-    R: float
-    mu: int = 16
-
-    def __post_init__(self):
-        if not self.sigma >= 1.0:
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R}")
-        if self.mu < 1:
-            raise ValueError(f"mu must be a positive integer, got {self.mu}")
-
-    @classmethod
-    def for_system(cls, n: int, sigma: float, R: float = 1.0,
-                   mu: int = 16) -> "TestFunctionParams":
-        return cls(sigma=sigma, q=n + 2.0 * tail_order(sigma), R=R, mu=mu)
-
-    @property
-    def sigma_bar(self) -> float:
-        return tail_order(self.sigma)
-
-    @property
-    def time_scale(self) -> float:
-        return self.R ** (2.0 * self.sigma)
-
-
 def space_weight(radius_sq, q: float):
     """Radial weight (1 + |x|^2)^(-q/2), taking |x|^2."""
     return (1.0 + np.asarray(radius_sq, dtype=float)) ** (-0.5 * q)
-
-
-def _radius_sq(grid: GridSpec) -> np.ndarray:
-    axes = grid.axes()
-    r2 = np.zeros(grid.shape)
-    for i in range(grid.n):
-        shape = [1] * grid.n
-        shape[i] = grid.N
-        r2 = r2 + (axes[i] ** 2).reshape(shape)
-    return r2
 
 
 def time_cutoff_derivatives(t, mu: int = 16) -> tuple:
@@ -139,16 +71,6 @@ def time_cutoff_derivatives(t, mu: int = 16) -> tuple:
     if eta.ndim == 0:
         return float(eta), float(d1), float(d2)
     return eta, d1, d2
-
-
-def time_cutoff(t, mu: int = 16):
-    return time_cutoff_derivatives(t, mu)[0]
-
-
-def spacetime_weight(grid: GridSpec, tp: TestFunctionParams, t: float):
-    """Field eta(t / R^(2 sigma)) psi(x / R) on the grid at time t."""
-    eta = time_cutoff(float(t) / tp.time_scale, tp.mu)
-    return eta * space_weight(_radius_sq(grid) / tp.R ** 2, tp.q)
 
 
 def frac_laplacian_grid(grid: GridSpec, field: np.ndarray, nu: float,
@@ -189,7 +111,7 @@ def check_weight_decay(grid: GridSpec, nu: float, q: float) -> float:
     if not q > grid.n:
         raise ValueError(f"q must exceed the dimension, got q={q}, "
                          f"n={grid.n}")
-    r2 = _radius_sq(grid)
+    r2 = grid.radius_sq()
     g = frac_laplacian_grid(grid, space_weight(r2, q), nu, tail_tol=None)
     d = weight_decay_exponent(nu, grid.n)
     interior = r2 <= (grid.L / 4.0) ** 2
@@ -218,7 +140,7 @@ def check_scaling(nu: float, R: int, q: float | None = None,
     if q is None:
         is_int, frac = _fractional_part(nu)
         q = grid.n + 2.0 * (1.0 if is_int else frac)
-    r2 = _radius_sq(grid)
+    r2 = grid.radius_sq()
     lhs = frac_laplacian_grid(grid, space_weight(r2 / R ** 2, q), nu,
                               tail_tol=None)
     rhs = frac_laplacian_grid(grid, space_weight(r2, q), nu, tail_tol=None)
@@ -270,45 +192,3 @@ def verify_eta_condition(lam: float, mu: int = 16) -> float:
             f"{mu - 2.0 * lam_conj:.3g}; raise mu"
         )
     return sup
-
-
-def snapshot_schedule(tp: TestFunctionParams, count: int = 48) -> tuple:
-    """Snapshot times covering [0, R^(2 sigma)]: logarithmic up to the
-    half-time, then dense linear where the cutoff derivatives live."""
-    if count < 16:
-        raise ValueError(f"need at least 16 nodes, got {count}")
-    T = tp.time_scale
-    n_log = count // 2
-    lo = np.geomspace(T * 1e-3, T / 2.0, n_log, endpoint=False)
-    hi = np.linspace(T / 2.0, T, count - n_log)
-    return (0.0,) + tuple(float(x) for x in lo) + tuple(
-        float(x) for x in hi
-    )
-
-
-def blowup_functional(grid: GridSpec, result: RunResult, component: int,
-                      exponent: float, tp: TestFunctionParams) -> float:
-    """Space-time functional int |u_l|^p Phi_R dx dt over [0, R^(2 sigma)]
-    from the run's snapshots (trapezoid in t, grid quadrature in x).
-
-    component is 1-based.
-    """
-    k = result.l2.shape[0]
-    if not 1 <= component <= k:
-        raise ValueError(f"component must be in 1..{k}, got {component}")
-    T = tp.time_scale
-    nodes = [(t, u) for t, u in result.snapshots
-             if t <= T * (1.0 + 1e-9)]
-    if len(nodes) < 16:
-        raise InsufficientSnapshots(
-            f"{len(nodes)} snapshot(s) inside [0, {T:.3g}]; need 16"
-        )
-    psi = space_weight(_radius_sq(grid) / tp.R ** 2, tp.q)
-    dv = grid.cell_volume
-    ts = np.array([t for t, _ in nodes])
-    vals = np.array([
-        time_cutoff(t / T, tp.mu)
-        * float(np.sum(np.abs(u[component - 1]) ** exponent * psi)) * dv
-        for t, u in nodes
-    ])
-    return float(np.trapezoid(vals, ts))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from sevolab import harness
 from sevolab.errors import (
     BlowUpDuringDecayExperiment,
     ConditionsUnmet,
@@ -248,12 +249,20 @@ class TestLifespanSweep:
         with pytest.raises(NonPositiveValues):
             lifespan_sweep(P22, self.GRID, comps, (0.3, 0.4, 0.5, 0.6))
 
-    def test_needs_four_epsilons(self):
+    def test_needs_four_epsilons(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep with bad epsilons ran")
+
+        # each of these fails before the first run
+        monkeypatch.setattr(harness, "run", no_run)
         with pytest.raises(ValueError, match="4 epsilons"):
             lifespan_sweep(P22, self.GRID, self.COMPS, (0.3, 0.6))
-        # duplicates count once, so this fails before the first run
+        # duplicates count once
         with pytest.raises(ValueError, match="4 epsilons"):
             lifespan_sweep(P22, self.GRID, self.COMPS, (1, 1, 2, 4))
+        with pytest.raises(ValueError, match="positive"):
+            lifespan_sweep(P22, self.GRID, self.COMPS,
+                           (0.1, 0.2, 0.3, -0.4))
 
     def test_cheap_sweep(self):
         # measured once on this grid: T = 86.14, 54.08, 38.63, 29.85

@@ -192,6 +192,7 @@ class TestDecayProfile:
             (0.0, "L1L2", 1, 1.0),
             (0.0, "L1L2", 2, 1.0),
             (0.0, "L1L2", 3, 1.5),
+            (0.0, "L1L2", 4, 2.0),
         ],
     )
     def test_slope_matches_prediction(self, s, regime, n, sigma):

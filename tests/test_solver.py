@@ -87,6 +87,16 @@ class TestGridSpec:
         assert x[0] == pytest.approx(-4.0)
         assert x[-1] == pytest.approx(4.0 - g.dx)
 
+    def test_radius_sq(self):
+        g = GridSpec(n=2, N=16, L=2.0)
+        x = g.axes()[0]
+        assert np.array_equal(g.radius_sq(),
+                              x[:, None] ** 2 + x[None, :] ** 2)
+        r2 = g.radius_sq((0.5, -1.0))
+        assert r2[0, 3] == (x[0] - 0.5) ** 2 + (x[3] + 1.0) ** 2
+        with pytest.raises(ValueError, match="center needs 2"):
+            g.radius_sq((0.5,))
+
     def test_symbol_is_wavenumber_power(self):
         g = GridSpec(n=1, N=16, L=2.0)
         a = g.symbol(1.5)
@@ -608,6 +618,22 @@ class TestRun:
         assert res.snapshots[0][1].shape == (2,) + grid.shape
         assert not res.blown_up
         assert res.blowup_time is None
+
+    @pytest.mark.parametrize("wanted,kept", [
+        ((-1.0, 0.5, 1.0), None),
+        ((1.0, 1.0 + 1e-12, 1.5), [1.0, 1.5]),
+        ((0.5, 5.0), None),
+        ((0.2, math.nan, 0.5), None),
+    ], ids=["negative", "near-duplicate", "past-t-end", "nan"])
+    def test_every_snapshot_is_kept_or_refused(self, wanted, kept):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        kw = dict(t_end=2.0, dt=0.05, snapshot_times=wanted)
+        if kept is None:
+            with pytest.raises(ValueError, match="snapshot times"):
+                run(PARAMS_34, grid, gaussian_data(0.01), **kw)
+            return
+        res = run(PARAMS_34, grid, gaussian_data(0.01), **kw)
+        assert [round(t, 9) for t, _ in res.snapshots] == kept
 
     def test_deterministic(self):
         grid = GridSpec(n=1, N=64, L=10.0)

@@ -13,44 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from sevolab.errors import (
-    ConditionViolated,
-    DataLeakage,
-    DomainError,
-    InsufficientSnapshots,
-)
-from sevolab.solver import GridSpec, RunResult
+from sevolab.errors import ConditionViolated, DataLeakage, DomainError
+from sevolab.solver import GridSpec
 from sevolab.testfunc import (
-    TestFunctionParams,
-    blowup_functional,
     check_scaling,
     check_weight_decay,
     frac_laplacian_grid,
-    snapshot_schedule,
     space_weight,
-    spacetime_weight,
-    tail_order,
-    time_cutoff,
     time_cutoff_derivatives,
     verify_eta_condition,
     weight_decay_exponent,
 )
-
-
-class TestTailOrder:
-    def test_integer_sigma(self):
-        assert tail_order(1.0) == 1.0
-        assert tail_order(2.0) == 1.0
-        assert tail_order(1.0 + 1e-13) == 1.0
-        assert tail_order(2.0 - 1e-13) == 1.0
-
-    def test_fractional_sigma(self):
-        assert tail_order(1.5) == 0.5
-        assert tail_order(3.75) == 0.75
-
-    def test_domain(self):
-        with pytest.raises(ValueError, match="sigma"):
-            tail_order(0.9)
 
 
 class TestWeightDecayExponent:
@@ -70,26 +43,6 @@ class TestWeightDecayExponent:
             weight_decay_exponent(0.0, 1)
 
 
-class TestParams:
-    def test_for_system(self):
-        tp = TestFunctionParams.for_system(n=1, sigma=1.5, R=2.0)
-        assert tp.sigma_bar == 0.5
-        assert tp.q == 2.0
-        assert tp.time_scale == pytest.approx(8.0)
-        assert tp.mu == 16
-
-    def test_integer_sigma_time_scale(self):
-        tp = TestFunctionParams.for_system(n=1, sigma=1.0, R=4.0)
-        assert tp.q == 3.0
-        assert tp.time_scale == pytest.approx(16.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="R"):
-            TestFunctionParams(sigma=1.0, q=3.0, R=0.0)
-        with pytest.raises(ValueError, match="mu"):
-            TestFunctionParams(sigma=1.0, q=3.0, R=1.0, mu=0)
-
-
 class TestSpaceWeight:
     def test_center_value(self):
         assert space_weight(0.0, 3.0) == 1.0
@@ -107,15 +60,15 @@ class TestSpaceWeight:
 
 class TestTimeCutoff:
     def test_plateau_and_support(self):
-        assert time_cutoff(0.0) == 1.0
-        assert time_cutoff(0.3) == 1.0
-        assert time_cutoff(0.5) == 1.0
-        assert time_cutoff(1.0) == 0.0
-        assert time_cutoff(1.2) == 0.0
+        assert time_cutoff_derivatives(0.0)[0] == 1.0
+        assert time_cutoff_derivatives(0.3)[0] == 1.0
+        assert time_cutoff_derivatives(0.5)[0] == 1.0
+        assert time_cutoff_derivatives(1.0)[0] == 0.0
+        assert time_cutoff_derivatives(1.2)[0] == 0.0
 
     def test_monotone_nonincreasing(self):
         t = np.linspace(0.0, 1.1, 500)
-        eta = time_cutoff(t)
+        eta = time_cutoff_derivatives(t)[0]
         assert np.all(np.diff(eta) <= 1e-15)
 
     def test_c2_gluing_at_half(self):
@@ -130,8 +83,8 @@ class TestTimeCutoff:
         h = 1e-5
         for t0 in (0.6, 0.75, 0.9):
             eta, d1, d2 = time_cutoff_derivatives(t0)
-            em = time_cutoff(t0 - h)
-            ep = time_cutoff(t0 + h)
+            em = time_cutoff_derivatives(t0 - h)[0]
+            ep = time_cutoff_derivatives(t0 + h)[0]
             assert d1 == pytest.approx((ep - em) / (2 * h), abs=1e-5)
             assert d2 == pytest.approx((ep - 2 * eta + em) / h ** 2,
                                        abs=1e-3)
@@ -139,7 +92,7 @@ class TestTimeCutoff:
     def test_scalar_and_array_forms(self):
         out = time_cutoff_derivatives(0.7)
         assert all(isinstance(v, float) for v in out)
-        arr = time_cutoff(np.array([0.2, 0.7, 1.5]))
+        arr = time_cutoff_derivatives(np.array([0.2, 0.7, 1.5]))[0]
         assert arr.shape == (3,)
         assert arr[0] == 1.0 and arr[2] == 0.0
 
@@ -243,98 +196,3 @@ class TestEtaCondition:
     def test_lam_domain(self):
         with pytest.raises(DomainError, match="lam"):
             verify_eta_condition(1.0)
-
-
-def fake_run(grid, snapshots, k=2):
-    z = np.zeros((k, len(snapshots)))
-    return RunResult(
-        times=np.array([t for t, _ in snapshots]),
-        l2=z, hsigma=z, sup=z, mean=z,
-        blown_up=False, blowup_time=None,
-        snapshots=tuple(snapshots), steps=0,
-    )
-
-
-class TestSnapshotSchedule:
-    def test_structure(self):
-        tp = TestFunctionParams.for_system(n=1, sigma=1.0, R=2.0)
-        sched = snapshot_schedule(tp, count=48)
-        arr = np.array(sched)
-        T = tp.time_scale
-        assert arr[0] == 0.0
-        assert arr[-1] == pytest.approx(T)
-        assert np.all(np.diff(arr) > 0)
-        assert np.sum(arr >= T / 2.0) >= 24
-
-    def test_count_guard(self):
-        tp = TestFunctionParams.for_system(n=1, sigma=1.0, R=2.0)
-        with pytest.raises(ValueError, match="16"):
-            snapshot_schedule(tp, count=8)
-
-
-class TestBlowupFunctional:
-    def setup_method(self):
-        self.grid = GridSpec(n=1, N=256, L=32.0)
-        self.tp = TestFunctionParams.for_system(n=1, sigma=1.0, R=2.0)
-
-    def constant_run(self, c, m=201):
-        T = self.tp.time_scale
-        ts = np.linspace(0.0, T, m)
-        snaps = [(float(t), np.full((2,) + self.grid.shape, c)) for t in ts]
-        return fake_run(self.grid, snaps)
-
-    def test_constant_field_oracle(self):
-        c, p = 0.7, 2.0
-        res = self.constant_run(c)
-        got = blowup_functional(self.grid, res, 1, p, self.tp)
-        r2 = (self.grid.axes()[0] ** 2) / self.tp.R ** 2
-        wx = float(np.sum(space_weight(r2, self.tp.q))) * self.grid.dx
-        tt = np.linspace(0.0, self.tp.time_scale, 20001)
-        it = float(np.trapezoid(time_cutoff(tt / self.tp.time_scale), tt))
-        assert got == pytest.approx(c ** p * wx * it, rel=1e-5)
-
-    def test_homogeneity(self):
-        base = blowup_functional(self.grid, self.constant_run(0.5), 1, 2.0,
-                                 self.tp)
-        scaled = blowup_functional(self.grid, self.constant_run(1.0), 1, 2.0,
-                                   self.tp)
-        assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-
-    def test_monotone_in_field(self):
-        small = blowup_functional(self.grid, self.constant_run(0.3), 2, 3.0,
-                                  self.tp)
-        large = blowup_functional(self.grid, self.constant_run(0.4), 2, 3.0,
-                                  self.tp)
-        assert large > small
-
-    def test_zero_solution(self):
-        assert blowup_functional(self.grid, self.constant_run(0.0), 1, 2.0,
-                                 self.tp) == 0.0
-
-    def test_late_snapshots_ignored(self):
-        res = self.constant_run(0.5)
-        T = self.tp.time_scale
-        extra = res.snapshots + (
-            (2.0 * T, np.full((2,) + self.grid.shape, 1e9)),
-        )
-        res2 = fake_run(self.grid, extra)
-        a = blowup_functional(self.grid, res, 1, 2.0, self.tp)
-        b = blowup_functional(self.grid, res2, 1, 2.0, self.tp)
-        assert a == b
-
-    def test_insufficient_snapshots(self):
-        with pytest.raises(InsufficientSnapshots, match="need 16"):
-            blowup_functional(self.grid, self.constant_run(0.5, m=10), 1,
-                              2.0, self.tp)
-
-    def test_component_guard(self):
-        with pytest.raises(ValueError, match="component"):
-            blowup_functional(self.grid, self.constant_run(0.5), 3, 2.0,
-                              self.tp)
-
-    def test_spacetime_weight_field(self):
-        w = spacetime_weight(self.grid, self.tp, 0.0)
-        mid = self.grid.N // 2
-        assert w[mid] == pytest.approx(1.0)  # x = 0, eta = 1
-        late = spacetime_weight(self.grid, self.tp, 10.0 * self.tp.time_scale)
-        assert float(np.max(late)) == 0.0
