@@ -15,7 +15,6 @@ from .exponents import (
     classify,
     check_global_conditions,
     loss_of_decay_sequence,
-    alpha_beta_sequences,
     predicted_decay,
     lifespan_exponent,
     gn_theta,

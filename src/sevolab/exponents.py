@@ -3,10 +3,10 @@
 Everything here is closed-form arithmetic on the chain of power
 nonlinearities p = (p_1, ..., p_k): the cyclic coupling matrix, its
 resolvent vector gamma, the classification of the system against the
-threshold n/(2*sigma), the loss-of-decay sequence, the lifespan
-bookkeeping sequences, and the Gagliardo-Nirenberg interpolation
-exponent.  No grids and no transforms; this module is the ground truth
-that every experiment in the harness is fitted against.
+threshold n/(2*sigma), the loss-of-decay sequence, and the
+Gagliardo-Nirenberg interpolation exponent.  No grids and no
+transforms; this module is the ground truth that every experiment in
+the harness is fitted against.
 
 Component ell is forced by |u_{ell-1}|^{p_ell}, component 1 by
 |u_k|^{p_1}, so the coupling matrix P has p_1 in the top-right corner
@@ -24,6 +24,9 @@ from .errors import ConditionsUnmet, DomainError, NotSubcritical, SingularSystem
 
 # |max gamma - n/(2 sigma)| below this is treated as critical (open regime).
 CRITICAL_TOL = 1e-12
+# the auxiliary epsilon > 0 of the loss-of-decay sequence behind the
+# predicted decay rates and the weighted-norm diagnostic
+AUX_EPS = 0.01
 
 SUPERCRITICAL = "Supercritical"
 CRITICAL = "Critical"
@@ -45,12 +48,15 @@ class SystemParams:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if not self.sigma >= 1:
-            raise ValueError(f"sigma must be >= 1, got {self.sigma}")
+        if not 1 <= self.sigma < math.inf:
+            raise ValueError(
+                f"sigma must be finite and >= 1, got {self.sigma}")
         if int(self.k) != self.k or self.k < 2:
             raise ValueError(f"k must be an integer >= 2, got {self.k}")
         if len(self.p) != self.k:
             raise ValueError(f"need {self.k} exponents, got {len(self.p)}")
+        if not all(math.isfinite(x) for x in self.p):
+            raise ValueError(f"every exponent must be finite, got p={self.p}")
         if any(x <= 1 for x in self.p):
             raise SingularSystem(
                 f"every exponent must exceed 1, got p={self.p}"
@@ -201,7 +207,7 @@ def check_global_conditions(params: SystemParams) -> dict:
     return flags
 
 
-def loss_of_decay_sequence(params: SystemParams, eps: float = 0.01) -> tuple:
+def loss_of_decay_sequence(params: SystemParams, eps: float) -> tuple:
     """Loss-of-decay sequence (eps_1, ..., eps_k), eps_k = 0.
 
     Recursion: eps_1 = 1 - (n/2sigma)(p_1 - 1) + eps and
@@ -243,46 +249,14 @@ def loss_of_decay_sequence(params: SystemParams, eps: float = 0.01) -> tuple:
     return tuple(seq)
 
 
-def alpha_beta_sequences(params: SystemParams) -> tuple:
-    """Lifespan bookkeeping sequences (alpha_1..alpha_{k-1}, beta_1..beta_k).
-
-    alpha_1 = 1 - (p_1 - 1) gamma_k,
-    alpha_l = 1 - (p_l - 1) gamma_k + p_l alpha_{l-1} for l <= k-1,
-    beta_1 = 1 - (n/2sigma)(p_1 - 1) - alpha_1,
-    beta_l = -(n/2sigma)(p_l - 1) + (p_l - 1) gamma_k for l >= 2.
-
-    All beta_l collapse to (p_l - 1)(gamma_k - n/2sigma); the identity is
-    asserted here, and its sign is what makes every beta positive exactly
-    on the subcritical side.  gamma_k means the maximal gamma component
-    (relabeled when the argmax is not the last component).
-    """
-    p = params.p
-    gk = compute_gamma(params).max
-    r = params.fujita_ratio
-    alpha = [1.0 - (p[0] - 1.0) * gk]
-    for ell in range(1, params.k - 1):
-        alpha.append(1.0 - (p[ell] - 1.0) * gk + p[ell] * alpha[-1])
-    beta = [1.0 - r * (p[0] - 1.0) - alpha[0]]
-    for ell in range(1, params.k):
-        beta.append(-r * (p[ell] - 1.0) + (p[ell] - 1.0) * gk)
-    for ell in range(params.k):
-        ident = (p[ell] - 1.0) * (gk - r)
-        if abs(beta[ell] - ident) > 1e-12 * max(1.0, abs(ident)):
-            raise AssertionError(
-                f"beta identity fails at component {ell + 1}: "
-                f"{beta[ell]} vs {ident}"
-            )
-    return tuple(alpha), tuple(beta)
-
-
-def predicted_decay(params: SystemParams, eps: float = 0.01) -> tuple:
+def predicted_decay(params: SystemParams) -> tuple:
     """Predicted decay exponents (L2 list, homogeneous-Sobolev list).
 
     Component ell of the L2 norm is predicted to decay like
     t^(-n/4sigma + eps_l) and the |D|^sigma norm like
-    t^(-n/4sigma - 1/2 + eps_l), with eps_k = 0.  Only meaningful when
-    the global existence hypotheses hold; otherwise ConditionsUnmet
-    names the failing flags.
+    t^(-n/4sigma - 1/2 + eps_l), with eps_k = 0 and the sequence taken
+    at AUX_EPS.  Only meaningful when the global existence hypotheses
+    hold; otherwise ConditionsUnmet names the failing flags.
     """
     flags = check_global_conditions(params)
     needed = ("fujita_p1", "chain_products", "low_dim", "p_min_two",
@@ -292,7 +266,7 @@ def predicted_decay(params: SystemParams, eps: float = 0.01) -> tuple:
         raise ConditionsUnmet(
             "global existence hypotheses fail: " + ", ".join(failed)
         )
-    eps_seq = loss_of_decay_sequence(params, eps)
+    eps_seq = loss_of_decay_sequence(params, AUX_EPS)
     base = -params.n / (4.0 * params.sigma)
     decay_l2 = tuple(base + e for e in eps_seq)
     decay_hs = tuple(base - 0.5 + e for e in eps_seq)
@@ -347,8 +321,6 @@ class ExponentReport:
     gamma: GammaVector
     classification: str
     epsilon_seq: tuple
-    alpha_seq: tuple
-    beta_seq: tuple
     decay_L2: tuple          # empty when hypotheses fail
     decay_Hsigma: tuple
     lifespan_exponent: float | None
@@ -357,12 +329,12 @@ class ExponentReport:
     notes: tuple = field(default=())
 
 
-def report(params: SystemParams, eps: float = 0.01) -> ExponentReport:
-    """Assemble the full exponent report for one parameter set."""
+def report(params: SystemParams) -> ExponentReport:
+    """Assemble the full exponent report for one parameter set, with
+    the loss-of-decay sequence at AUX_EPS."""
     gamma = compute_gamma(params)
     cls = classify(params)
-    eps_seq = loss_of_decay_sequence(params, eps)
-    alpha, beta = alpha_beta_sequences(params)
+    eps_seq = loss_of_decay_sequence(params, AUX_EPS)
     flags = check_global_conditions(params)
     notes = []
     if cls == CRITICAL:
@@ -376,7 +348,7 @@ def report(params: SystemParams, eps: float = 0.01) -> ExponentReport:
             f"relabeling by {gamma.rotation} puts it last (assumed harmless)"
         )
     try:
-        decay_l2, decay_hs = predicted_decay(params, eps)
+        decay_l2, decay_hs = predicted_decay(params)
         if any(d >= 0 for d in decay_l2):
             notes.append(
                 "eps so large a predicted L2 exponent is nonnegative; "
@@ -398,12 +370,10 @@ def report(params: SystemParams, eps: float = 0.01) -> ExponentReport:
         gamma=gamma,
         classification=cls,
         epsilon_seq=eps_seq,
-        alpha_seq=alpha,
-        beta_seq=beta,
         decay_L2=decay_l2,
         decay_Hsigma=decay_hs,
         lifespan_exponent=life,
         condition_flags=flags,
-        eps=eps,
+        eps=AUX_EPS,
         notes=tuple(notes),
     )

@@ -29,6 +29,7 @@ from .errors import (
     NotSubcritical,
 )
 from .exponents import (
+    AUX_EPS,
     SUBCRITICAL,
     SystemParams,
     classify,
@@ -156,16 +157,17 @@ def mean_mode_cutoff(grid: GridSpec, result: RunResult,
 
 
 def xnorm_diagnostic(result: RunResult, params: SystemParams,
-                     eps: float = 0.01, window=None) -> dict:
+                     window=None) -> dict:
     """Weighted-norm series (1+t)^(n/4s-e_l) |u_l|_L2 +
-    (1+t)^(n/4s+1/2-e_l) ||D|^s u_l|_L2 and their max/min ratios.
+    (1+t)^(n/4s+1/2-e_l) ||D|^s u_l|_L2, with e_l the loss-of-decay
+    sequence at AUX_EPS, and their max/min ratios.
 
     Bounded ratios certify the a-priori bound behind the decay
     statement; for subcritical data the series grows without bound,
     which is reported, not judged.  Computed from the raw exponent
     recursion, so it stays available outside the decay regime.
     """
-    seq = loss_of_decay_sequence(params, eps)
+    seq = loss_of_decay_sequence(params, AUX_EPS)
     base = params.n / (4.0 * params.sigma)
     w = 1.0 + result.times
     series = np.array([
@@ -189,7 +191,6 @@ def xnorm_diagnostic(result: RunResult, params: SystemParams,
             ratios.append(hi / lo)
     passed = all(r < 10.0 for r in ratios)
     return {
-        "series": series,
         "ratios": tuple(ratios),
         "passed": passed,
         "window": (float(window[0]), float(window[1])),
@@ -200,7 +201,7 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
                      data: InitialData, *, t_end: float = 1e4,
                      dt: float = 0.05, dt_policy: str = "adaptive",
                      window=None, fit_tolerance: float = 0.1,
-                     weight_eps: float = 0.01, outputs: int = 200,
+                     outputs: int = 200,
                      linear_only: bool = False) -> DecayReport:
     """Run to t_end and fit every component's L2 and |D|^sigma decay.
 
@@ -210,7 +211,7 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
     the slack, so a pass means the slope is in the interval up to the
     fit tolerance.
     """
-    predicted_decay(params, weight_eps)  # ConditionsUnmet outside the regime
+    predicted_decay(params)  # ConditionsUnmet outside the regime
     result = run(params, grid, data, t_end, dt, dt_policy=dt_policy,
                  outputs=outputs, linear_only=linear_only)
     if result.blown_up:
@@ -234,7 +235,7 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
             result.times, result.hsigma[ell], window,
             expected=base - 0.5 + 0.5 * s, tolerance=tol,
         ))
-    xd = xnorm_diagnostic(result, params, weight_eps, window)
+    xd = xnorm_diagnostic(result, params, window)
     return DecayReport(
         window=(float(window[0]), float(window[1])),
         l2=tuple(fits_l2),

@@ -24,9 +24,10 @@ at the predictor, which the next step uses in place of the forcing at
 the corrected field ("first same as last", Dormand & Prince 1980): the
 local error stays O(dt^3).  A nonlinear step thus costs 1 irfftn (the
 predictor) + 1 rfftn (its forcing).  The corrector stays a spectrum;
-it is transformed only when norms() or a snapshot reads it, and the
-step's error estimate and run()'s blow-up check read the predictor and
-the spectral predictor-corrector gap instead.
+it is transformed at most once, the first time norms() or a snapshot
+reads its FieldState.u, and the step's error estimate and run()'s
+blow-up check read the predictor and the spectral predictor-corrector
+gap instead.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -36,7 +37,7 @@ images; drivers pick L accordingly and fit on intermediate windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -72,8 +73,8 @@ class GridSpec:
         object.__setattr__(self, "L", float(self.L))
         if self.N < 8 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
 
     @property
     def dx(self) -> float:
@@ -168,6 +169,15 @@ class FieldState:
     u_hat = property(lambda self: _full(self.u_half))
     v_hat = property(lambda self: _full(self.v_half))
 
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The physical field, irfftn of u_half on N = 2 (h - 1) points
+        per axis for h last-axis columns.  Computed on first read and
+        kept, so u_half must not be changed after that."""
+        h, ndim = self.u_half.shape[-1], self.u_half.ndim
+        return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - 1),
+                             axes=tuple(range(1, ndim)))
+
 
 @dataclass(frozen=True)
 class ComponentData:
@@ -184,6 +194,10 @@ class ComponentData:
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "center",
                            tuple(float(x) for x in self.center))
+        for name in ("amp0", "amp1", "width", "center"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.width > 0:
             raise ValueError(f"width must be positive, got {self.width}")
 
@@ -198,6 +212,8 @@ class InitialData:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "components", tuple(self.components))
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if not self.components:
             raise ValueError("need at least one component")
 
@@ -207,10 +223,10 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     """Build the spectral state at t = 0 plus a data report.
 
     Returns (state, report); report carries the discrete means of u0
-    and u1 per component and the data norm
-    sum_l (|u0|_L1 + |u0|_{H^sigma} + |u1|_L1 + |u1|_L2).
-    Raises DataLeakage when a Gaussian tail at the box edge exceeds
-    1e-8 of its peak (the bump would see its periodic images).
+    and u1 per component.  sigma is not read; it stays in the signature
+    for the callers that pass it.  Raises DataLeakage when a Gaussian
+    tail at the box edge exceeds 1e-8 of its peak (the bump would see
+    its periodic images).
     """
     k = len(data.components)
     u0 = np.zeros((k,) + grid.shape)
@@ -230,19 +246,9 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     axes = grid.spatial_axes
     state = FieldState(0.0, np.fft.rfftn(u0, axes=axes),
                        np.fft.rfftn(u1, axes=axes))
-    u0_norms = norms(grid, state, sigma)
-    dv = grid.cell_volume
-    total = 0.0
-    for ell in range(k):
-        l1_0 = float(np.sum(np.abs(u0[ell]))) * dv
-        l1_1 = float(np.sum(np.abs(u1[ell]))) * dv
-        hs_0 = math.hypot(u0_norms["l2"][ell], u0_norms["hsigma"][ell])
-        l2_1 = math.sqrt(float(np.sum(u1[ell] ** 2)) * dv)
-        total += l1_0 + hs_0 + l1_1 + l2_1
     report = {
         "means_u0": tuple(float(np.mean(u0[ell])) for ell in range(k)),
         "means_u1": tuple(float(np.mean(u1[ell])) for ell in range(k)),
-        "data_norm": total,
     }
     return state, report
 
@@ -280,10 +286,6 @@ def _full(half: np.ndarray) -> np.ndarray:
         tail = np.roll(np.flip(tail, axis=ax), 1, axis=ax)
     np.conjugate(tail, out=full[..., h:])
     return full
-
-
-def _physical(state: FieldState, grid: GridSpec) -> np.ndarray:
-    return np.fft.irfftn(state.u_half, s=grid.shape, axes=grid.spatial_axes)
 
 
 # a fixed-dt run needs its own dt plus the one-off dt of a step clipped
@@ -358,7 +360,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
-            Nh_old = _nonlinearity_hat(_physical(state, grid), params, axes)
+            Nh_old = _nonlinearity_hat(state.u, params, axes)
         u_half += i1 * Nh_old
     # the predictor, or for linear_only the exact new field
     u_pred = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
@@ -383,17 +385,16 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
     L2 and |D|^sigma L2 by Parseval on the half spectrum, mean from its
-    zero mode, sup in physical space from one irfftn of the half
-    spectrum, so it is the corrected field's sup.
+    zero mode, sup in physical space from the state's field u, so it is
+    the corrected field's sup.
     """
     a = _half(grid.symbol(sigma))
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
-    u_phys = _physical(state, grid)
     sq = grid.parseval_weights * np.abs(state.u_half) ** 2
     sum_axes = grid.spatial_axes
     l2 = np.sqrt(vol_factor * np.sum(sq, axis=sum_axes))
     hs = np.sqrt(vol_factor * np.sum(a * sq, axis=sum_axes))
-    sup = np.max(np.abs(u_phys), axis=sum_axes)
+    sup = np.max(np.abs(state.u), axis=sum_axes)
     zero = (slice(None),) + (0,) * grid.n
     mean = state.u_half[zero].real / grid.N ** grid.n
     return {
@@ -409,7 +410,7 @@ class RunResult:
     """Norm history of one integration plus the blow-up verdict.
 
     Series arrays have shape (k, len(times)).  snapshots are
-    (t, u_physical) pairs at the requested times.  steps counts the
+    (t, FieldState.u) pairs at the requested times.  steps counts the
     accepted steps and rejected_steps the ones the adaptive policy
     retried; dt_min and dt_max span the accepted step sizes (None
     without any).
@@ -424,7 +425,6 @@ class RunResult:
     blowup_time: float | None
     snapshots: tuple
     steps: int
-    data_report: dict = field(default_factory=dict)
     rejected_steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
@@ -471,8 +471,10 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     snap_at = sorted(set(float(x) for x in snapshot_times))
     if not all(0.0 <= s <= t_end for s in snap_at):
         raise ValueError(f"snapshot times must lie in [0, {t_end}], "
@@ -482,7 +484,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         raise ValueError(
             f"data has {len(data.components)} components, system has {k}"
         )
-    state, report = make_initial_data(grid, data, params.sigma)
+    state, _ = make_initial_data(grid, data, params.sigma)
 
     start = min(max(dt, t_end * 1e-4), t_end)
     sched = np.geomspace(start, t_end, outputs)
@@ -499,7 +501,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         times.append(st.t)
         rows.append(norms(grid, st, params.sigma))
         if any(near(st.t, s) for s in snap_at):
-            snapshots.append((st.t, _physical(st, grid)))
+            snapshots.append((st.t, st.u))
 
     record(state)
 
@@ -551,7 +553,6 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         blowup_time=t_blow,
         snapshots=tuple(snapshots),
         steps=steps,
-        data_report=report,
         rejected_steps=rejected,
         dt_min=h_min if steps else None,
         dt_max=h_max if steps else None,

@@ -151,7 +151,7 @@ def fake_run(times, k=2, seed=3):
         hsigma=rng.uniform(0.1, 2.0, shape),
         sup=rng.uniform(0.1, 2.0, shape),
         mean=rng.normal(0.0, 1.0, shape), blown_up=False,
-        blowup_time=None, snapshots=(), steps=7, data_report={})
+        blowup_time=None, snapshots=(), steps=7)
 
 
 class TestOutputs:
@@ -421,6 +421,35 @@ class TestCliKeys:
     def test_non_integer_size_is_usage_error(self, argv, capsys):
         assert cli_main(argv) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,name", [
+        pytest.param(["simulate", "--set", "data.epsilon=NaN"], "epsilon",
+                     id="epsilon-nan"),
+        pytest.param(["simulate", "--set", "data.epsilon=Infinity"],
+                     "epsilon", id="epsilon-inf"),
+        pytest.param(["simulate", "--set", "data.components.0.amp1=NaN"],
+                     "amp1", id="amp1-nan"),
+        pytest.param(["simulate", "--set", "data.components.0.center=[NaN]"],
+                     "center", id="center-nan"),
+        pytest.param(["simulate", "--set", "grid.L=Infinity"], "L",
+                     id="L-inf"),
+        pytest.param(["simulate", "--set", "options.t_end=Infinity"],
+                     "t_end", id="t_end-inf"),
+        pytest.param(["simulate", "--set", "options.dt=Infinity"], "dt",
+                     id="dt-inf"),
+        pytest.param(["simulate", "--p", "2,Infinity"], "exponent",
+                     id="p-inf"),
+        pytest.param(["exponents", "--sigma", "Infinity"], "sigma",
+                     id="sigma-inf"),
+    ])
+    def test_non_finite_input_is_refused(self, argv, name, tmp_path,
+                                         capsys):
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"{name} must be" in captured.err
+        assert "finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("override", [
         "data.components.5.amp0=1", "grid.N.x=1", "grid.N.x.y=1",

@@ -122,8 +122,7 @@ class TestMeanModeCutoff:
         zeros = np.zeros((2, 11))
         res = RunResult(times=times, l2=np.ones((2, 11)),
                         hsigma=zeros, sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0,
-                        data_report={})
+                        blowup_time=None, snapshots=(), steps=0)
         assert mean_mode_cutoff(GridSpec(n=1, N=64, L=10.0), res) == 10.0
 
     def test_crossing_detected(self):
@@ -135,8 +134,7 @@ class TestMeanModeCutoff:
         mean[0, 6:] = 0.95 / (2.0 * grid.L) ** 0.5
         res = RunResult(times=times, l2=l2, hsigma=l2 * 0,
                         sup=l2 * 0, mean=mean, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0,
-                        data_report={})
+                        blowup_time=None, snapshots=(), steps=0)
         assert mean_mode_cutoff(grid, res) == 6.0
 
 
@@ -200,8 +198,7 @@ class TestXnormDiagnostic:
         zeros = np.zeros((2, 6))
         res = RunResult(times=times, l2=zeros, hsigma=zeros,
                         sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0,
-                        data_report={})
+                        blowup_time=None, snapshots=(), steps=0)
         xd = xnorm_diagnostic(res, P34)
         assert xd["ratios"] == (1.0, 1.0)
         assert xd["passed"] is True
@@ -215,8 +212,7 @@ class TestXnormDiagnostic:
         zeros = np.zeros((2, 101))
         res = RunResult(times=times, l2=l2, hsigma=zeros,
                         sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0,
-                        data_report={})
+                        blowup_time=None, snapshots=(), steps=0)
         xd = xnorm_diagnostic(res, P34, window=(2.0, 8.0))
         assert xd["window"] == (2.0, 8.0)
         assert max(xd["ratios"]) < 1.0 + 1e-9

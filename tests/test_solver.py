@@ -24,7 +24,6 @@ from sevolab.solver import (
     GridSpec,
     InitialData,
     RunResult,
-    _physical,
     _power,
     make_initial_data,
     norms,
@@ -147,17 +146,6 @@ class TestInitialData:
         )
         assert report["means_u0"][0] == pytest.approx(exact, rel=1e-12)
 
-    def test_data_norm_linear_in_epsilon(self):
-        grid = GridSpec(n=1, N=128, L=15.0)
-        _, r1 = make_initial_data(
-            grid, gaussian_data(0.1, ((1.0, 0.5), (0.3, 0.0))), sigma=1.0
-        )
-        _, r2 = make_initial_data(
-            grid, gaussian_data(0.2, ((1.0, 0.5), (0.3, 0.0))), sigma=1.0
-        )
-        assert r2["data_norm"] == pytest.approx(2.0 * r1["data_norm"],
-                                                rel=1e-14)
-
     def test_leakage_wide_bump(self):
         grid = GridSpec(n=1, N=256, L=40.0)
         with pytest.raises(DataLeakage, match="edge"):
@@ -180,7 +168,7 @@ class TestInitialData:
         state, report = make_initial_data(
             grid, gaussian_data(0.0), sigma=1.0
         )
-        assert report["data_norm"] == 0.0
+        assert report == {"means_u0": (0.0, 0.0), "means_u1": (0.0, 0.0)}
         assert max(norms(grid, state, 1.0)["sup"]) == 0.0
 
 
@@ -410,7 +398,7 @@ class TestHalfSpectrumStep:
             state = step(state, 0.05, params, grid)
         again = np.fft.irfftn(state.u_hat[..., : grid.N // 2 + 1],
                               s=grid.shape, axes=grid.spatial_axes)
-        assert np.array_equal(_physical(state, grid), again)
+        assert np.array_equal(state.u, again)
 
 
 class TestPower:
@@ -454,6 +442,21 @@ def fft_calls(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft,
                                                                  name)))
     return calls
+
+
+def irfftn_after_each(monkeypatch, fft_calls, name):
+    """Patch solver.<name> to log the irfftn count after each call;
+    returns the log."""
+    log = []
+    real = getattr(solver, name)
+
+    def logged(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append(fft_calls.get("irfftn", 0))
+        return out
+
+    monkeypatch.setattr(solver, name, logged)
+    return log
 
 
 class TestTransformBudget:
@@ -517,10 +520,48 @@ class TestTransformBudget:
                   outputs=8)
         assert res.steps >= 20 and not res.blown_up
         records = len(res.times)
-        # setup: rfftn of u0 and u1, and the data report's norms(); the
-        # first step evaluates its old forcing from the state's field
+        # setup: rfftn of u0 and u1; the first step evaluates its old
+        # forcing from the field the t = 0 record transformed
         assert fft_calls == {"rfftn": 2 + 1 + res.steps,
-                             "irfftn": 1 + 1 + res.steps + records}
+                             "irfftn": res.steps + records}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_field_is_transformed_once_per_state(self, n, fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        rng = np.random.default_rng(23)
+        half = np.fft.rfftn(rng.normal(size=(2,) + grid.shape),
+                            axes=grid.spatial_axes)
+        state = FieldState(0.0, half, np.zeros_like(half))
+        fft_calls.clear()
+        first = state.u
+        norms(grid, state, 1.0)
+        assert state.u is first
+        assert fft_calls == {"irfftn": 1}
+        assert np.array_equal(first, np.fft.irfftn(half, s=grid.shape,
+                                                   axes=grid.spatial_axes))
+
+    def test_one_transform_from_initial_data_to_the_first_predictor(
+            self, monkeypatch, fft_calls):
+        after_init = irfftn_after_each(monkeypatch, fft_calls,
+                                       "make_initial_data")
+        after_step = irfftn_after_each(monkeypatch, fft_calls, "step")
+        run(PARAMS_34, GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3),
+            t_end=1.0, dt=0.1)
+        # up to the end of the first step: the t = 0 record's irfftn,
+        # whose field the step's old forcing reuses, and the predictor's
+        assert after_step[0] - after_init[0] == 1 + 1
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_snapshot_record_transforms_once(self, n, monkeypatch,
+                                             fft_calls):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        after_step = irfftn_after_each(monkeypatch, fft_calls, "step")
+        res = run(params, grid, gaussian_data(0.3), t_end=1.0, dt=0.125,
+                  outputs=2, snapshot_times=(1.0,))
+        assert [t for t, _ in res.snapshots] == [res.times[-1]] == [1.0]
+        # the t_end record's norms() and its snapshot share one irfftn
+        assert fft_calls["irfftn"] - after_step[-1] == 1
 
 
 class TestNorms:
@@ -684,7 +725,7 @@ class TestRun:
         params = SystemParams(n=1, sigma=1.0, k=2, p=(70.0, 70.0))
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(params, grid, gaussian_data(1e5), t_end=1.0, dt=0.1)
-        assert not np.all(np.isfinite(_physical(calls[-1][2], grid)))
+        assert not np.all(np.isfinite(calls[-1][2].u))
         assert res.blown_up and res.blowup_time == 0.05
         assert list(res.times) == [0.0]
 
@@ -742,7 +783,6 @@ class TestRun:
         res = run(PARAMS_34, grid, gaussian_data(0.01), t_end=0.5, dt=0.1)
         assert isinstance(res, RunResult)
         assert res.steps > 0
-        assert res.data_report["data_norm"] > 0
 
 
 def recording_every_step(monkeypatch):
@@ -942,7 +982,7 @@ class TestStepControl:
         assert state.t == 2.0 and res.times[-1] == 2.0
         assert (res.steps, res.rejected_steps) == (16, 0)
         assert res.dt_min == res.dt_max == 0.125
-        assert np.array_equal(res.snapshots[-1][1], _physical(state, grid))
+        assert np.array_equal(res.snapshots[-1][1], state.u)
         assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
         assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
 
