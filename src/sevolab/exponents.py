@@ -351,13 +351,13 @@ def report(params: SystemParams) -> ExponentReport:
         decay_l2, decay_hs = predicted_decay(params)
         if any(d >= 0 for d in decay_l2):
             notes.append(
-                "eps so large a predicted L2 exponent is nonnegative; "
-                "shrink eps"
+                f"a predicted L2 exponent is nonnegative at the "
+                f"auxiliary eps = {AUX_EPS:g}"
             )
         if any(e <= 0 for e in eps_seq[: params.k - 1]):
             notes.append(
-                "a loss-of-decay entry is nonpositive despite the "
-                "hypotheses; shrink eps"
+                f"a loss-of-decay entry is nonpositive at the auxiliary "
+                f"eps = {AUX_EPS:g} despite the hypotheses"
             )
     except ConditionsUnmet:
         decay_l2, decay_hs = (), ()

@@ -37,7 +37,7 @@ images; drivers pick L accordingly and fit on intermediate windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -288,8 +288,11 @@ def _full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-# a fixed-dt run needs its own dt plus the one-off dt of a step clipped
-# to an output time; an entry holds 8 float64 half-spectrum tables
+# a fixed-dt run needs its dt alone while its snapshot times and t_end
+# lie on the dt grid; an off-grid snapshot costs up to two one-off
+# tables (one to reach it, one to get back onto the grid at the next
+# output) and an off-grid t_end one; an entry holds 8 float64
+# half-spectrum tables
 # (2.1 MB on a 2D grid of N = 256, 66 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
@@ -444,17 +447,26 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     snapshot_times must lie in [0, t_end]; it is an output time too,
     and a record at it also keeps the physical field.
 
-    dt_policy "fixed" steps with dt.  "adaptive" controls the local
-    error: every step carries the estimate err of step(), a step with
-    err > STEP_TOL is rejected and retried from the same state, and
-    the next step is h * clip(0.9 (STEP_TOL / err)^(1/2), 1/4, 2),
-    rounded down to the ladder dt * 2^(j/4) (integer j) so that the
-    propagator tables are reused, and never below dt / 1024, where
-    steps are accepted whatever their estimate.  There is no upper
-    bound.  Steps are clipped so output and snapshot times are hit
-    exactly; a clipped step does not shrink the next one unless its
-    estimate asks for it.  steps counts accepted steps, rejected_steps
-    the rejected ones, and dt_min/dt_max span the accepted step sizes.
+    dt_policy "fixed" steps with dt.  It rounds each log-schedule
+    output time other than t_end to the nearest multiple of dt, dropping
+    duplicates and times that round to 0 or past t_end, so the only
+    steps shorter than dt are those that reach an off-grid snapshot
+    time or t_end and the one back onto the dt grid after such a
+    snapshot.  A step whose distance to the next output time is dt up
+    to roundoff takes exactly dt, and the state it reaches gets that
+    output time, so no table is built for a dt that differs in its last
+    bits and each record's time is its scheduled time exactly.
+    "adaptive" controls the local error: every step carries the
+    estimate err of step(), a step with err > STEP_TOL is rejected and
+    retried from the same state, and the next step is h * clip(0.9
+    (STEP_TOL / err)^(1/2), 1/4, 2), rounded down to the ladder dt *
+    2^(j/4) (integer j) so that the propagator tables are reused, and
+    never below dt / 1024, where steps are accepted whatever their
+    estimate.  There is no upper bound.  Steps are clipped so output
+    and snapshot times are hit exactly; a clipped step does not shrink
+    the next one unless its estimate asks for it.  steps counts
+    accepted steps, rejected_steps the rejected ones, and dt_min/dt_max
+    span the accepted step sizes.
 
     Blow-up is a verdict in the result, not an exception.  The run
     stops at the first step h from a state at time t whose predictor
@@ -475,6 +487,8 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if outputs < 0:
+        raise ValueError(f"outputs must be nonnegative, got {outputs}")
     snap_at = sorted(set(float(x) for x in snapshot_times))
     if not all(0.0 <= s <= t_end for s in snap_at):
         raise ValueError(f"snapshot times must lie in [0, {t_end}], "
@@ -486,16 +500,19 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         )
     state, _ = make_initial_data(grid, data, params.sigma)
 
+    def near(x, y):
+        return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+
+    adaptive = dt_policy == "adaptive"
     start = min(max(dt, t_end * 1e-4), t_end)
-    sched = np.geomspace(start, t_end, outputs)
-    events = sorted(set(float(x) for x in sched) | set(snap_at)
-                    | {float(t_end)})
+    sched = {float(x) for x in np.geomspace(start, t_end, outputs)}
+    if not adaptive:
+        sched = {dt * round(x / dt) for x in sched if x < t_end}
+        sched = {x for x in sched if 0 < x < t_end and not near(x, t_end)}
+    events = sorted(sched | set(snap_at) | {float(t_end)})
 
     times, rows = [], []
     snapshots = []
-
-    def near(x, y):
-        return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
     def record(st: FieldState):
         times.append(st.t)
@@ -505,7 +522,6 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     record(state)
 
-    adaptive = dt_policy == "adaptive"
     dt_now = float(dt)
     dt_floor = dt / 1024.0
     blown, t_blow = False, None
@@ -517,6 +533,8 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             ev_idx += 1
         next_event = events[ev_idx]
         h = min(dt_now, next_event - state.t)
+        if not adaptive and near(h, dt):
+            h = dt
         with np.errstate(over="ignore", invalid="ignore"):
             new = step(state, h, params, grid, linear_only=linear_only,
                        estimate=adaptive)
@@ -544,6 +562,8 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         h_min, h_max = min(h_min, h), max(h_max, h)
         state = new
         if near(state.t, next_event):
+            if not adaptive:
+                state = replace(state, t=next_event)
             record(state)
 
     return RunResult(

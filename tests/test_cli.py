@@ -451,6 +451,17 @@ class TestCliKeys:
         assert "finite" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "options.outputs=-1"],
+        ["decay", "--set", "options.outputs=-3"],
+    ], ids=["simulate", "decay"])
+    def test_negative_outputs_is_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "outputs must be nonnegative" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("override", [
         "data.components.5.amp0=1", "grid.N.x=1", "grid.N.x.y=1",
         "data.components.x.amp0=1"])

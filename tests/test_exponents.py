@@ -28,7 +28,7 @@ from sevolab.errors import (
     NotSubcritical,
     SingularSystem,
 )
-from sevolab.exponents import CRITICAL, SUBCRITICAL, SUPERCRITICAL
+from sevolab.exponents import AUX_EPS, CRITICAL, SUBCRITICAL, SUPERCRITICAL
 
 
 def gamma_exact(p):
@@ -316,3 +316,11 @@ class TestReport:
     def test_rotation_note(self):
         rep = report(sys_(1, 1.0, (2, 2, 2)))
         assert any("relabeling" in note for note in rep.notes)
+
+    def test_nonnegative_exponent_note_states_the_fixed_eps(self):
+        # eps is the constant AUX_EPS, which no command or config key
+        # reaches, so the note states the fact and advises nothing
+        rep = report(sys_(2, 1.5, (2.395, 2.220, 5.678)))
+        assert rep.notes == (
+            "a predicted L2 exponent is nonnegative at the auxiliary "
+            f"eps = {AUX_EPS:g}",)

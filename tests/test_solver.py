@@ -773,6 +773,9 @@ class TestRun:
                 dt_policy="frozen")
         with pytest.raises(ValueError, match="t_end"):
             run(PARAMS_34, grid, gaussian_data(0.1), t_end=0.0, dt=0.1)
+        with pytest.raises(ValueError, match="outputs must be"):
+            run(PARAMS_34, grid, gaussian_data(0.1), t_end=1.0, dt=0.1,
+                outputs=-1)
         bad = InitialData(epsilon=0.1,
                           components=(ComponentData(amp0=1.0),))
         with pytest.raises(ValueError, match="components"):
@@ -1056,8 +1059,61 @@ class TestTableCache:
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(PARAMS_34, grid, gaussian_data(0.1), t_end=20.0, dt=0.3,
                   outputs=8)
-        assert res.steps > 60
-        assert builds.count(0.3) == 1
-        # the others are one-off steps clipped to output times
-        assert 1 < len(builds) == len(set(builds)) <= 8
+        assert res.steps == 67
+        # the outputs lie on the dt grid; only the last step, clipped to
+        # t_end = 20 off the grid, needs a table of its own
+        assert builds == [0.3, pytest.approx(0.2)]
         assert solver._tables.cache_info().currsize <= 4
+
+
+class TestFixedSchedule:
+    """A fixed-dt run records at the log schedule rounded to multiples
+    of dt, so its steps are plain dt steps; snapshot times and t_end
+    are hit exactly."""
+
+    def test_2d_run_steps_on_its_dt_grid(self, monkeypatch):
+        solver._tables.cache_clear()
+        builds = counting_builds(monkeypatch)
+        grid = GridSpec(n=2, N=32, L=10.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        data = gaussian_data(0.1, ((1.0, 1.0), (1.0, 1.0)))
+        res = run(params, grid, data, t_end=20.0, dt=0.05, outputs=64)
+        assert (res.steps, res.rejected_steps) == (400, 0)
+        assert builds == [0.05]
+        assert res.dt_min == res.dt_max == 0.05
+        rounded = 0.05 * np.round(np.geomspace(0.05, 20.0, 64)[:-1] / 0.05)
+        want = np.concatenate(([0.0], np.unique(rounded), [20.0]))
+        assert len(res.times) == len(want) == 50
+        assert np.array_equal(res.times, want)
+        assert res.times[-1] == 20.0
+
+    def test_off_grid_snapshot_and_t_end_are_hit(self, monkeypatch):
+        solver._tables.cache_clear()
+        builds = counting_builds(monkeypatch)
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.03, dt=0.1,
+                  outputs=16, snapshot_times=(1.234,))
+        assert [t for t, _ in res.snapshots] == [1.234]
+        assert 1.234 in res.times and res.times[-1] == 2.03
+        assert res.dt_max == 0.1
+        # dt, the step to the snapshot, the one back onto the grid at
+        # the output 1.4, and the last one from 2.0 to t_end
+        assert builds == [0.1, pytest.approx(0.034), pytest.approx(0.066),
+                          pytest.approx(0.03)]
+        on_grid = [t for t in res.times if t not in (1.234, 2.03)]
+        assert all(t == 0.1 * round(t / 0.1) for t in on_grid)
+
+    def test_adaptive_run_records_the_unrounded_schedule(self):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.0, dt=0.05,
+                  dt_policy="adaptive", outputs=12)
+        sched = np.geomspace(0.05, 2.0, 12)
+        assert not np.all(np.isclose(sched, 0.05 * np.round(sched / 0.05)))
+        assert np.array_equal(res.times, np.concatenate(([0.0], sched)))
+
+    @pytest.mark.parametrize("dt_policy", ["fixed", "adaptive"])
+    def test_no_outputs_records_t_0_and_t_end(self, dt_policy):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=1.0, dt=0.1,
+                  dt_policy=dt_policy, outputs=0)
+        assert list(res.times) == [0.0, 1.0]
