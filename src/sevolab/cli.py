@@ -293,6 +293,7 @@ def _cmd_simulate(args) -> int:
     verdict = {
         "blown_up": result.blown_up,
         "blowup_time": result.blowup_time,
+        "blowup_error": result.blowup_error,
         **_step_stats(result),
         "t_final": float(result.times[-1]),
     }
@@ -306,7 +307,7 @@ def _cmd_simulate(args) -> int:
         pass  # an immediate blow-up can leave nothing plottable
     if result.blown_up:
         print(f"blow-up at T = {result.blowup_time:.6g} "
-              f"({result.steps} steps)")
+              f"+- {result.blowup_error:.2g} ({result.steps} steps)")
     else:
         print(f"completed to t = {result.times[-1]:.6g} "
               f"({result.steps} steps), sup norms "
@@ -364,9 +365,11 @@ def _cmd_lifespan(args) -> int:
     out_dir = _emit(config)
     write_lifespan_csv(out_dir / "lifespan.csv", sweep)
     write_json(out_dir / "lifespan.json", asdict(sweep))
-    for eps, T, capped in zip(sweep.epsilons, sweep.lifespans, sweep.capped):
+    for eps, T, err in zip(sweep.epsilons, sweep.lifespans,
+                           sweep.lifespan_errors):
         print(f"epsilon {eps:<8g} T = "
-              + (f"{T:.6g}" if T is not None else "cap exceeded"))
+              + (f"{T:.6g} +- {err:.2g}" if T is not None
+                 else "cap exceeded"))
     ok = bool(sweep.fit.passed) and sweep.monotone
     print(f"fitted slope {sweep.fit.slope:+.4f} expected "
           f"{sweep.fit.expected:+.4f} +- {sweep.fit.tolerance:.2f} "

@@ -68,6 +68,8 @@ class LifespanSweep:
 
     lifespans holds None where the run hit its cap (capped flags the
     same positions); the fit uses the remaining points.
+    lifespan_errors holds each time's RunResult.blowup_error, None where
+    capped.
     """
 
     epsilons: tuple
@@ -75,6 +77,7 @@ class LifespanSweep:
     capped: tuple
     fit: FitResult
     monotone: bool
+    lifespan_errors: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -286,10 +289,10 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
         res = run(params, grid,
                   InitialData(epsilon=eps, components=tuple(components)),
                   t_end=cap, dt=dt, dt_policy=dt_policy, outputs=16)
-        return res.blowup_time if res.blown_up else None
+        return res.blowup_time, res.blowup_error  # None, None at the cap
 
-    lifespans = {}
-    anchor = detect(eps_desc[0], first_cap)
+    lifespans, errors = {}, {}
+    anchor, errors[eps_desc[0]] = detect(eps_desc[0], first_cap)
     lifespans[eps_desc[0]] = anchor
 
     def cap_for(eps: float) -> float:
@@ -298,7 +301,7 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
         return cap_factor * anchor * (eps / eps_desc[0]) ** expected
 
     for e in eps_desc[1:]:
-        lifespans[e] = detect(e, cap_for(e))
+        lifespans[e], errors[e] = detect(e, cap_for(e))
 
     eps_ok = [e for e in eps_desc if lifespans[e] is not None]
     if len(eps_ok) < 4:
@@ -318,6 +321,7 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
         capped=tuple(lifespans[e] is None for e in eps_desc),
         fit=fit,
         monotone=monotone,
+        lifespan_errors=tuple(errors[e] for e in eps_desc),
     )
 
 

@@ -111,20 +111,23 @@ def plot_loglog(path, curves, *, fit=None, guide_slope: float | None = None,
     """Static log-log SVG.
 
     curves: (x, y, label) triples; points with nonpositive coordinates
-    are dropped (they cannot be drawn on log axes).  fit: a FitResult
+    are dropped (they cannot be drawn on log axes), and a curve left
+    without points is not drawn, while the others keep the colour of
+    their place in curves.  fit: a FitResult
     whose line is drawn over its own window.  guide_slope: a reference
     line at the expected slope, offset above the data.
     """
     W, H = 720.0, 480.0
     ML, MR, MT, MB = 70.0, 22.0, 42.0, 52.0
 
-    pts = []
-    for x, y, _ in curves:
+    pts = []  # (log10 x, log10 y, label, colour) of each drawable curve
+    for i, (x, y, label) in enumerate(curves):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         good = (x > 0) & (y > 0) & np.isfinite(x) & np.isfinite(y)
         if np.any(good):
-            pts.append((np.log10(x[good]), np.log10(y[good])))
+            pts.append((np.log10(x[good]), np.log10(y[good]), label,
+                        _COLORS[i % len(_COLORS)]))
     if not pts:
         raise ValueError("nothing to plot: no positive finite points")
     lx0 = min(p[0].min() for p in pts)
@@ -175,8 +178,7 @@ def plot_loglog(path, curves, *, fit=None, guide_slope: float | None = None,
                f'{(MT + H - MB) / 2:.1f})">{ylabel}</text>')
 
     legend_y = MT + 16.0
-    for i, ((lx, ly), (_, _, label)) in enumerate(zip(pts, curves)):
-        color = _COLORS[i % len(_COLORS)]
+    for lx, ly, label, color in pts:
         coords = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(lx, ly))
         svg.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.6"/>')

@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DataLeakage
-from .exponents import SystemParams
+from .exponents import SystemParams, compute_gamma
 from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
@@ -52,6 +52,8 @@ BLOWUP_THRESHOLD = 1e8
 STEP_TOL = 1e-4
 # physical magnitudes below this are flushed to zero before |u|^p
 TINY = 1e-300
+# a sup decade needs this many points for a fit of the blow-up time
+FIT_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -416,7 +418,9 @@ class RunResult:
     (t, FieldState.u) pairs at the requested times.  steps counts the
     accepted steps and rejected_steps the ones the adaptive policy
     retried; dt_min and dt_max span the accepted step sizes (None
-    without any).
+    without any).  blowup_error is the error bar of blowup_time (None
+    without blow-up): half the crossing step, or the distance of the
+    last decade fit from the extrapolated time (see run()).
     """
 
     times: np.ndarray
@@ -431,11 +435,57 @@ class RunResult:
     rejected_steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+    blowup_error: float | None = None
 
 
 def _ladder(x: float, dt: float) -> float:
     """Largest dt * 2^(j/4), j integer, not above x (up to roundoff)."""
     return dt * 2.0 ** (math.floor(4.0 * math.log2(x / dt) + 1e-9) / 4)
+
+
+@lru_cache(maxsize=4)
+def _blowup_rate(params: SystemParams) -> tuple:
+    """(lead, alpha): the index of the largest gamma_l and the rate 2
+    gamma_lead of the self-similar blow-up sup ~ (T - t)^(-alpha)."""
+    gamma = compute_gamma(params)
+    return gamma.argmax_index - 1, 2.0 * gamma.max
+
+
+def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
+    """Blow-up time from the self-similar rate sup ~ (T - t)^(-alpha).
+
+    history holds the (t, sup) pairs of one component.  For each decade
+    j = d - 2, d - 1, d the points with sup in [10^(j-1), 10^j] s0 fit
+    the line sup^(-1/alpha) = a + b t by least squares, whose root
+    -a/b is T_j.  The fits contract when D1 = T_(d-1) - T_(d-2) and
+    D2 = T_d - T_(d-1) share a sign and |D2| < |D1|; Aitken's Delta^2
+    process then gives T = T_d - D2^2 / (D2 - D1), with error
+    |T_d - T|.  Fits with |D2| <= 1e-12 |T_d| have converged: T = T_d,
+    with error max(|D1|, |D2|).  Returns (T, error), or None when a
+    window holds fewer than FIT_POINTS points, the fits neither
+    contract nor agree, or T is not past the last time in history.
+    """
+    t, sup = np.asarray(history, dtype=float).T
+    roots = []
+    for j in (d - 2, d - 1, d):
+        sel = (sup >= 10.0 ** (j - 1) * s0) & (sup <= 10.0 ** j * s0)
+        if np.count_nonzero(sel) < FIT_POINTS:
+            return None
+        b, a = np.polyfit(t[sel], sup[sel] ** (-1.0 / alpha), 1)
+        roots.append(-a / b)
+    d1, d2 = roots[1] - roots[0], roots[2] - roots[1]
+    if abs(d2) <= 1e-12 * abs(roots[2]):
+        # the fits agree to roundoff, as on an exact power law, where
+        # the differences have no sign to read
+        T, err = roots[2], max(abs(d1), abs(d2))
+    elif d1 * d2 > 0 and abs(d2) < abs(d1):
+        T = roots[2] - d2 * d2 / (d2 - d1)
+        err = abs(roots[2] - T)
+    else:
+        return None
+    if not T > t[-1]:
+        return None
+    return float(T), float(err)
 
 
 def run(params: SystemParams, grid: GridSpec, data: InitialData,
@@ -468,18 +518,35 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     accepted steps, rejected_steps the rejected ones, and dt_min/dt_max
     span the accepted step sizes.
 
-    Blow-up is a verdict in the result, not an exception.  The run
-    stops at the first step h from a state at time t whose predictor
-    (the one physical field a step holds) has a sup that is not at
-    most BLOWUP_THRESHOLD (NaN and inf included), or whose corrector
-    or carried forcing spectrum is not finite, as when a finite
-    predictor's |u|^p overflows.  That check comes before the step's
-    accept/reject, and numpy's overflow and invalid-value warnings are
-    silenced while step() runs, since the check judges what they
-    report.  blowup_time is then t + h/2, the midpoint of the bracket
-    [t, t + h], and the last good state at t is the final record, so
-    times[-1] is the bracket's lower end and blowup_time - times[-1]
-    its half-width.
+    Blow-up is a verdict in the result, not an exception, reached in one
+    of two ways.  Near blow-up the sup of the leading component (the
+    argmax of compute_gamma) follows the self-similar rate
+    (T - t)^(-alpha) with alpha = 2 gamma_lead.  Let s0 be the largest peak
+    |epsilon amp0| or |epsilon amp1| of the data: the linear flow
+    carries u1 into u at times of order one, so data with u0 << u1 first
+    grow to the scale of u1, a growth that is not the blow-up's.  Once
+    the largest sup reaches 10 s0, every accepted step adds (t,
+    sup_lead) of its predictor to a history; each time sup_lead first
+    reaches 10^d s0 for d >= 4, _extrapolate_blowup fits T on the
+    decades d - 2, d - 1 and d of that history and extrapolates the
+    three fits by Aitken's Delta^2.  When that gives a time past the
+    state's, the run stops there: blowup_time is the extrapolated T,
+    blowup_error the distance of the last decade fit from it, and the
+    last accepted state is the final record.  A decade with fewer than
+    FIT_POINTS points gives no fit, so zero data and coarse fixed-dt
+    runs (the tests' blow-up run at dt = 0.05 or 0.025, not at 0.0125)
+    end on the threshold alone.
+
+    That threshold is the safety net: the run stops at the first step
+    h from a state at time t whose predictor (the one physical field a
+    step holds) has a sup that is not at most BLOWUP_THRESHOLD (NaN
+    and inf included), or whose corrector or carried forcing spectrum
+    is not finite, as when a finite predictor's |u|^p overflows.  That
+    check comes before the step's accept/reject, and numpy's overflow
+    and invalid-value warnings are silenced while step() runs, since
+    the check judges what they report.  blowup_time is then t + h/2,
+    the midpoint of the bracket [t, t + h], with blowup_error h/2, and
+    the last good state at t is the final record.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -522,9 +589,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     record(state)
 
+    s0 = abs(data.epsilon) * max(max(abs(c.amp0), abs(c.amp1))
+                                 for c in data.components)
+    history, decade = [], 4
+
     dt_now = float(dt)
     dt_floor = dt / 1024.0
-    blown, t_blow = False, None
+    blown, t_blow, t_err = False, None, None
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
@@ -542,7 +613,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         if not (float(np.max(new.pred_sup)) <= BLOWUP_THRESHOLD
                 and np.isfinite(new.u_half).all()
                 and (linear_only or np.isfinite(new.nl_half).all())):
-            blown, t_blow = True, state.t + 0.5 * h
+            blown, t_blow, t_err = True, state.t + 0.5 * h, 0.5 * h
             if times[-1] != state.t:
                 record(state)
             break
@@ -565,6 +636,22 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             if not adaptive:
                 state = replace(state, t=next_event)
             record(state)
+        if s0 > 0 and np.max(state.pred_sup) >= 10.0 * s0:
+            # solved here, not up front, so that runs which never grow
+            # skip numpy's first linear solve (about 0.5 MB of RSS)
+            lead, alpha = _blowup_rate(params)
+            sup = float(state.pred_sup[lead])
+            history.append((state.t, sup))
+            fit = None
+            while fit is None and sup >= 10.0 ** decade * s0:
+                fit = _extrapolate_blowup(history, s0, alpha, decade)
+                decade += 1
+            if fit is not None:
+                blown = True
+                t_blow, t_err = fit
+                if times[-1] != state.t:
+                    record(state)
+                break
 
     return RunResult(
         times=np.array(times),
@@ -576,4 +663,5 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         rejected_steps=rejected,
         dt_min=h_min if steps else None,
         dt_max=h_max if steps else None,
+        blowup_error=t_err,
     )

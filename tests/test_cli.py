@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevolab import cli
+from sevolab import cli, outputs
 from sevolab.cli import cli_main
 from sevolab.config import (
     ExperimentConfig,
@@ -207,6 +207,22 @@ class TestOutputs:
         assert root.tag.endswith("svg")
         assert len(list(root.iter())) > 20
 
+    def test_plot_keeps_label_and_colour_with_their_curve(self, tmp_path):
+        # the first curve has no point a log axis can show; the second
+        # keeps its own label and colour
+        t = np.geomspace(1.0, 100.0, 40)
+        path = plot_loglog(tmp_path / "p.svg",
+                           [(t, 0.0 * t, "empty"), (t, t ** -0.5, "kept")])
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        (curve,) = root.iter(ns + "polyline")
+        assert curve.get("stroke") == outputs._COLORS[1]
+        labels = [el.text for el in root.iter(ns + "text")]
+        assert "kept" in labels and "empty" not in labels
+        legend = [el for el in root.iter(ns + "line")
+                  if el.get("stroke-width") == "2"]
+        assert [el.get("stroke") for el in legend] == [outputs._COLORS[1]]
+
     def test_plot_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to plot"):
             plot_loglog(tmp_path / "p.svg",
@@ -349,6 +365,27 @@ class TestCliExitCodes:
         assert np.array_equal(eps, [0.6, 0.5, 0.4, 0.3])
         assert np.all(np.diff(T) > 0)
         ET.parse(out / "lifespan.svg")
+
+    def test_blowup_times_carry_their_error_bars(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert cli_main(["simulate", "--out", str(sim)]) == 0
+        doc = json.loads((sim / "run.json").read_text())
+        T, err = doc["blowup_time"], doc["blowup_error"]
+        assert 0.0 < err < 1e-3 * T
+        assert f"blow-up at T = {T:.6g} +- {err:.2g}" \
+            in capsys.readouterr().out
+        life = tmp_path / "life"
+        cli_main(["lifespan", "--out", str(life),
+                  "--set", "grid.N=1024", "--set", "grid.L=80.0",
+                  "--set", "options.epsilons=[0.3,0.4,0.5,0.6]"])
+        doc = json.loads((life / "lifespan.json").read_text())
+        assert len(doc["lifespan_errors"]) == 4
+        out = capsys.readouterr().out
+        for eps, T, err in zip(doc["epsilons"], doc["lifespans"],
+                               doc["lifespan_errors"]):
+            assert 0.0 < err < 1e-3 * T
+            assert f"epsilon {eps:<8g} T = {T:.6g} +- {err:.2g}" in out
+        assert (life / "lifespan.csv").read_text().startswith("epsilon,T\n")
 
     def test_testfunc_pass_and_eta_failure(self, capsys):
         assert cli_main(["testfunc"]) == 0

@@ -938,9 +938,12 @@ class TestStepControl:
         recording_step(monkeypatch, calls)
         res = adaptive_blowup_run()
         assert res.blown_up and res.rejected_steps > 0
-        # the last call crossed the threshold: returned, never accepted
-        *calls, (_, _, crossed) = calls
-        assert np.max(crossed.pred_sup) > solver.BLOWUP_THRESHOLD
+        # the run stopped on its decade fits: the last call was accepted
+        # and recorded, below the threshold, short of the blow-up time
+        _, _, last = calls[-1]
+        assert last.err <= solver.STEP_TOL
+        assert np.max(last.pred_sup) < solver.BLOWUP_THRESHOLD
+        assert res.times[-1] == last.t < res.blowup_time
         floor = 0.05 / 1024
         accepted = [(st, h) for st, h, new in calls
                     if new.err <= solver.STEP_TOL or h <= floor]
@@ -988,6 +991,143 @@ class TestStepControl:
         assert np.array_equal(res.snapshots[-1][1], state.u)
         assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
         assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
+
+
+def power_law_history(T, alpha, C=1.0, c=0.0, taus=None):
+    """(t, sup) pairs of sup = C (T - t)^(-alpha) (1 + c (T - t)) on a
+    geometric approach to T, kept from 10 times the t = 0 sup on, and
+    that t = 0 sup."""
+    def sup(tau):
+        return C * tau ** -alpha * (1.0 + c * tau)
+
+    s0 = sup(T)
+    if taus is None:
+        taus = T * np.geomspace(1.0, 1e-3, 400)
+    return [(T - tau, sup(tau)) for tau in taus if sup(tau) >= 10 * s0], s0
+
+
+def decade_counts(history, s0, decades):
+    sups = np.array([s for _, s in history])
+    return [int(np.count_nonzero((sups >= 10.0 ** (j - 1) * s0)
+                                 & (sups <= 10.0 ** j * s0)))
+            for j in decades]
+
+
+class TestBlowupFit:
+    """The self-similar endgame: three decade fits of T, extrapolated
+    by Aitken's Delta^2, end a blow-up run before the threshold."""
+
+    @pytest.mark.parametrize("T, alpha", [(54.1, 2.0), (7.0, 1.6),
+                                          (2466.26, 2.0), (1.0, 3.0)])
+    def test_pure_power_law_gives_its_time(self, T, alpha):
+        history, s0 = power_law_history(T, alpha, C=0.3)
+        got, err = solver._extrapolate_blowup(history, s0, alpha, 4)
+        assert got == pytest.approx(T, rel=1e-9)
+        assert err <= 1e-9 * T
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("T, alpha, c", [(54.1, 2.0, 0.01),
+                                             (7.0, 1.6, 0.07),
+                                             (1.0, 3.0, 0.5)])
+    def test_perturbed_law_within_its_error_bar(self, T, alpha, c, d):
+        history, s0 = power_law_history(T, alpha, c=c)
+        got, err = solver._extrapolate_blowup(history, s0, alpha, d)
+        assert 0.0 < abs(got - T) <= err < 1e-2 * T
+
+    def test_seven_points_in_a_decade_give_no_fit(self):
+        alpha = 2.0
+        dense, s0 = power_law_history(10.0, alpha, c=0.1,
+                                      taus=10.0 * np.geomspace(1.0, 1e-3,
+                                                               2000))
+        below = [(t, s) for t, s in dense if s < 1e3 * s0]
+        last = [(t, s) for t, s in dense if 1e3 * s0 <= s <= 1e4 * s0]
+        for count, fits in ((7, False), (8, True)):
+            pick = np.linspace(0, len(last) - 1, count).astype(int)
+            history = below + [last[i] for i in pick]
+            n2, n3, n4 = decade_counts(history, s0, (2, 3, 4))
+            assert min(n2, n3) > 100 and n4 == count
+            fit = solver._extrapolate_blowup(history, s0, alpha, 4)
+            assert (fit is not None) == fits
+
+    @pytest.mark.parametrize("times", [(10.0, 10.1, 10.3),
+                                       (10.0, 10.1, 10.05),
+                                       (10.0, 10.0, 10.1)])
+    def test_non_contracting_fits_give_no_stop(self, times):
+        # decade j of the history follows a power law that blows up at
+        # times[j - 2]: the decade fits land on those times
+        alpha, s0 = 2.0, 10.0 ** -2
+        history = []
+        for j, T in zip((2, 3, 4), times):
+            sups = np.geomspace(10.0 ** (j - 1), 10.0 ** j, 30)[:-1] * s0
+            history += [(T - s ** (-1.0 / alpha), s) for s in sups]
+        history.sort()
+        assert solver._extrapolate_blowup(history, s0, alpha, 4) is None
+
+    def test_adaptive_run_stops_on_the_fit(self, monkeypatch):
+        calls = []
+        recording_step(monkeypatch, calls)
+        res = adaptive_blowup_run()
+        _, _, last = calls[-1]
+        assert res.blown_up
+        assert last.err <= solver.STEP_TOL
+        assert np.max(last.pred_sup) < solver.BLOWUP_THRESHOLD
+        assert 0.0 < res.blowup_error < 1e-4 * res.blowup_time
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_extrapolate_blowup",
+                            lambda *args: None)
+        threshold_calls = []
+        recording_step(monkeypatch, threshold_calls)
+        crossed = adaptive_blowup_run()
+        assert crossed.blown_up
+        assert np.max(threshold_calls[-1][2].pred_sup) > \
+            solver.BLOWUP_THRESHOLD
+        assert res.blowup_time == pytest.approx(crossed.blowup_time,
+                                                rel=1e-4)
+        assert len(calls) < len(threshold_calls)
+        assert res.steps < crossed.steps
+
+    @pytest.mark.parametrize("amp0", [1e-6, 0.0])
+    def test_decades_count_from_the_larger_data_layer(self, monkeypatch,
+                                                      amp0):
+        # u1 = g lifts a tiny or zero u0 by the linear flow before the
+        # blow-up: decades counted from |u0| alone would fit that growth
+        # (1.4e-3 relative off, outside the bar) or never start
+        data = gaussian_data(0.3, ((amp0, 1.0), (amp0, 1.0)))
+        kw = dict(t_end=100.0, dt=0.05, dt_policy="adaptive")
+        res = run(PARAMS_22, BLOWUP_GRID, data, **kw)
+        monkeypatch.setattr(solver, "_extrapolate_blowup",
+                            lambda *args: None)
+        crossed = run(PARAMS_22, BLOWUP_GRID, data, **kw)
+        assert res.steps < crossed.steps
+        assert abs(res.blowup_time - crossed.blowup_time) \
+            <= res.blowup_error < 1e-4 * res.blowup_time
+
+    def test_threshold_path_error_is_half_the_crossing_step(
+            self, monkeypatch):
+        calls = recording_every_step(monkeypatch)
+        res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
+        good, h, _ = calls[-1]
+        assert res.blowup_error == 0.5 * h
+        assert res.blowup_time - good.t == pytest.approx(0.5 * h)
+
+    def test_no_blowup_has_no_error(self):
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.1), t_end=1.0, dt=0.1,
+                  dt_policy="adaptive")
+        assert not res.blown_up and res.blowup_error is None
+
+    def test_lifespan_run_pin(self):
+        # the lifespan-1d (A8) run at eps = 0.4, here to t_end = 1e5:
+        # within 1e-4 of the 54.10185151 the threshold path gave, and
+        # its error bar covers 54.1021933, the limit the threshold path
+        # reaches at a threshold of 1e12
+        grid = GridSpec(n=1, N=2048, L=160.0)
+        data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
+        res = run(PARAMS_22, grid, data, t_end=1e5, dt=0.05,
+                  dt_policy="adaptive", outputs=16)
+        assert res.blown_up
+        assert res.blowup_time == pytest.approx(54.10185151, rel=1e-4)
+        assert abs(res.blowup_time - 54.1021933) <= res.blowup_error
 
 
 class TestHalfLayoutOnly:
