@@ -147,7 +147,9 @@ class FieldState:
     grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
     layout on each read, for callers; the solver never reads them.
 
-    The other fields are set when the state came out of step(), else
+    A record that run() reads off a step's interpolant between step
+    ends (_interpolate) carries u_half only: v_half is None there.  The
+    other fields are set when the state came out of step(), else
     None.  nl_half is the rfftn of the forcing |u_{l-1}|^{p_l} at the
     step's predictor u_pred, same layout (None after a linear_only
     step), which the next step reuses.  pred_sup holds max |u_pred_l|
@@ -163,7 +165,7 @@ class FieldState:
 
     t: float
     u_half: np.ndarray
-    v_half: np.ndarray
+    v_half: np.ndarray | None
     nl_half: np.ndarray | None = None
     pred_sup: np.ndarray | None = None
     err: float | None = None
@@ -291,9 +293,9 @@ def _full(half: np.ndarray) -> np.ndarray:
 
 
 # a fixed-dt run needs its dt alone while its snapshot times and t_end
-# lie on the dt grid; an off-grid snapshot costs up to two one-off
-# tables (one to reach it, one to get back onto the grid at the next
-# output) and an off-grid t_end one; an entry holds 8 float64
+# lie on the dt grid; an off-grid snapshot costs one one-off table, its
+# interpolant's (see _interpolate), as do an off-grid t_end and each
+# output time inside an adaptive step; an entry holds 8 float64
 # half-spectrum tables
 # (2.1 MB on a 2D grid of N = 256, 66 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
@@ -386,6 +388,32 @@ def step(state: FieldState, dt: float, params: SystemParams,
                       pred_sup=sup, err=err)
 
 
+def _interpolate(old: FieldState, new: FieldState, h: float, t: float,
+                 params: SystemParams, grid: GridSpec) -> FieldState:
+    """The state at time t in (old.t, old.t + h] on the Duhamel
+    interpolant of the step of size h from old to new.
+
+    With tau = t - old.t, u(t) = k0 u + k1 v + i1 N_old + (tau / h)
+    w_new_u (N_new - N_old) on the tables of _tables(grid, sigma, tau):
+    the exact flow of the forcing that is linear in time from N_old,
+    the forcing step() started from, to N_new, the one at the predictor
+    that new carries.  At tau = h it is step()'s corrector, and it is
+    second order like the step.  N_old is old.nl_half, or evaluated at
+    old.u when unset, as step() does; a linear_only step (new.nl_half
+    None) has no forcing.  The state carries u_half only.
+    """
+    tau = t - old.t
+    k0, k1, _, _, i1, w_nu = _tables(grid, params.sigma, tau)[:6]
+    u_half = k0 * old.u_half + k1 * old.v_half
+    if new.nl_half is not None:
+        Nh_old = old.nl_half
+        if Nh_old is None:
+            Nh_old = _nonlinearity_hat(old.u, params, grid.spatial_axes)
+        u_half += i1 * Nh_old
+        u_half += (tau / h) * w_nu * (new.nl_half - Nh_old)
+    return FieldState(t, u_half, None)
+
+
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
@@ -420,7 +448,9 @@ class RunResult:
     retried; dt_min and dt_max span the accepted step sizes (None
     without any).  blowup_error is the error bar of blowup_time (None
     without blow-up): half the crossing step, or the distance of the
-    last decade fit from the extrapolated time (see run()).
+    last decade fit from the extrapolated time (see run()).  It covers
+    that bracket or extrapolation only, not the error of the steps,
+    which STEP_TOL controls and which can be larger.
     """
 
     times: np.ndarray
@@ -497,26 +527,31 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     snapshot_times must lie in [0, t_end]; it is an output time too,
     and a record at it also keeps the physical field.
 
-    dt_policy "fixed" steps with dt.  It rounds each log-schedule
-    output time other than t_end to the nearest multiple of dt, dropping
-    duplicates and times that round to 0 or past t_end, so the only
-    steps shorter than dt are those that reach an off-grid snapshot
-    time or t_end and the one back onto the dt grid after such a
-    snapshot.  A step whose distance to the next output time is dt up
-    to roundoff takes exactly dt, and the state it reaches gets that
-    output time, so no table is built for a dt that differs in its last
-    bits and each record's time is its scheduled time exactly.
+    Steps are sized by dt_policy alone and end at t_end; the output
+    and snapshot times size none of them.  "fixed" steps with dt.
     "adaptive" controls the local error: every step carries the
     estimate err of step(), a step with err > STEP_TOL is rejected and
     retried from the same state, and the next step is h * clip(0.9
     (STEP_TOL / err)^(1/2), 1/4, 2), rounded down to the ladder dt *
     2^(j/4) (integer j) so that the propagator tables are reused, and
     never below dt / 1024, where steps are accepted whatever their
-    estimate.  There is no upper bound.  Steps are clipped so output
-    and snapshot times are hit exactly; a clipped step does not shrink
-    the next one unless its estimate asks for it.  steps counts
-    accepted steps, rejected_steps the rejected ones, and dt_min/dt_max
-    span the accepted step sizes.
+    estimate.  There is no upper bound.  Only a step that would pass
+    t_end is shortened to end there; one that reaches t_end up to
+    roundoff keeps its size, so no table is built for a size that
+    differs in its last bits.  steps counts accepted steps,
+    rejected_steps the rejected ones, and dt_min/dt_max span the
+    accepted step sizes.
+
+    Times within 1e-9 relative of each other count as one, the latest,
+    and those near 0 as the t = 0 record.  An accepted step records
+    each time strictly inside it from its Duhamel interpolant
+    (_interpolate), so the schedule does not change the trajectory,
+    and a step that ends at a time up to roundoff records its end state
+    with that time exactly.  The fixed policy rounds each log-schedule
+    time other than t_end to the nearest multiple of dt, dropping
+    duplicates and times that round to 0 or past t_end, so that its
+    records fall on step ends; only off-grid snapshot times are
+    interpolated.
 
     Blow-up is a verdict in the result, not an exception, reached in one
     of two ways.  Near blow-up the sup of the leading component (the
@@ -576,7 +611,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     if not adaptive:
         sched = {dt * round(x / dt) for x in sched if x < t_end}
         sched = {x for x in sched if 0 < x < t_end and not near(x, t_end)}
-    events = sorted(sched | set(snap_at) | {float(t_end)})
+    # one event per cluster of times within near() of each other, the
+    # latest, so that t_end is one; times near 0 are the t = 0 record
+    events = [float(t_end)]
+    for x in sorted(sched | set(snap_at), reverse=True):
+        if not near(x, events[-1]) and not near(x, 0.0):
+            events.append(x)
+    events.reverse()
 
     times, rows = [], []
     snapshots = []
@@ -600,12 +641,9 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
     while state.t < t_end and not near(state.t, t_end):
-        while events[ev_idx] <= state.t or near(events[ev_idx], state.t):
-            ev_idx += 1
-        next_event = events[ev_idx]
-        h = min(dt_now, next_event - state.t)
-        if not adaptive and near(h, dt):
-            h = dt
+        h = min(dt_now, t_end - state.t)
+        if near(h, dt_now):
+            h = dt_now
         with np.errstate(over="ignore", invalid="ignore"):
             new = step(state, h, params, grid, linear_only=linear_only,
                        estimate=adaptive)
@@ -620,22 +658,22 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         if adaptive:
             fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
                    if new.err else 2.0)
-            proposal = max(dt_floor, _ladder(h * fac, dt))
-            # a step clipped to an output time shrinks the next one
-            # only when its estimate asks for it
-            if h < dt_now and fac >= 1.0:
-                proposal = max(dt_now, proposal)
-            dt_now = proposal
+            dt_now = max(dt_floor, _ladder(h * fac, dt))
             if new.err > STEP_TOL and h > dt_floor:
                 rejected += 1
                 continue
         steps += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
+        while events[ev_idx] < new.t and not near(events[ev_idx], new.t):
+            record(_interpolate(state, new, h, events[ev_idx], params, grid))
+            ev_idx += 1
+        # the step-end record comes after the old state is dropped, so
+        # that its field is not transformed while that state is alive
         state = new
-        if near(state.t, next_event):
-            if not adaptive:
-                state = replace(state, t=next_event)
+        if near(events[ev_idx], state.t):
+            state = replace(state, t=events[ev_idx])
             record(state)
+            ev_idx += 1
         if s0 > 0 and np.max(state.pred_sup) >= 10.0 * s0:
             # solved here, not up front, so that runs which never grow
             # skip numpy's first linear solve (about 0.5 MB of RSS)

@@ -952,11 +952,12 @@ class TestStepControl:
         assert res.dt_max == max(h for _, h in accepted)
         rungs = set()
         for st, h in accepted:
-            if on_ladder(h, 0.05):
-                rungs.add(round(4.0 * math.log2(h / 0.05)))
-            else:  # clipped: the step ends on a recorded output time
-                assert np.min(np.abs(res.times - (st.t + h))) <= 1e-9 * (
-                    st.t + h)
+            # the controller alone sizes a step; only one that ends at
+            # t_end may be off the ladder
+            if not on_ladder(h, 0.05):
+                assert st.t + h == pytest.approx(100.0, rel=1e-9)
+                continue
+            rungs.add(round(4.0 * math.log2(h / 0.05)))
         assert len(rungs) > 10
         assert min(rungs) >= -40
 
@@ -1117,17 +1118,84 @@ class TestBlowupFit:
         assert not res.blown_up and res.blowup_error is None
 
     def test_lifespan_run_pin(self):
-        # the lifespan-1d (A8) run at eps = 0.4, here to t_end = 1e5:
-        # within 1e-4 of the 54.10185151 the threshold path gave, and
-        # its error bar covers 54.1021933, the limit the threshold path
-        # reaches at a threshold of 1e12
+        # the lifespan-1d (A8) run at eps = 0.4, capped at t_end = 1e4
+        # as the sweep runs it and at 1e5: the same T to the last bit,
+        # since the cap moves only the output times; within 1e-4 of the
+        # 54.10185151 the threshold path gave at 1e5, and its error bar
+        # covers 54.1021933, the limit the threshold path reaches there
+        # at a threshold of 1e12
         grid = GridSpec(n=1, N=2048, L=160.0)
         data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
-        res = run(PARAMS_22, grid, data, t_end=1e5, dt=0.05,
-                  dt_policy="adaptive", outputs=16)
-        assert res.blown_up
+        capped, res = (run(PARAMS_22, grid, data, t_end=t_end, dt=0.05,
+                           dt_policy="adaptive", outputs=16)
+                       for t_end in (1e4, 1e5))
+        assert capped.blown_up and res.blown_up
+        assert (capped.blowup_time, capped.blowup_error) == (
+            res.blowup_time, res.blowup_error)
         assert res.blowup_time == pytest.approx(54.10185151, rel=1e-4)
         assert abs(res.blowup_time - 54.1021933) <= res.blowup_error
+
+
+class TestDenseOutput:
+    """Steps are sized by t_end and the controller or dt alone; a
+    record between step ends is read off its step's Duhamel
+    interpolant."""
+
+    def test_trajectory_ignores_the_record_schedule(self):
+        # the default simulate config
+        kw = dict(t_end=200.0, dt=0.05, dt_policy="adaptive")
+        sparse = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, outputs=2, **kw)
+        dense = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, outputs=64,
+                    snapshot_times=(1.234, 10.0), **kw)
+        assert sparse.blown_up and len(dense.times) > len(sparse.times) + 20
+        assert [t for t, _ in dense.snapshots] == [1.234, 10.0]
+        for res in (sparse, dense):
+            assert res.times[-1] < res.blowup_time
+        for key in ("steps", "rejected_steps", "dt_min", "dt_max",
+                    "blowup_time", "blowup_error"):
+            assert getattr(sparse, key) == getattr(dense, key), key
+
+    def test_linear_records_follow_the_duhamel_formula(self, monkeypatch):
+        calls = recording_every_step(monkeypatch)
+        grid = GridSpec(n=1, N=64, L=10.0)
+        data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
+        res = run(PARAMS_34, grid, data, t_end=100.0, dt=0.05,
+                  dt_policy="adaptive", outputs=16, snapshot_times=(0.07,),
+                  linear_only=True)
+        ends = {new.t for _, _, new in calls}
+        inside = [t for t in res.times[1:-1]
+                  if min(abs(t - e) for e in ends) > 1e-9 * t]
+        assert len(inside) > 8
+        start, _ = make_initial_data(grid, data, 1.0)
+        a = solver._half(grid.symbol(1.0))
+        for i, t in enumerate(res.times):
+            k0, k1 = propagator_arrays(t, a)[:2] if t else (1.0, 0.0)
+            want = norms(grid, FieldState(
+                t, k0 * start.u_half + k1 * start.v_half, None), 1.0)
+            for key in ("l2", "sup"):
+                got = getattr(res, key)[:, i]
+                np.testing.assert_allclose(got, want[key], rtol=1e-12,
+                                           atol=0.0)
+        t_snap, u_snap = res.snapshots[0]
+        assert t_snap == 0.07 and t_snap in inside
+        assert np.array_equal(np.abs(u_snap).max(axis=1),
+                              res.sup[:, list(res.times).index(0.07)])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_interpolant_at_step_end_is_the_step(self, n, linear_only):
+        # a first step, whose old forcing is evaluated at the state's
+        # field, and one that carries it
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
+        state, _ = make_initial_data(grid, data, params.sigma)
+        for _ in range(2):
+            new = step(state, 0.1, params, grid, linear_only=linear_only)
+            got = solver._interpolate(state, new, 0.1, new.t, params, grid)
+            assert got.t == new.t and got.v_half is None
+            assert rel_err(got.u_half, new.u_half) <= 1e-14
+            state = new
 
 
 class TestHalfLayoutOnly:
@@ -1230,16 +1298,18 @@ class TestFixedSchedule:
     def test_off_grid_snapshot_and_t_end_are_hit(self, monkeypatch):
         solver._tables.cache_clear()
         builds = counting_builds(monkeypatch)
+        calls = recording_every_step(monkeypatch)
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.03, dt=0.1,
                   outputs=16, snapshot_times=(1.234,))
         assert [t for t, _ in res.snapshots] == [1.234]
         assert 1.234 in res.times and res.times[-1] == 2.03
         assert res.dt_max == 0.1
-        # dt, the step to the snapshot, the one back onto the grid at
-        # the output 1.4, and the last one from 2.0 to t_end
-        assert builds == [0.1, pytest.approx(0.034), pytest.approx(0.066),
-                          pytest.approx(0.03)]
+        # every step is dt but the last, from 2.0 to t_end; the snapshot
+        # is read off the step from 1.2 at tau = 0.034
+        assert [h for _, h, _ in calls[:-1]] == [0.1] * 20
+        assert calls[-1][1] == pytest.approx(0.03)
+        assert builds == [0.1, pytest.approx(0.034), pytest.approx(0.03)]
         on_grid = [t for t in res.times if t not in (1.234, 2.03)]
         assert all(t == 0.1 * round(t / 0.1) for t in on_grid)
 
