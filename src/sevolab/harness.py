@@ -288,7 +288,7 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
     def detect(eps: float, cap: float):
         res = run(params, grid,
                   InitialData(epsilon=eps, components=tuple(components)),
-                  t_end=cap, dt=dt, dt_policy=dt_policy, outputs=16)
+                  t_end=cap, dt=dt, dt_policy=dt_policy, outputs=0)
         return res.blowup_time, res.blowup_error  # None, None at the cap
 
     lifespans, errors = {}, {}
@@ -341,13 +341,13 @@ def convergence_study(params: SystemParams, grid: GridSpec,
         raise ValueError("need at least 3 resolutions in each ladder")
 
     def final_u(g: GridSpec, dt_val: float) -> np.ndarray:
-        res = run(params, g, data, t_end, dt_val, outputs=2,
-                  snapshot_times=(t_end,), linear_only=linear_only)
+        res = run(params, g, data, t_end, dt_val, outputs=0,
+                  linear_only=linear_only)
         if res.blown_up:
             raise ValueError(
                 "convergence run blew up; shrink the data size"
             )
-        return res.snapshots[-1][1]
+        return res.u_final
 
     ref = final_u(grid, dt_reference)
     errors = tuple(

@@ -24,10 +24,9 @@ at the predictor, which the next step uses in place of the forcing at
 the corrected field ("first same as last", Dormand & Prince 1980): the
 local error stays O(dt^3).  A nonlinear step thus costs 1 irfftn (the
 predictor) + 1 rfftn (its forcing).  The corrector stays a spectrum;
-it is transformed at most once, the first time norms() or a snapshot
-reads its FieldState.u, and the step's error estimate and run()'s
-blow-up check read the predictor and the spectral predictor-corrector
-gap instead.
+it is transformed at most once, the first time norms() reads its
+FieldState.u, and the step's error estimate and run()'s blow-up check
+read the predictor and the spectral predictor-corrector gap instead.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -177,7 +176,9 @@ class FieldState:
     def u(self) -> np.ndarray:
         """The physical field, irfftn of u_half on N = 2 (h - 1) points
         per axis for h last-axis columns.  Computed on first read and
-        kept, so u_half must not be changed after that."""
+        kept, so u_half must not be changed after that; run() reads it
+        through norms() at each record and returns the last record's as
+        RunResult.u_final."""
         h, ndim = self.u_half.shape[-1], self.u_half.ndim
         return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - 1),
                              axes=tuple(range(1, ndim)))
@@ -292,11 +293,10 @@ def _full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-# a fixed-dt run needs its dt alone while its snapshot times and t_end
-# lie on the dt grid; an off-grid snapshot costs one one-off table, its
-# interpolant's (see _interpolate), as do an off-grid t_end and each
-# output time inside an adaptive step; an entry holds 8 float64
-# half-spectrum tables
+# a fixed-dt run needs its dt table plus at most one for a last step
+# clipped to an off-grid t_end; each output time inside an adaptive step
+# costs a one-off table for its interpolant (see _interpolate); an entry
+# holds 8 float64 half-spectrum tables
 # (2.1 MB on a 2D grid of N = 256, 66 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
@@ -442,15 +442,17 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
 class RunResult:
     """Norm history of one integration plus the blow-up verdict.
 
-    Series arrays have shape (k, len(times)).  snapshots are
-    (t, FieldState.u) pairs at the requested times.  steps counts the
-    accepted steps and rejected_steps the ones the adaptive policy
-    retried; dt_min and dt_max span the accepted step sizes (None
-    without any).  blowup_error is the error bar of blowup_time (None
-    without blow-up): half the crossing step, or the distance of the
-    last decade fit from the extrapolated time (see run()).  It covers
-    that bracket or extrapolation only, not the error of the steps,
-    which STEP_TOL controls and which can be larger.
+    Series arrays have shape (k, len(times)).  u_final is the physical
+    field FieldState.u of the last record, at t_end or, after blow-up,
+    at the last good state; blown_up says whether blowup_time is set.
+    steps counts the accepted steps and rejected_steps the ones the
+    adaptive policy retried; dt_min and dt_max span the accepted step
+    sizes (None without any).  blowup_error is the error bar of
+    blowup_time (None without blow-up): half the crossing step, or the
+    distance of the last decade fit from the extrapolated time (see
+    run()).  It covers that bracket or extrapolation only, not the
+    error of the steps, which STEP_TOL controls and which can be
+    larger.
     """
 
     times: np.ndarray
@@ -458,14 +460,17 @@ class RunResult:
     hsigma: np.ndarray
     sup: np.ndarray
     mean: np.ndarray
-    blown_up: bool
     blowup_time: float | None
-    snapshots: tuple
+    u_final: np.ndarray
     steps: int
     rejected_steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
     blowup_error: float | None = None
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_time is not None
 
 
 def _ladder(x: float, dt: float) -> float:
@@ -520,38 +525,37 @@ def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
 
 def run(params: SystemParams, grid: GridSpec, data: InitialData,
         t_end: float, dt: float, *, dt_policy: str = "fixed",
-        outputs: int = 64, snapshot_times: tuple = (),
-        linear_only: bool = False) -> RunResult:
+        outputs: int = 64, linear_only: bool = False) -> RunResult:
     """Integrate to t_end or blow-up, recording norms on a logarithmic
-    output schedule (plus t = 0 and t_end themselves).  Each of
-    snapshot_times must lie in [0, t_end]; it is an output time too,
-    and a record at it also keeps the physical field.
+    output schedule (plus t = 0 and t_end themselves), and keep the
+    physical field of the last record as u_final.
 
     Steps are sized by dt_policy alone and end at t_end; the output
-    and snapshot times size none of them.  "fixed" steps with dt.
+    times size none of them.  "fixed" steps with dt.
     "adaptive" controls the local error: every step carries the
     estimate err of step(), a step with err > STEP_TOL is rejected and
     retried from the same state, and the next step is h * clip(0.9
     (STEP_TOL / err)^(1/2), 1/4, 2), rounded down to the ladder dt *
     2^(j/4) (integer j) so that the propagator tables are reused, and
     never below dt / 1024, where steps are accepted whatever their
-    estimate.  There is no upper bound.  Only a step that would pass
-    t_end is shortened to end there; one that reaches t_end up to
-    roundoff keeps its size, so no table is built for a size that
-    differs in its last bits.  steps counts accepted steps,
+    estimate.  There is no upper bound.  So dt also sets the floor: an
+    adaptive run with a large dt accepts uncontrolled steps there, and
+    nothing reports them.  Only a step that would pass t_end is
+    shortened to end there; one that reaches t_end up to roundoff keeps
+    its size, so no table is built for a size that differs in its last
+    bits.  steps counts accepted steps,
     rejected_steps the rejected ones, and dt_min/dt_max span the
     accepted step sizes.
 
-    Times within 1e-9 relative of each other count as one, the latest,
-    and those near 0 as the t = 0 record.  An accepted step records
-    each time strictly inside it from its Duhamel interpolant
-    (_interpolate), so the schedule does not change the trajectory,
-    and a step that ends at a time up to roundoff records its end state
-    with that time exactly.  The fixed policy rounds each log-schedule
-    time other than t_end to the nearest multiple of dt, dropping
-    duplicates and times that round to 0 or past t_end, so that its
-    records fall on step ends; only off-grid snapshot times are
-    interpolated.
+    Schedule times within 1e-9 relative of 0 or t_end count as those
+    records.  An accepted step records each time strictly inside it
+    from its Duhamel interpolant (_interpolate), so the schedule does
+    not change the trajectory, and a step that ends at a time up to
+    roundoff records its end state with that time exactly.  The fixed
+    policy rounds each log-schedule time other than t_end to the
+    nearest multiple of dt, dropping duplicates and times that round to
+    0 or past t_end, so that all its records fall on step ends and none
+    is interpolated.
 
     Blow-up is a verdict in the result, not an exception, reached in one
     of two ways.  Near blow-up the sup of the leading component (the
@@ -591,10 +595,6 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if outputs < 0:
         raise ValueError(f"outputs must be nonnegative, got {outputs}")
-    snap_at = sorted(set(float(x) for x in snapshot_times))
-    if not all(0.0 <= s <= t_end for s in snap_at):
-        raise ValueError(f"snapshot times must lie in [0, {t_end}], "
-                         f"got {snapshot_times}")
     k = params.k
     if len(data.components) != k:
         raise ValueError(
@@ -607,26 +607,20 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     adaptive = dt_policy == "adaptive"
     start = min(max(dt, t_end * 1e-4), t_end)
-    sched = {float(x) for x in np.geomspace(start, t_end, outputs)}
+    # t_end leaves the schedule before rounding, which could move it
+    # onto the dt grid short of t_end
+    sched = [float(x) for x in np.geomspace(start, t_end, outputs)
+             if x < t_end]
     if not adaptive:
-        sched = {dt * round(x / dt) for x in sched if x < t_end}
-        sched = {x for x in sched if 0 < x < t_end and not near(x, t_end)}
-    # one event per cluster of times within near() of each other, the
-    # latest, so that t_end is one; times near 0 are the t = 0 record
-    events = [float(t_end)]
-    for x in sorted(sched | set(snap_at), reverse=True):
-        if not near(x, events[-1]) and not near(x, 0.0):
-            events.append(x)
-    events.reverse()
+        sched = [dt * round(x / dt) for x in sched]
+    events = sorted({x for x in sched if x < t_end and not near(x, t_end)
+                     and not near(x, 0.0)}) + [float(t_end)]
 
     times, rows = [], []
-    snapshots = []
 
     def record(st: FieldState):
         times.append(st.t)
         rows.append(norms(grid, st, params.sigma))
-        if any(near(st.t, s) for s in snap_at):
-            snapshots.append((st.t, st.u))
 
     record(state)
 
@@ -636,7 +630,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     dt_now = float(dt)
     dt_floor = dt / 1024.0
-    blown, t_blow, t_err = False, None, None
+    t_blow = t_err = None
     steps = rejected = 0
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
@@ -651,9 +645,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         if not (float(np.max(new.pred_sup)) <= BLOWUP_THRESHOLD
                 and np.isfinite(new.u_half).all()
                 and (linear_only or np.isfinite(new.nl_half).all())):
-            blown, t_blow, t_err = True, state.t + 0.5 * h, 0.5 * h
-            if times[-1] != state.t:
-                record(state)
+            t_blow, t_err = state.t + 0.5 * h, 0.5 * h
             break
         if adaptive:
             fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
@@ -685,18 +677,17 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
                 fit = _extrapolate_blowup(history, s0, alpha, decade)
                 decade += 1
             if fit is not None:
-                blown = True
                 t_blow, t_err = fit
-                if times[-1] != state.t:
-                    record(state)
                 break
+    # after blow-up, the last good state
+    if times[-1] != state.t:
+        record(state)
 
     return RunResult(
         times=np.array(times),
         **{key: np.array([r[key] for r in rows]).T for key in rows[0]},
-        blown_up=blown,
         blowup_time=t_blow,
-        snapshots=tuple(snapshots),
+        u_final=state.u,
         steps=steps,
         rejected_steps=rejected,
         dt_min=h_min if steps else None,

@@ -150,8 +150,8 @@ def fake_run(times, k=2, seed=3):
         times=times, l2=rng.uniform(0.1, 2.0, shape),
         hsigma=rng.uniform(0.1, 2.0, shape),
         sup=rng.uniform(0.1, 2.0, shape),
-        mean=rng.normal(0.0, 1.0, shape), blown_up=False,
-        blowup_time=None, snapshots=(), steps=7)
+        mean=rng.normal(0.0, 1.0, shape), blowup_time=None,
+        u_final=None, steps=7)
 
 
 class TestOutputs:

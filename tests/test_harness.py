@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from sevolab import harness
+from sevolab import harness, solver
 from sevolab.errors import (
     BlowUpDuringDecayExperiment,
     ConditionsUnmet,
@@ -121,8 +121,8 @@ class TestMeanModeCutoff:
         times = np.linspace(0.0, 10.0, 11)
         zeros = np.zeros((2, 11))
         res = RunResult(times=times, l2=np.ones((2, 11)),
-                        hsigma=zeros, sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0)
+                        hsigma=zeros, sup=zeros, mean=zeros, blowup_time=None,
+                        u_final=None, steps=0)
         assert mean_mode_cutoff(GridSpec(n=1, N=64, L=10.0), res) == 10.0
 
     def test_crossing_detected(self):
@@ -133,8 +133,8 @@ class TestMeanModeCutoff:
         # component 1 floor fraction crosses 0.9 at t = 6
         mean[0, 6:] = 0.95 / (2.0 * grid.L) ** 0.5
         res = RunResult(times=times, l2=l2, hsigma=l2 * 0,
-                        sup=l2 * 0, mean=mean, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0)
+                        sup=l2 * 0, mean=mean, blowup_time=None,
+                        u_final=None, steps=0)
         assert mean_mode_cutoff(grid, res) == 6.0
 
 
@@ -197,8 +197,8 @@ class TestXnormDiagnostic:
         times = np.linspace(0.0, 5.0, 6)
         zeros = np.zeros((2, 6))
         res = RunResult(times=times, l2=zeros, hsigma=zeros,
-                        sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0)
+                        sup=zeros, mean=zeros, blowup_time=None,
+                        u_final=None, steps=0)
         xd = xnorm_diagnostic(res, P34)
         assert xd["ratios"] == (1.0, 1.0)
         assert xd["passed"] is True
@@ -211,8 +211,8 @@ class TestXnormDiagnostic:
                        np.exp(-0.25 * np.log1p(times))])
         zeros = np.zeros((2, 101))
         res = RunResult(times=times, l2=l2, hsigma=zeros,
-                        sup=zeros, mean=zeros, blown_up=False,
-                        blowup_time=None, snapshots=(), steps=0)
+                        sup=zeros, mean=zeros, blowup_time=None,
+                        u_final=None, steps=0)
         xd = xnorm_diagnostic(res, P34, window=(2.0, 8.0))
         assert xd["window"] == (2.0, 8.0)
         assert max(xd["ratios"]) < 1.0 + 1e-9
@@ -276,6 +276,27 @@ class TestLifespanSweep:
         assert abs(sw.fit.slope + 1.531) < 0.1
         assert sw.fit.expected == lifespan_exponent(P22)
         assert sw.fit.passed is False
+
+    def test_each_run_records_t_0_and_its_end_only(self, monkeypatch):
+        # the sweep reads T and its bar alone, so a run records nothing
+        # between its data and its last state
+        runs, records = [], []
+        real_run, real_norms = harness.run, solver.norms
+
+        def counted_run(*args, **kwargs):
+            runs.append(len(records))
+            return real_run(*args, **kwargs)
+
+        def counted_norms(*args):
+            records.append(args[1].t)
+            return real_norms(*args)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        monkeypatch.setattr(solver, "norms", counted_norms)
+        sw = lifespan_sweep(P22, self.GRID, self.COMPS, (0.3, 0.4, 0.5, 0.6))
+        assert not any(sw.capped)
+        assert runs == [0, 2, 4, 6] and len(records) == 8
+        assert records[::2] == [0.0] * 4
 
     def test_no_blowup_at_cap(self):
         with pytest.raises(NoBlowUpAtCap):

@@ -558,9 +558,11 @@ class TestTransformBudget:
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         after_step = irfftn_after_each(monkeypatch, fft_calls, "step")
         res = run(params, grid, gaussian_data(0.3), t_end=1.0, dt=0.125,
-                  outputs=2, snapshot_times=(1.0,))
-        assert [t for t, _ in res.snapshots] == [res.times[-1]] == [1.0]
-        # the t_end record's norms() and its snapshot share one irfftn
+                  outputs=2)
+        assert res.times[-1] == 1.0
+        assert np.array_equal(np.abs(res.u_final).max(axis=grid.spatial_axes),
+                              res.sup[:, -1])
+        # the t_end record's norms() and u_final share one irfftn
         assert fft_calls["irfftn"] - after_step[-1] == 1
 
 
@@ -649,32 +651,14 @@ class TestRun:
     def test_schedule_and_snapshots(self):
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(PARAMS_34, grid, gaussian_data(0.01), t_end=2.0, dt=0.05,
-                  outputs=12, snapshot_times=(0.0, 1.0, 2.0))
+                  outputs=12)
         assert res.times[0] == 0.0
         assert res.times[-1] == pytest.approx(2.0, abs=1e-12)
         assert np.all(np.diff(res.times) > 0)
         assert res.l2.shape == (2, len(res.times))
-        assert len(res.snapshots) == 3
-        assert [round(t, 9) for t, _ in res.snapshots] == [0.0, 1.0, 2.0]
-        assert res.snapshots[0][1].shape == (2,) + grid.shape
+        assert res.u_final.shape == (2,) + grid.shape
         assert not res.blown_up
         assert res.blowup_time is None
-
-    @pytest.mark.parametrize("wanted,kept", [
-        ((-1.0, 0.5, 1.0), None),
-        ((1.0, 1.0 + 1e-12, 1.5), [1.0, 1.5]),
-        ((0.5, 5.0), None),
-        ((0.2, math.nan, 0.5), None),
-    ], ids=["negative", "near-duplicate", "past-t-end", "nan"])
-    def test_every_snapshot_is_kept_or_refused(self, wanted, kept):
-        grid = GridSpec(n=1, N=64, L=10.0)
-        kw = dict(t_end=2.0, dt=0.05, snapshot_times=wanted)
-        if kept is None:
-            with pytest.raises(ValueError, match="snapshot times"):
-                run(PARAMS_34, grid, gaussian_data(0.01), **kw)
-            return
-        res = run(PARAMS_34, grid, gaussian_data(0.01), **kw)
-        assert [round(t, 9) for t, _ in res.snapshots] == kept
 
     def test_deterministic(self):
         grid = GridSpec(n=1, N=64, L=10.0)
@@ -719,6 +703,9 @@ class TestRun:
         assert np.count_nonzero(res.times == good.t) == 1
         assert tuple(res.sup[:, -1]) == norms(BLOWUP_GRID, good, 1.0)["sup"]
         assert res.blowup_time - res.times[-1] == pytest.approx(0.5 * h)
+        assert np.array_equal(res.u_final, good.u)
+        assert np.array_equal(np.abs(res.u_final).max(axis=1),
+                              res.sup[:, -1])
 
     def test_non_finite_field_is_blow_up(self, monkeypatch):
         calls = recording_every_step(monkeypatch)
@@ -979,8 +966,7 @@ class TestStepControl:
         data = gaussian_data(0.5)
         estimated = []
         recording_step(monkeypatch, estimated)
-        res = run(PARAMS_34, grid, data, t_end=2.0, dt=0.125, outputs=2,
-                  snapshot_times=(2.0,))
+        res = run(PARAMS_34, grid, data, t_end=2.0, dt=0.125, outputs=2)
         monkeypatch.undo()
         assert estimated == []  # no estimate pass on the fixed path
         state, _ = make_initial_data(grid, data, PARAMS_34.sigma)
@@ -989,7 +975,7 @@ class TestStepControl:
         assert state.t == 2.0 and res.times[-1] == 2.0
         assert (res.steps, res.rejected_steps) == (16, 0)
         assert res.dt_min == res.dt_max == 0.125
-        assert np.array_equal(res.snapshots[-1][1], state.u)
+        assert np.array_equal(res.u_final, state.u)
         assert tuple(res.sup[:, -1]) == norms(grid, state, 1.0)["sup"]
         assert tuple(res.l2[:, -1]) == norms(grid, state, 1.0)["l2"]
 
@@ -1073,6 +1059,11 @@ class TestBlowupFit:
         assert last.err <= solver.STEP_TOL
         assert np.max(last.pred_sup) < solver.BLOWUP_THRESHOLD
         assert 0.0 < res.blowup_error < 1e-4 * res.blowup_time
+        # the last accepted state is the last record and the final field
+        assert res.times[-1] == last.t < res.blowup_time
+        assert np.array_equal(res.u_final, last.u)
+        assert np.array_equal(np.abs(res.u_final).max(axis=1),
+                              res.sup[:, -1])
         monkeypatch.undo()
         monkeypatch.setattr(solver, "_extrapolate_blowup",
                             lambda *args: None)
@@ -1145,12 +1136,11 @@ class TestDenseOutput:
         # the default simulate config
         kw = dict(t_end=200.0, dt=0.05, dt_policy="adaptive")
         sparse = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, outputs=2, **kw)
-        dense = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, outputs=64,
-                    snapshot_times=(1.234, 10.0), **kw)
+        dense = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, outputs=64, **kw)
         assert sparse.blown_up and len(dense.times) > len(sparse.times) + 20
-        assert [t for t, _ in dense.snapshots] == [1.234, 10.0]
         for res in (sparse, dense):
             assert res.times[-1] < res.blowup_time
+        assert np.array_equal(sparse.u_final, dense.u_final)
         for key in ("steps", "rejected_steps", "dt_min", "dt_max",
                     "blowup_time", "blowup_error"):
             assert getattr(sparse, key) == getattr(dense, key), key
@@ -1160,8 +1150,7 @@ class TestDenseOutput:
         grid = GridSpec(n=1, N=64, L=10.0)
         data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
         res = run(PARAMS_34, grid, data, t_end=100.0, dt=0.05,
-                  dt_policy="adaptive", outputs=16, snapshot_times=(0.07,),
-                  linear_only=True)
+                  dt_policy="adaptive", outputs=16, linear_only=True)
         ends = {new.t for _, _, new in calls}
         inside = [t for t in res.times[1:-1]
                   if min(abs(t - e) for e in ends) > 1e-9 * t]
@@ -1176,10 +1165,6 @@ class TestDenseOutput:
                 got = getattr(res, key)[:, i]
                 np.testing.assert_allclose(got, want[key], rtol=1e-12,
                                            atol=0.0)
-        t_snap, u_snap = res.snapshots[0]
-        assert t_snap == 0.07 and t_snap in inside
-        assert np.array_equal(np.abs(u_snap).max(axis=1),
-                              res.sup[:, list(res.times).index(0.07)])
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("linear_only", [False, True])
@@ -1215,10 +1200,10 @@ class TestHalfLayoutOnly:
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         data = gaussian_data(0.5, ((1.0, 0.5), (0.8, -0.3)))
         res = run(params, grid, data, t_end=2.0, dt=0.1,
-                  dt_policy=dt_policy, outputs=4, snapshot_times=(1.0,))
+                  dt_policy=dt_policy, outputs=4)
         assert not res.blown_up and res.steps >= 4
         assert res.times[-1] == pytest.approx(2.0)
-        assert len(res.snapshots) == 1
+        assert res.u_final.shape == (2,) + grid.shape
 
     def test_blowup_run(self):
         res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
@@ -1276,9 +1261,16 @@ class TestTableCache:
 
 class TestFixedSchedule:
     """A fixed-dt run records at the log schedule rounded to multiples
-    of dt, so its steps are plain dt steps; snapshot times and t_end
-    are hit exactly."""
+    of dt, so its steps are plain dt steps, t_end is hit exactly and no
+    record is interpolated."""
 
+    @pytest.fixture
+    def refuse_interpolation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run interpolated a record")
+        monkeypatch.setattr(solver, "_interpolate", refuse)
+
+    @pytest.mark.usefixtures("refuse_interpolation")
     def test_2d_run_steps_on_its_dt_grid(self, monkeypatch):
         solver._tables.cache_clear()
         builds = counting_builds(monkeypatch)
@@ -1295,23 +1287,23 @@ class TestFixedSchedule:
         assert np.array_equal(res.times, want)
         assert res.times[-1] == 20.0
 
-    def test_off_grid_snapshot_and_t_end_are_hit(self, monkeypatch):
+    @pytest.mark.usefixtures("refuse_interpolation")
+    def test_off_grid_t_end_is_hit(self, monkeypatch):
         solver._tables.cache_clear()
         builds = counting_builds(monkeypatch)
         calls = recording_every_step(monkeypatch)
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.03, dt=0.1,
-                  outputs=16, snapshot_times=(1.234,))
-        assert [t for t, _ in res.snapshots] == [1.234]
-        assert 1.234 in res.times and res.times[-1] == 2.03
+                  outputs=16)
+        # the schedule's own t_end leaves before rounding, so no record
+        # lands at 2.0, the grid point next to it
+        grid_points = [0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 14, 17]
+        assert list(res.times) == [0.1 * j for j in grid_points] + [2.03]
         assert res.dt_max == 0.1
-        # every step is dt but the last, from 2.0 to t_end; the snapshot
-        # is read off the step from 1.2 at tau = 0.034
+        # every step is dt but the last, from 2.0 to t_end
         assert [h for _, h, _ in calls[:-1]] == [0.1] * 20
         assert calls[-1][1] == pytest.approx(0.03)
-        assert builds == [0.1, pytest.approx(0.034), pytest.approx(0.03)]
-        on_grid = [t for t in res.times if t not in (1.234, 2.03)]
-        assert all(t == 0.1 * round(t / 0.1) for t in on_grid)
+        assert builds == [0.1, pytest.approx(0.03)]
 
     def test_adaptive_run_records_the_unrounded_schedule(self):
         grid = GridSpec(n=1, N=64, L=10.0)
@@ -1321,6 +1313,7 @@ class TestFixedSchedule:
         assert not np.all(np.isclose(sched, 0.05 * np.round(sched / 0.05)))
         assert np.array_equal(res.times, np.concatenate(([0.0], sched)))
 
+    @pytest.mark.usefixtures("refuse_interpolation")
     @pytest.mark.parametrize("dt_policy", ["fixed", "adaptive"])
     def test_no_outputs_records_t_0_and_t_end(self, dt_policy):
         grid = GridSpec(n=1, N=64, L=10.0)
