@@ -204,8 +204,10 @@ def _emit(config: ExperimentConfig):
 
 
 def _step_stats(result) -> dict:
-    """Accepted and rejected step counts and the accepted dt range."""
+    """Accepted, rejected and uncontrolled floor step counts and the
+    accepted dt range."""
     return {"steps": result.steps, "rejected_steps": result.rejected_steps,
+            "floor_steps": result.floor_steps,
             "dt_min": result.dt_min, "dt_max": result.dt_max}
 
 

@@ -27,6 +27,9 @@ predictor) + 1 rfftn (its forcing).  The corrector stays a spectrum;
 it is transformed at most once, the first time norms() reads its
 FieldState.u, and the step's error estimate and run()'s blow-up check
 read the predictor and the spectral predictor-corrector gap instead.
+The records strictly inside one step are read off its interpolant as
+one batch, a FieldState stacked over their times: one propagator
+table build, one irfftn and one norms() call serve them all.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -53,6 +56,10 @@ STEP_TOL = 1e-4
 TINY = 1e-300
 # a sup decade needs this many points for a fit of the blow-up time
 FIT_POINTS = 8
+# the records inside one step are interpolated in batches whose four
+# float64 tables (k0, k1, i1, w_new_u) take at most this many bytes,
+# or one record at a time where a single record's take more
+INTERP_BATCH_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -146,20 +153,21 @@ class FieldState:
     grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
     layout on each read, for callers; the solver never reads them.
 
-    A record that run() reads off a step's interpolant between step
-    ends (_interpolate) carries u_half only: v_half is None there.  The
-    other fields are set when the state came out of step(), else
-    None.  nl_half is the rfftn of the forcing |u_{l-1}|^{p_l} at the
-    step's predictor u_pred, same layout (None after a linear_only
-    step), which the next step reuses.  pred_sup holds max |u_pred_l|
-    per component, the numbers run()'s blow-up check reads (for
-    linear_only, whose steps are exact, the sup of the field itself).
-    err is the local error estimate of the step, the largest over
-    components l of the l1 bound sum |g_l| / N^n on max |u_corr_l -
-    u_pred_l|, with g the spectral gap between the corrector u_corr and
-    u_pred, over max(pred_sup_l, TINY), so a component far smaller than
-    the others still has its relative error bounded (0.0 for
-    linear_only), when step() was asked for it.
+    The records that run() reads off one step's interpolant between
+    step ends (_interpolate) come as one batch: t holds their m times,
+    shape (m,), u_half is stacked to shape (m, k) + grid.shape[:-1] +
+    (N/2 + 1,), and v_half is None.  The other fields are set when the
+    state came out of step(), else None.  nl_half is the rfftn of the
+    forcing |u_{l-1}|^{p_l} at the step's predictor u_pred, same layout
+    (None after a linear_only step), which the next step reuses.
+    pred_sup holds max |u_pred_l| per component, the numbers run()'s
+    blow-up check reads (for linear_only, whose steps are exact, the
+    sup of the field itself).  err is the local error estimate of the
+    step, the largest over components l of the l1 bound sum |g_l| / N^n
+    on max |u_corr_l - u_pred_l|, with g the spectral gap between the
+    corrector u_corr and u_pred, over max(pred_sup_l, TINY), so a
+    component far smaller than the others still has its relative error
+    bounded (0.0 for linear_only), when step() was asked for it.
     """
 
     t: float
@@ -174,14 +182,16 @@ class FieldState:
 
     @cached_property
     def u(self) -> np.ndarray:
-        """The physical field, irfftn of u_half on N = 2 (h - 1) points
-        per axis for h last-axis columns.  Computed on first read and
-        kept, so u_half must not be changed after that; run() reads it
-        through norms() at each record and returns the last record's as
-        RunResult.u_final."""
+        """The physical field, irfftn of u_half over the axes after t's
+        and the component axis, on N = 2 (h - 1) points per axis for h
+        last-axis columns: one transform for a whole batch.  Computed
+        on first read and kept, so u_half must not be changed after
+        that; run() reads it through norms() at each record and returns
+        the last record's as RunResult.u_final."""
         h, ndim = self.u_half.shape[-1], self.u_half.ndim
-        return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - 1),
-                             axes=tuple(range(1, ndim)))
+        first = np.ndim(self.t) + 1
+        return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - first),
+                             axes=tuple(range(first, ndim)))
 
 
 @dataclass(frozen=True)
@@ -293,11 +303,12 @@ def _full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-# a fixed-dt run needs its dt table plus at most one for a last step
-# clipped to an off-grid t_end; each output time inside an adaptive step
-# costs a one-off table for its interpolant (see _interpolate); an entry
-# holds 8 float64 half-spectrum tables
-# (2.1 MB on a 2D grid of N = 256, 66 KB on a 1D grid of N = 2048)
+# step tables only: a fixed-dt run needs its dt table plus at most one
+# for a last step clipped to an off-grid t_end, and an adaptive run one
+# per ladder size it steps with; the interpolants of records inside a
+# step build their own tables outside the cache (see _interpolate).  An
+# entry holds 8 float64 half-spectrum tables (2.1 MB on a 2D grid of
+# N = 256, 66 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 and Duhamel weights i1,
@@ -388,30 +399,37 @@ def step(state: FieldState, dt: float, params: SystemParams,
                       pred_sup=sup, err=err)
 
 
-def _interpolate(old: FieldState, new: FieldState, h: float, t: float,
+def _interpolate(old: FieldState, new: FieldState, h: float, ts,
                  params: SystemParams, grid: GridSpec) -> FieldState:
-    """The state at time t in (old.t, old.t + h] on the Duhamel
-    interpolant of the step of size h from old to new.
+    """The batch of states at the m times ts in (old.t, old.t + h] on
+    the Duhamel interpolant of the step of size h from old to new.
 
     With tau = t - old.t, u(t) = k0 u + k1 v + i1 N_old + (tau / h)
-    w_new_u (N_new - N_old) on the tables of _tables(grid, sigma, tau):
-    the exact flow of the forcing that is linear in time from N_old,
-    the forcing step() started from, to N_new, the one at the predictor
-    that new carries.  At tau = h it is step()'s corrector, and it is
-    second order like the step.  N_old is old.nl_half, or evaluated at
-    old.u when unset, as step() does; a linear_only step (new.nl_half
-    None) has no forcing.  The state carries u_half only.
+    w_new_u (N_new - N_old), with w_new_u = (i1 - j1 / tau) mask and i1
+    masked as in _tables: the exact flow of the forcing that is linear
+    in time from N_old, the forcing step() started from, to N_new, the
+    one at the predictor that new carries.  At tau = h it is step()'s
+    corrector, and it is second order like the step.  One
+    propagator_arrays call on tau of shape (m, 1, ...) builds the four
+    tables for all m times, outside the _tables cache.  N_old is
+    old.nl_half, or evaluated at old.u when unset, as step() does; a
+    linear_only step (new.nl_half None) has no forcing.  The batch has
+    t = ts as an array and carries u_half only.
     """
-    tau = t - old.t
-    k0, k1, _, _, i1, w_nu = _tables(grid, params.sigma, tau)[:6]
+    ts = np.asarray(ts, dtype=float)
+    a = _half(grid.symbol(params.sigma))
+    tau = (ts - old.t).reshape((-1,) + (1,) * (a.ndim + 1))
+    k0, k1, _, _, i1, j1 = propagator_arrays(tau, a)
     u_half = k0 * old.u_half + k1 * old.v_half
     if new.nl_half is not None:
+        mask = _half(grid.dealias_mask)
         Nh_old = old.nl_half
         if Nh_old is None:
             Nh_old = _nonlinearity_hat(old.u, params, grid.spatial_axes)
-        u_half += i1 * Nh_old
-        u_half += (tau / h) * w_nu * (new.nl_half - Nh_old)
-    return FieldState(t, u_half, None)
+        u_half += (i1 * mask) * Nh_old
+        u_half += (tau / h) * ((i1 - j1 / tau) * mask) * (new.nl_half
+                                                          - Nh_old)
+    return FieldState(ts, u_half, None)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
@@ -419,23 +437,20 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
 
     L2 and |D|^sigma L2 by Parseval on the half spectrum, mean from its
     zero mode, sup in physical space from the state's field u, so it is
-    the corrected field's sup.
+    the corrected field's sup.  Each reduces over the last n axes, so a
+    batch (see FieldState) gets one value per record and component:
+    tuples of k floats for one state, of m lists of k for a batch.
     """
     a = _half(grid.symbol(sigma))
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
     sq = grid.parseval_weights * np.abs(state.u_half) ** 2
-    sum_axes = grid.spatial_axes
+    sum_axes = tuple(range(-grid.n, 0))
     l2 = np.sqrt(vol_factor * np.sum(sq, axis=sum_axes))
     hs = np.sqrt(vol_factor * np.sum(a * sq, axis=sum_axes))
     sup = np.max(np.abs(state.u), axis=sum_axes)
-    zero = (slice(None),) + (0,) * grid.n
-    mean = state.u_half[zero].real / grid.N ** grid.n
-    return {
-        "l2": tuple(float(x) for x in l2),
-        "hsigma": tuple(float(x) for x in hs),
-        "sup": tuple(float(x) for x in sup),
-        "mean": tuple(float(x) for x in mean),
-    }
+    mean = state.u_half[(...,) + (0,) * grid.n].real / grid.N ** grid.n
+    return {key: tuple(x.tolist()) for key, x in
+            (("l2", l2), ("hsigma", hs), ("sup", sup), ("mean", mean))}
 
 
 @dataclass(frozen=True)
@@ -446,12 +461,14 @@ class RunResult:
     field FieldState.u of the last record, at t_end or, after blow-up,
     at the last good state; blown_up says whether blowup_time is set.
     steps counts the accepted steps and rejected_steps the ones the
-    adaptive policy retried; dt_min and dt_max span the accepted step
-    sizes (None without any).  blowup_error is the error bar of
-    blowup_time (None without blow-up): half the crossing step, or the
-    distance of the last decade fit from the extrapolated time (see
-    run()).  It covers that bracket or extrapolation only, not the
-    error of the steps, which STEP_TOL controls and which can be
+    adaptive policy retried; floor_steps counts the accepted steps
+    whose estimate exceeded STEP_TOL, which the adaptive policy takes
+    at its floor dt / 1024 without control; dt_min and dt_max span the
+    accepted step sizes (None without any).  blowup_error is the error
+    bar of blowup_time (None without blow-up): half the crossing step,
+    or the distance of the last decade fit from the extrapolated time
+    (see run()).  It covers that bracket or extrapolation only, not
+    the error of the steps, which STEP_TOL controls and which can be
     larger.
     """
 
@@ -464,6 +481,7 @@ class RunResult:
     u_final: np.ndarray
     steps: int
     rejected_steps: int = 0
+    floor_steps: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
     blowup_error: float | None = None
@@ -540,22 +558,23 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     never below dt / 1024, where steps are accepted whatever their
     estimate.  There is no upper bound.  So dt also sets the floor: an
     adaptive run with a large dt accepts uncontrolled steps there, and
-    nothing reports them.  Only a step that would pass t_end is
+    floor_steps counts those.  Only a step that would pass t_end is
     shortened to end there; one that reaches t_end up to roundoff keeps
     its size, so no table is built for a size that differs in its last
-    bits.  steps counts accepted steps,
-    rejected_steps the rejected ones, and dt_min/dt_max span the
-    accepted step sizes.
+    bits.  steps counts accepted steps, rejected_steps the rejected
+    ones, floor_steps the accepted ones over STEP_TOL, and
+    dt_min/dt_max span the accepted step sizes.
 
     Schedule times within 1e-9 relative of 0 or t_end count as those
-    records.  An accepted step records each time strictly inside it
-    from its Duhamel interpolant (_interpolate), so the schedule does
-    not change the trajectory, and a step that ends at a time up to
-    roundoff records its end state with that time exactly.  The fixed
-    policy rounds each log-schedule time other than t_end to the
-    nearest multiple of dt, dropping duplicates and times that round to
-    0 or past t_end, so that all its records fall on step ends and none
-    is interpolated.
+    records.  An accepted step records the times strictly inside it
+    from its Duhamel interpolant (_interpolate), all at once in batches
+    whose tables take at most INTERP_BATCH_BYTES, so the schedule does
+    not change the trajectory; a step without such times builds no
+    interpolant.  A step that ends at a time up to roundoff records its
+    end state with that time exactly.  The fixed policy rounds each
+    log-schedule time other than t_end to the nearest multiple of dt,
+    dropping duplicates and times that round to 0 or past t_end, so
+    that all its records fall on step ends and none is interpolated.
 
     Blow-up is a verdict in the result, not an exception, reached in one
     of two ways.  Near blow-up the sup of the leading component (the
@@ -617,9 +636,14 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
                      and not near(x, 0.0)}) + [float(t_end)]
 
     times, rows = [], []
+    # records per interpolant batch; 32 bytes per half-spectrum point
+    # hold its four float64 tables
+    per_batch = max(1, INTERP_BATCH_BYTES
+                    // (32 * grid.N ** (grid.n - 1) * (grid.N // 2 + 1)))
 
     def record(st: FieldState):
-        times.append(st.t)
+        # one state, or a batch whose t is an array of times
+        times.extend(np.atleast_1d(st.t).tolist())
         rows.append(norms(grid, st, params.sigma))
 
     record(state)
@@ -631,7 +655,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     dt_now = float(dt)
     dt_floor = dt / 1024.0
     t_blow = t_err = None
-    steps = rejected = 0
+    steps = rejected = floor = 0
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
     while state.t < t_end and not near(state.t, t_end):
@@ -651,14 +675,23 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
                    if new.err else 2.0)
             dt_now = max(dt_floor, _ladder(h * fac, dt))
-            if new.err > STEP_TOL and h > dt_floor:
-                rejected += 1
-                continue
+            if new.err > STEP_TOL:
+                if h > dt_floor:
+                    rejected += 1
+                    continue
+                floor += 1
         steps += 1
         h_min, h_max = min(h_min, h), max(h_max, h)
-        while events[ev_idx] < new.t and not near(events[ev_idx], new.t):
-            record(_interpolate(state, new, h, events[ev_idx], params, grid))
-            ev_idx += 1
+        end = ev_idx
+        while events[end] < new.t and not near(events[end], new.t):
+            end += 1
+        # the batches live only inside record(), so they are gone
+        # before the next step
+        for i in range(ev_idx, end, per_batch):
+            record(_interpolate(state, new, h,
+                                events[i:min(end, i + per_batch)],
+                                params, grid))
+        ev_idx = end
         # the step-end record comes after the old state is dropped, so
         # that its field is not transformed while that state is alive
         state = new
@@ -685,11 +718,12 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     return RunResult(
         times=np.array(times),
-        **{key: np.array([r[key] for r in rows]).T for key in rows[0]},
+        **{key: np.vstack([r[key] for r in rows]).T for key in rows[0]},
         blowup_time=t_blow,
         u_final=state.u,
         steps=steps,
         rejected_steps=rejected,
+        floor_steps=floor,
         dt_min=h_min if steps else None,
         dt_max=h_max if steps else None,
         blowup_error=t_err,

@@ -326,10 +326,21 @@ class TestCliExitCodes:
         assert cli_main(argv + ["--out", str(out)]) == 0
         doc = json.loads((out / name).read_text())
         assert doc["steps"] > 0 and doc["rejected_steps"] >= 0
+        assert doc["floor_steps"] == 0
         assert 0.0 < doc["dt_min"] <= doc["dt_max"]
         if policy == "fixed":
             assert doc["rejected_steps"] == 0
             assert doc["dt_max"] == 0.05
+
+    def test_floor_steps_written(self, tmp_path, capsys):
+        # dt sets the adaptive floor dt / 1024, where steps over the
+        # tolerance are taken anyway
+        out = tmp_path / "floor"
+        assert cli_main(["simulate", "--set", "options.dt=50",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["blown_up"] is True
+        assert 0 < doc["floor_steps"] <= doc["steps"]
 
     def test_decay_respects_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -961,6 +961,21 @@ class TestStepControl:
         assert small.steps == large.steps
         assert small.steps <= 16 + math.ceil(math.log2(100.0 / 0.05))
 
+    def test_floor_steps_count_the_uncontrolled_steps(self, monkeypatch):
+        kw = dict(t_end=100.0, dt_policy="adaptive", outputs=0)
+        assert run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, dt=0.05,
+                   **kw).floor_steps == 0
+        calls = recording_every_step(monkeypatch)
+        res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, dt=50.0, **kw)
+        # the last step crossed the blow-up threshold and was not taken
+        assert res.blown_up
+        assert np.max(calls[-1][2].pred_sup) > solver.BLOWUP_THRESHOLD
+        # steps over the tolerance above the floor were retried
+        over = [h for _, h, new in calls[:-1]
+                if new.err > solver.STEP_TOL and h <= 50.0 / 1024]
+        assert res.floor_steps == len(over) > 10
+        assert res.floor_steps <= res.steps
+
     def test_fixed_policy_is_a_plain_step_loop(self, monkeypatch):
         grid = GridSpec(n=1, N=64, L=10.0)
         data = gaussian_data(0.5)
@@ -1127,6 +1142,53 @@ class TestBlowupFit:
         assert abs(res.blowup_time - 54.1021933) <= res.blowup_error
 
 
+def per_time_interpolant(old, new, h, t, params, grid):
+    """One record's u_half on the interpolant, evaluated on the cached
+    step tables _tables(grid, sigma, tau) of that record alone."""
+    tau = t - old.t
+    k0, k1, _, _, i1, w_nu = solver._tables(grid, params.sigma, tau)[:6]
+    u_half = k0 * old.u_half + k1 * old.v_half
+    if new.nl_half is not None:
+        Nh_old = old.nl_half
+        if Nh_old is None:
+            Nh_old = solver._nonlinearity_hat(old.u, params,
+                                              grid.spatial_axes)
+        u_half += i1 * Nh_old
+        u_half += (tau / h) * w_nu * (new.nl_half - Nh_old)
+    return u_half
+
+
+def two_steps(n, linear_only=False, h=0.3):
+    """(grid, params, [(old, new)]) for a first step, whose old forcing
+    is evaluated at the state's field, and one that carries it."""
+    grid = GridSpec(n=n, N=32, L=10.0)
+    params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+    data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
+    state, _ = make_initial_data(grid, data, params.sigma)
+    pairs = []
+    for _ in range(2):
+        new = step(state, h, params, grid, linear_only=linear_only)
+        pairs.append((state, new))
+        state = new
+    return grid, params, pairs
+
+
+def interpolating(monkeypatch):
+    """Patch solver._interpolate to log (old.t, new.t, ts) of each call
+    and refuse a call without record times; returns the log."""
+    log = []
+    real = solver._interpolate
+
+    def logged(old, new, h, ts, *args):
+        if not len(ts):
+            raise AssertionError("a step without records interpolated")
+        log.append((old.t, new.t, list(ts)))
+        return real(old, new, h, ts, *args)
+
+    monkeypatch.setattr(solver, "_interpolate", logged)
+    return log
+
+
 class TestDenseOutput:
     """Steps are sized by t_end and the controller or dt alone; a
     record between step ends is read off its step's Duhamel
@@ -1169,18 +1231,109 @@ class TestDenseOutput:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("linear_only", [False, True])
     def test_interpolant_at_step_end_is_the_step(self, n, linear_only):
-        # a first step, whose old forcing is evaluated at the state's
-        # field, and one that carries it
-        grid = GridSpec(n=n, N=32, L=10.0)
-        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
-        state, _ = make_initial_data(grid, data, params.sigma)
-        for _ in range(2):
-            new = step(state, 0.1, params, grid, linear_only=linear_only)
-            got = solver._interpolate(state, new, 0.1, new.t, params, grid)
-            assert got.t == new.t and got.v_half is None
-            assert rel_err(got.u_half, new.u_half) <= 1e-14
-            state = new
+        grid, params, pairs = two_steps(n, linear_only, h=0.1)
+        for state, new in pairs:
+            got = solver._interpolate(state, new, 0.1, [new.t], params,
+                                      grid)
+            assert got.t.tolist() == [new.t] and got.v_half is None
+            assert got.u_half.shape == (1,) + new.u_half.shape
+            assert rel_err(got.u_half[0], new.u_half) <= 1e-14
+
+
+class TestInterpolantBatch:
+    """All records inside one step come off its interpolant as one
+    batch: one table build outside the step-table cache, one irfftn and
+    one norms() call."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_batch_is_the_per_time_formula_bit_for_bit(self, n,
+                                                       linear_only):
+        h = 0.3
+        grid, params, pairs = two_steps(n, linear_only, h)
+        assert pairs[0][0].nl_half is None
+        for old, new in pairs:
+            ts = [old.t + f * h for f in (0.05, 0.3, 0.5, 0.77, 1.0)]
+            batch = solver._interpolate(old, new, h, ts, params, grid)
+            assert batch.t.tolist() == ts and batch.v_half is None
+            assert batch.u_half.shape == (len(ts),) + new.u_half.shape
+            for got, t in zip(batch.u_half, ts):
+                want = per_time_interpolant(old, new, h, t, params, grid)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_build_outside_the_table_cache(self, n, monkeypatch):
+        grid, params, pairs = two_steps(n)
+        old, new = pairs[1]
+        builds = counting_builds(monkeypatch)
+        before = solver._tables.cache_info()
+        ts = [old.t + 0.1, old.t + 0.2, old.t + 0.25]
+        solver._interpolate(old, new, 0.3, ts, params, grid)
+        assert len(builds) == 1
+        assert np.shape(builds[0]) == (3, 1) + (1,) * n
+        assert solver._tables.cache_info() == before
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_norms_of_a_batch_are_the_per_record_norms(self, n,
+                                                       fft_calls):
+        grid, params, pairs = two_steps(n)
+        old, new = pairs[1]
+        ts = [old.t + 0.1, old.t + 0.2, old.t + 0.25, new.t]
+        batch = solver._interpolate(old, new, 0.3, ts, params, grid)
+        fft_calls.clear()
+        got = norms(grid, batch, 1.5)
+        assert fft_calls == {"irfftn": 1}
+        for j, t in enumerate(ts):
+            want = norms(grid, FieldState(t, batch.u_half[j].copy(), None),
+                         1.5)
+            for key in want:
+                assert tuple(got[key][j]) == want[key], key
+
+    def test_each_step_with_records_builds_once(self, monkeypatch):
+        log = interpolating(monkeypatch)
+        cache = []
+        real = solver._interpolate
+
+        def cache_checked(*args):
+            before = solver._tables.cache_info()
+            out = real(*args)
+            cache.append(solver._tables.cache_info() == before)
+            return out
+
+        monkeypatch.setattr(solver, "_interpolate", cache_checked)
+        builds = counting_builds(monkeypatch)
+        res = run(PARAMS_34, GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3),
+                  t_end=100.0, dt=0.05, dt_policy="adaptive", outputs=40)
+        # one call per step with records inside, each one table build
+        assert len({old_t for old_t, _, _ in log}) == len(log) > 1
+        assert max(len(ts) for _, _, ts in log) > 1
+        assert sum(np.ndim(b) > 0 for b in builds) == len(log)
+        assert all(cache)
+        for old_t, new_t, ts in log:
+            assert all(old_t < t < new_t for t in ts)
+        # and no call for the steps without one
+        assert len(log) < res.steps
+        inside = {t for _, _, ts in log for t in ts}
+        assert inside < set(res.times.tolist())
+
+    def test_byte_bound_splits_without_changing_records(self,
+                                                        monkeypatch):
+        kw = dict(t_end=100.0, dt=0.05, dt_policy="adaptive", outputs=40)
+        grid, data = GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3)
+        log = interpolating(monkeypatch)
+        whole = run(PARAMS_34, grid, data, **kw)
+        longest = max(len(ts) for _, _, ts in log)
+        assert longest > 2
+        # 32 bytes per half-spectrum point: four float64 tables
+        for per_batch in (1, 2):
+            monkeypatch.setattr(solver, "INTERP_BATCH_BYTES",
+                                per_batch * 32 * (grid.N // 2 + 1))
+            log.clear()
+            split = run(PARAMS_34, grid, data, **kw)
+            assert max(len(ts) for _, _, ts in log) == per_batch
+            for key in ("times", "l2", "hsigma", "sup", "mean", "u_final"):
+                assert np.array_equal(getattr(split, key),
+                                      getattr(whole, key)), key
 
 
 class TestHalfLayoutOnly:
