@@ -211,8 +211,7 @@ def _step_stats(result) -> dict:
             "dt_min": result.dt_min, "dt_max": result.dt_max}
 
 
-def _cmd_exponents(args) -> int:
-    config = _resolve_config(args, "exponents")
+def _cmd_exponents(config: ExperimentConfig) -> int:
     rep = report(config.params)
     lines = [
         f"system: n={config.params.n} sigma={config.params.sigma} "
@@ -239,7 +238,7 @@ def _cmd_exponents(args) -> int:
     for note in rep.notes:
         lines.append(f"note: {note}")
     print("\n".join(lines))
-    if args.out:
+    if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "exponents.json", {
             "gamma": list(rep.gamma.gamma),
@@ -254,8 +253,7 @@ def _cmd_exponents(args) -> int:
     return PASS
 
 
-def _cmd_kernels(args) -> int:
-    config = _resolve_config(args, "kernels")
+def _cmd_kernels(config: ExperimentConfig) -> int:
     n, sigma = config.params.n, config.params.sigma
     tol = config.tolerances["profile"]
     cases = (("L2L2", sigma), ("L2L2", 2.0 * sigma), ("L1L2", 0.0))
@@ -269,7 +267,7 @@ def _cmd_kernels(args) -> int:
         print(f"{regime} s={s:<4g} slope {prof.slope:+.4f} "
               f"expected {prof.expected:+.4f} r2 {prof.r_squared:.5f} "
               f"{'pass' if ok else 'FAIL'}")
-    if args.out:
+    if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "kernels.json", {
             f"{regime}_s{s:g}": {
@@ -287,8 +285,7 @@ def _cmd_kernels(args) -> int:
     return VERDICT_FAILED if failed else PASS
 
 
-def _cmd_simulate(args) -> int:
-    config = _resolve_config(args, "blowup")
+def _cmd_simulate(config: ExperimentConfig) -> int:
     result = run(config.params, config.grid, config.data, **config.options)
     out_dir = _emit(config)
     write_norms_csv(out_dir / "norms.csv", result)
@@ -318,8 +315,7 @@ def _cmd_simulate(args) -> int:
     return PASS
 
 
-def _cmd_decay(args) -> int:
-    config = _resolve_config(args, "decay")
+def _cmd_decay(config: ExperimentConfig) -> int:
     rep = decay_experiment(
         config.params, config.grid, config.data,
         fit_tolerance=config.tolerances["fit"], **config.options,
@@ -358,8 +354,7 @@ def _cmd_decay(args) -> int:
     return VERDICT_FAILED if failed else PASS
 
 
-def _cmd_lifespan(args) -> int:
-    config = _resolve_config(args, "lifespan")
+def _cmd_lifespan(config: ExperimentConfig) -> int:
     sweep = lifespan_sweep(
         config.params, config.grid, config.data.components,
         fit_tolerance=config.tolerances["lifespan"], **config.options,
@@ -389,8 +384,7 @@ def _cmd_lifespan(args) -> int:
     return VERDICT_FAILED if not ok else PASS
 
 
-def _cmd_testfunc(args) -> int:
-    config = _resolve_config(args, "testfunc")
+def _cmd_testfunc(config: ExperimentConfig) -> int:
     opts = config.options
     n, sigma = config.params.n, config.params.sigma
     nu_list, r_list = opts["nu_list"], opts["r_list"]
@@ -430,15 +424,14 @@ def _cmd_testfunc(args) -> int:
         print(f"eta condition mu={mu}: FAIL ({exc})")
         eta = {"sup": None, "violated": True}
         failed = True
-    if args.out:
+    if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "testfunc.json", {
             "scaling": scaling, "stability": stability, "eta": eta})
     return VERDICT_FAILED if failed else PASS
 
 
-def _cmd_convergence(args) -> int:
-    config = _resolve_config(args, "convergence")
+def _cmd_convergence(config: ExperimentConfig) -> int:
     tols = config.tolerances
     lo, hi, tail_tol = tols["ratio_low"], tols["ratio_high"], tols["tail"]
     rep = convergence_study(config.params, config.grid, config.data,
@@ -456,10 +449,27 @@ def _cmd_convergence(args) -> int:
     failed |= not tail_ok
     print(f"resolved tail {rep.tails[-1]:.3e} < {tail_tol:g} "
           f"{'pass' if tail_ok else 'FAIL'}")
-    if args.out:
+    if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "convergence.json", asdict(rep))
     return VERDICT_FAILED if failed else PASS
+
+
+# subcommand -> (config kind, handler, help, whether --epsilon sets the
+# data size); the blow-up kind answers to `simulate`
+COMMANDS = {
+    "exponents": ("exponents", _cmd_exponents, "exponent calculus report",
+                  False),
+    "kernels": ("kernels", _cmd_kernels, "multiplier decay profiles", False),
+    "simulate": ("blowup", _cmd_simulate, "single run with blow-up verdict",
+                 True),
+    "decay": ("decay", _cmd_decay, "decay-rate experiment", True),
+    "lifespan": ("lifespan", _cmd_lifespan, "lifespan scaling sweep", False),
+    "testfunc": ("testfunc", _cmd_testfunc, "test-function lemma checks",
+                 False),
+    "convergence": ("convergence", _cmd_convergence,
+                    "temporal and spectral convergence", False),
+}
 
 
 def build_parser() -> _Parser:
@@ -476,29 +486,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sevolab", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", parser_class=_Parser)
 
-    sub.add_parser("exponents", parents=[common],
-                   help="exponent calculus report").set_defaults(
-        func=_cmd_exponents)
-    sub.add_parser("kernels", parents=[common],
-                   help="multiplier decay profiles").set_defaults(
-        func=_cmd_kernels)
-    sim = sub.add_parser("simulate", parents=[common],
-                         help="single run with blow-up verdict")
-    sim.add_argument("--epsilon", type=float, help="data size")
-    sim.set_defaults(func=_cmd_simulate)
-    dec = sub.add_parser("decay", parents=[common],
-                         help="decay-rate experiment")
-    dec.add_argument("--epsilon", type=float, help="data size")
-    dec.set_defaults(func=_cmd_decay)
-    sub.add_parser("lifespan", parents=[common],
-                   help="lifespan scaling sweep").set_defaults(
-        func=_cmd_lifespan)
-    sub.add_parser("testfunc", parents=[common],
-                   help="test-function lemma checks").set_defaults(
-        func=_cmd_testfunc)
-    sub.add_parser("convergence", parents=[common],
-                   help="temporal and spectral convergence").set_defaults(
-        func=_cmd_convergence)
+    for name, (_, _, help_text, epsilon) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=help_text)
+        if epsilon:
+            cmd.add_argument("--epsilon", type=float, help="data size")
     return parser
 
 
@@ -512,8 +503,9 @@ def cli_main(argv=None) -> int:
     if getattr(args, "cmd", None) is None:
         parser.print_help()
         return USAGE_ERROR
+    kind, handler, _, _ = COMMANDS[args.cmd]
     try:
-        return args.func(args)
+        return handler(_resolve_config(args, kind))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

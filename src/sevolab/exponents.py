@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,12 +101,14 @@ def coupling_matrix(params: SystemParams) -> np.ndarray:
     return P
 
 
+@lru_cache(maxsize=64)
 def compute_gamma(params: SystemParams) -> GammaVector:
     """Solve (P - I) gamma = (1, ..., 1) by dense LU.
 
     k stays tiny (<= 64 supported), so a dense solve with partial
     pivoting is the whole story.  The residual of the solve is checked
-    against 1e-12 and reported.
+    against 1e-12 and reported.  Cached per SystemParams (frozen and
+    hashable), so every caller of one system shares one solve.
     """
     if params.k > 64:
         raise ValueError("component counts above 64 are not supported")

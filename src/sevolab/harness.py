@@ -26,17 +26,15 @@ from .errors import (
     EmptyWindow,
     NoBlowUpAtCap,
     NonPositiveValues,
-    NotSubcritical,
 )
 from .exponents import (
     AUX_EPS,
-    SUBCRITICAL,
     SystemParams,
-    classify,
     lifespan_exponent,
     loss_of_decay_sequence,
     predicted_decay,
 )
+from .kernels import loglog_fit
 from .solver import GridSpec, InitialData, RunResult, make_initial_data, run
 from .solver import _half
 
@@ -101,7 +99,8 @@ class ConvergenceReport:
 
 def fit_power_law(t, y, window=None, *, expected: float | None = None,
                   tolerance: float = 0.1, min_points: int = 8) -> FitResult:
-    """Least squares on (log t, log y) inside the window."""
+    """kernels.loglog_fit of the samples inside the window, with the
+    verdict against expected."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if window is None:
@@ -116,17 +115,12 @@ def fit_power_law(t, y, window=None, *, expected: float | None = None,
     ts, ys = t[sel], y[sel]
     if np.any(ys <= 0.0):
         raise NonPositiveValues("series must be positive for a log-log fit")
-    lt, ly = np.log(ts), np.log(ys)
-    slope, intercept = np.polyfit(lt, ly, 1)
-    fitted = slope * lt + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r2 = loglog_fit(ts, ys)
     passed = None
     if expected is not None:
-        passed = abs(float(slope) - expected) <= tolerance and r2 >= R2_GATE
+        passed = abs(slope - expected) <= tolerance and r2 >= R2_GATE
     return FitResult(
-        slope=float(slope), intercept=float(intercept), r_squared=float(r2),
+        slope=slope, intercept=intercept, r_squared=r2,
         window=(w0, w1), expected=expected, tolerance=tolerance,
         passed=passed,
     )
@@ -263,17 +257,14 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
     flagged and skipped by the fit; fewer than 4 surviving points is a
     NoBlowUpAtCap error.
     """
-    if classify(params) != SUBCRITICAL:
-        raise NotSubcritical(
-            "lifespan scaling requires a subcritical system"
-        )
+    # NotSubcritical before any epsilon is checked
+    expected = lifespan_exponent(params)
     eps_desc = tuple(sorted(set(float(e) for e in epsilons), reverse=True))
     if len(eps_desc) < 4:
         raise ValueError(
             f"need at least 4 epsilons, got {len(eps_desc)} distinct")
     if not all(e > 0 for e in eps_desc):
         raise ValueError(f"epsilons must be positive, got {epsilons}")
-    expected = lifespan_exponent(params)
 
     _, report = make_initial_data(
         grid, InitialData(epsilon=eps_desc[0], components=tuple(components)),
@@ -309,11 +300,9 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
             f"only {len(eps_ok)} of {len(eps_desc)} runs blew up before "
             f"their caps; need 4 points for the scaling fit"
         )
-    fit = fit_power_law(
-        np.array(eps_ok), np.array([lifespans[e] for e in eps_ok]),
-        expected=expected, tolerance=fit_tolerance, min_points=4,
-    )
-    ts = [lifespans[e] for e in eps_desc if lifespans[e] is not None]
+    ts = [lifespans[e] for e in eps_ok]
+    fit = fit_power_law(np.array(eps_ok), np.array(ts), expected=expected,
+                        tolerance=fit_tolerance, min_points=4)
     monotone = all(a <= b * (1.0 + 1e-9) for a, b in zip(ts, ts[1:]))
     return LifespanSweep(
         epsilons=eps_desc,
@@ -335,7 +324,10 @@ def convergence_study(params: SystemParams, grid: GridSpec,
 
     Successive dt halvings should show error ratios near 4 (order 2);
     the spectral tail beyond the dealias cut should fall with N and
-    vanish at the resolved end of the ladder.
+    vanish at the resolved end of the ladder.  The temporal leg runs
+    grid at dt_reference and at each dt of dt_ladder, the spatial leg
+    each N of n_ladder at dt_ladder[-1]; a ladder N equal to grid.N
+    reads the temporal leg's last run, so no (grid, dt) runs twice.
     """
     if len(dt_ladder) < 3 or len(n_ladder) < 3:
         raise ValueError("need at least 3 resolutions in each ladder")
@@ -350,9 +342,10 @@ def convergence_study(params: SystemParams, grid: GridSpec,
         return res.u_final
 
     ref = final_u(grid, dt_reference)
-    errors = tuple(
-        float(np.max(np.abs(final_u(grid, d) - ref))) for d in dt_ladder
-    )
+    errors = []
+    for d in dt_ladder:
+        u_last = final_u(grid, d)
+        errors.append(float(np.max(np.abs(u_last - ref))))
     ratios = tuple(
         errors[i] / errors[i + 1] if errors[i + 1] > 0.0 else math.inf
         for i in range(len(errors) - 1)
@@ -360,14 +353,15 @@ def convergence_study(params: SystemParams, grid: GridSpec,
     tails = []
     for N in n_ladder:
         g = GridSpec(n=grid.n, N=int(N), L=grid.L)
-        u = final_u(g, dt_ladder[-1])
+        # on grid itself this is the temporal leg's last run
+        u = u_last if g == grid else final_u(g, dt_ladder[-1])
         hat = np.fft.rfftn(u, axes=g.spatial_axes)
         top = float(np.max(np.abs(hat[:, ~_half(g.dealias_mask)])))
         full = float(np.max(np.abs(hat)))
         tails.append(top / full if full > 0.0 else 0.0)
     return ConvergenceReport(
         dt_ladder=tuple(float(d) for d in dt_ladder),
-        errors=errors,
+        errors=tuple(errors),
         ratios=ratios,
         n_ladder=tuple(int(N) for N in n_ladder),
         tails=tuple(tails),

@@ -153,17 +153,23 @@ class ProfileFit:
     values: tuple
 
 
-def _loglog_fit(t, y):
+def loglog_fit(t, y) -> tuple:
+    """(slope, intercept, R^2) of the least-squares line through
+    (log t, log y), for positive y.
+
+    A series whose log varies by less than 1e-3 (a constant one
+    included) has no decay content; the near-zero slope explains it to
+    within that band, so its R^2 is 1.  No decay, lifespan or scaling
+    fit of the experiments is that flat.
+    """
     lt, ly = np.log(t), np.log(y)
-    slope, intercept = np.polyfit(lt, ly, 1)
-    # A profile varying by under 0.1% has no decay content; the near-zero
-    # slope explains it to within that band, so skip the R^2 gate.
+    slope, intercept = map(float, np.polyfit(lt, ly, 1))
     if float(np.ptp(ly)) < 1e-3:
-        return float(slope), 1.0
+        return slope, intercept, 1.0
     fitted = slope * lt + intercept
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    return float(slope), 1.0 - ss_res / ss_tot
+    return slope, intercept, 1.0 - ss_res / ss_tot
 
 
 def decay_profile(s: float, regime: str, n: int, sigma: float,
@@ -203,7 +209,7 @@ def decay_profile(s: float, regime: str, n: int, sigma: float,
         expected = -n / (4.0 * sigma)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    slope, r2 = _loglog_fit(t_grid, vals)
+    slope, _, r2 = loglog_fit(t_grid, vals)
     if r2 < 0.99:
         raise FitUnstable(
             f"decay profile fit untrusted: R^2 = {r2:.4f} < 0.99"

@@ -250,9 +250,10 @@ def make_initial_data(grid: GridSpec, data: InitialData,
         g = np.exp(-grid.radius_sq(comp.center) / comp.width ** 2)
         u0[ell] = data.epsilon * comp.amp0 * g
         u1[ell] = data.epsilon * comp.amp1 * g
-    for ell in range(k):
-        for f in (u0[ell], u1[ell]):
-            ratio = _edge_ratio(grid, f)
+        # u0 and u1 are multiples of g, so g's ratio is both of theirs;
+        # zero data has no tail to leak
+        if data.epsilon and (comp.amp0 or comp.amp1):
+            ratio = _edge_ratio(grid, g)
             if ratio > 1e-8:
                 raise DataLeakage(
                     f"component {ell + 1} tail at the box edge is "
@@ -496,14 +497,6 @@ def _ladder(x: float, dt: float) -> float:
     return dt * 2.0 ** (math.floor(4.0 * math.log2(x / dt) + 1e-9) / 4)
 
 
-@lru_cache(maxsize=4)
-def _blowup_rate(params: SystemParams) -> tuple:
-    """(lead, alpha): the index of the largest gamma_l and the rate 2
-    gamma_lead of the self-similar blow-up sup ~ (T - t)^(-alpha)."""
-    gamma = compute_gamma(params)
-    return gamma.argmax_index - 1, 2.0 * gamma.max
-
-
 def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
     """Blow-up time from the self-similar rate sup ~ (T - t)^(-alpha).
 
@@ -583,11 +576,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     |epsilon amp0| or |epsilon amp1| of the data: the linear flow
     carries u1 into u at times of order one, so data with u0 << u1 first
     grow to the scale of u1, a growth that is not the blow-up's.  Once
-    the largest sup reaches 10 s0, every accepted step adds (t,
-    sup_lead) of its predictor to a history; each time sup_lead first
-    reaches 10^d s0 for d >= 4, _extrapolate_blowup fits T on the
-    decades d - 2, d - 1 and d of that history and extrapolates the
-    three fits by Aitken's Delta^2.  When that gives a time past the
+    the largest sup reaches 10 s0, lead and alpha are read off
+    compute_gamma's cached solve (a run that never grows never solves
+    for gamma), and every accepted step adds (t, sup_lead) of its
+    predictor to a history; each time sup_lead first reaches 10^d s0
+    for d >= 4, _extrapolate_blowup fits T on the decades d - 2, d - 1
+    and d of that history and extrapolates the three fits by Aitken's
+    Delta^2.  When that gives a time past the
     state's, the run stops there: blowup_time is the extrapolated T,
     blowup_error the distance of the last decade fit from it, and the
     last accepted state is the final record.  A decade with fewer than
@@ -665,8 +660,9 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         with np.errstate(over="ignore", invalid="ignore"):
             new = step(state, h, params, grid, linear_only=linear_only,
                        estimate=adaptive)
+        peak = float(np.max(new.pred_sup))
         # NaN and inf fail the comparison too
-        if not (float(np.max(new.pred_sup)) <= BLOWUP_THRESHOLD
+        if not (peak <= BLOWUP_THRESHOLD
                 and np.isfinite(new.u_half).all()
                 and (linear_only or np.isfinite(new.nl_half).all())):
             t_blow, t_err = state.t + 0.5 * h, 0.5 * h
@@ -699,10 +695,11 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             state = replace(state, t=events[ev_idx])
             record(state)
             ev_idx += 1
-        if s0 > 0 and np.max(state.pred_sup) >= 10.0 * s0:
+        if s0 > 0 and peak >= 10.0 * s0:
             # solved here, not up front, so that runs which never grow
             # skip numpy's first linear solve (about 0.5 MB of RSS)
-            lead, alpha = _blowup_rate(params)
+            gamma = compute_gamma(params)
+            lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
             sup = float(state.pred_sup[lead])
             history.append((state.t, sup))
             fit = None

@@ -152,12 +152,8 @@ def check_scaling(nu: float, R: int, q: float | None = None,
     scored = aligned & (np.abs(x) <= grid.L / 4.0)
     src = idx[scored]
     dst = (src + shift) // R
-    if grid.n == 1:
-        a = lhs[src]
-        b = R ** (-2.0 * nu) * rhs[dst]
-    else:
-        a = lhs[np.ix_(src, src)]
-        b = R ** (-2.0 * nu) * rhs[np.ix_(dst, dst)]
+    a = lhs[np.ix_(*[src] * grid.n)]
+    b = R ** (-2.0 * nu) * rhs[np.ix_(*[dst] * grid.n)]
     scale = float(np.max(np.abs(b)))
     if scale == 0.0:
         return float(np.max(np.abs(a)))

@@ -414,10 +414,8 @@ class TestCliExitCodes:
         assert "NotSubcritical" in capsys.readouterr().err
 
 
-# subcommand -> config kind (the blow-up kind answers to `simulate`)
-KINDS = {"exponents": "exponents", "kernels": "kernels",
-         "simulate": "blowup", "decay": "decay", "lifespan": "lifespan",
-         "testfunc": "testfunc", "convergence": "convergence"}
+# subcommand -> config kind, read off the CLI's own table
+KINDS = {cmd: kind for cmd, (kind, *_) in cli.COMMANDS.items()}
 SETTABLE = [(cmd, section, key) for cmd, kind in KINDS.items()
             for section in ("options", "tolerances")
             for key in cli._DEFAULTS[kind].get(section, {})]

@@ -29,6 +29,8 @@ from sevolab.errors import (
     SingularSystem,
 )
 from sevolab.exponents import AUX_EPS, CRITICAL, SUBCRITICAL, SUPERCRITICAL
+from sevolab.harness import lifespan_sweep
+from sevolab.solver import ComponentData, GridSpec
 
 
 def gamma_exact(p):
@@ -324,3 +326,34 @@ class TestReport:
         assert rep.notes == (
             "a predicted L2 exponent is nonnegative at the auxiliary "
             f"eps = {AUX_EPS:g}",)
+
+
+class TestGammaSolvedOnce:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Counts numpy's linear solves, starting from an empty cache."""
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        compute_gamma.cache_clear()
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        yield calls
+        compute_gamma.cache_clear()
+
+    def test_report(self, solves):
+        report(sys_(1, 1.0, (2, 3)))
+        assert len(solves) == 1
+
+    def test_lifespan_sweep(self, solves):
+        # classify, the exponent, the caps and each run's blow-up rate
+        # all read the same solve
+        comps = (ComponentData(amp0=0.25, amp1=0.25),) * 2
+        sweep = lifespan_sweep(sys_(1, 1.0, (2, 2)),
+                               GridSpec(n=1, N=256, L=40.0), comps,
+                               (0.5, 1.0, 2.0, 4.0))
+        assert not any(sweep.capped)
+        assert len(solves) == 1

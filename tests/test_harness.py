@@ -115,6 +115,21 @@ class TestFitPowerLaw:
         assert abs(fit.slope) < 1e-12
         assert fit.r_squared == 1.0
 
+    def test_flat_series_has_r_squared_one(self):
+        # a log varying by under 1e-3 carries no decay to explain
+        t = np.geomspace(1.0, 100.0, 20)
+        fit = fit_power_law(t, 2.0 * np.exp(1e-4 * np.sin(t)))
+        assert fit.r_squared == 1.0
+
+    @pytest.mark.parametrize("s", [0.0, 1.0], ids=["flat", "decaying"])
+    def test_one_fit_with_the_multiplier_profiles(self, s):
+        # the s = 0 profile 1 - e^(-t) varies by 5e-5 in log on [10, 1000]
+        prof = decay_profile(s, "L2L2", 1, 1.0)
+        fit = fit_power_law(prof.t, prof.values)
+        assert fit.slope == prof.slope
+        assert fit.r_squared == prof.r_squared
+        assert (prof.r_squared == 1.0) == (s == 0.0)
+
 
 class TestMeanModeCutoff:
     def test_no_mean_runs_to_the_end(self):
@@ -331,6 +346,25 @@ class TestConvergenceStudy:
             assert 3.0 < r < 5.0
         assert rep.tails[0] > rep.tails[-1]
         assert rep.tails[-1] < 1e-10
+
+    def test_each_grid_and_dt_runs_once(self, monkeypatch):
+        # grid.N is on n_ladder, so the spatial leg reads the temporal
+        # leg's run at dt_ladder[-1] there instead of repeating it
+        runs = []
+        real_run = harness.run
+
+        def counted_run(params, grid, data, t_end, dt, **kwargs):
+            runs.append((grid.N, dt))
+            return real_run(params, grid, data, t_end, dt, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        grid = GridSpec(n=1, N=64, L=20.0)
+        dts, ns = (0.1, 0.05, 0.025), (32, 64, 128)
+        rep = convergence_study(P34, grid, self.DATA, dt_ladder=dts,
+                                dt_reference=0.0125, n_ladder=ns)
+        assert len(runs) == 1 + len(dts) + len(ns) - 1
+        assert len(set(runs)) == len(runs)
+        assert rep.tails[0] > rep.tails[1] > rep.tails[2]
 
     def test_linear_only_is_exact(self):
         rep = convergence_study(P34, self.GRID, self.DATA,

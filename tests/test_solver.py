@@ -171,6 +171,38 @@ class TestInitialData:
         assert report == {"means_u0": (0.0, 0.0), "means_u1": (0.0, 0.0)}
         assert max(norms(grid, state, 1.0)["sup"]) == 0.0
 
+    def test_one_edge_ratio_per_nonzero_component(self, monkeypatch):
+        ratios = []
+        real = solver._edge_ratio
+
+        def counted(grid, f):
+            ratios.append(f)
+            return real(grid, f)
+
+        monkeypatch.setattr(solver, "_edge_ratio", counted)
+        make_initial_data(GridSpec(n=1, N=256, L=40.0),
+                          gaussian_data(0.1, ((1.0, 2.0), (0.0, 0.0),
+                                              (0.0, 1.0))), sigma=1.0)
+        assert len(ratios) == 2
+
+    @pytest.mark.parametrize("amp0,amp1", [(1.0, 0.0), (0.0, 1.0)],
+                             ids=["u0", "u1"])
+    def test_leakage_names_the_component(self, amp0, amp1):
+        grid = GridSpec(n=1, N=256, L=40.0)
+        wide = InitialData(epsilon=0.1, components=(
+            ComponentData(amp0=1.0),
+            ComponentData(amp0=amp0, amp1=amp1, width=15.0)))
+        with pytest.raises(DataLeakage, match="component 2 tail"):
+            make_initial_data(grid, wide, sigma=1.0)
+
+    def test_zero_data_of_a_leaking_width(self):
+        grid = GridSpec(n=1, N=256, L=40.0)
+        for data in (gaussian_data(0.0, width=15.0),
+                     gaussian_data(0.1, ((0.0, 0.0), (0.0, 0.0)),
+                                   width=15.0)):
+            state, _ = make_initial_data(grid, data, sigma=1.0)
+            assert max(norms(grid, state, 1.0)["sup"]) == 0.0
+
 
 class TestLinearExactness:
     def test_multiplier_propagation(self):
