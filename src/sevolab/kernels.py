@@ -14,6 +14,16 @@ The generic formulas divide by (1 - a) and cancel catastrophically near
 the double root a = 1; every quantity here is rearranged through
 expm1-based primitives so the seam is machine accurate instead of the
 naive 4-term Taylor patch (same intent, strictly smaller mismatch).
+
+propagator_arrays evaluates each form only where it is kept, as is
+usual for the phi-functions of exponential integrators: the factors in
+t alone (e^{-t}, expm1(-t), psi2(t)) at t's own shape, the direct forms
+on the whole broadcast grid, and the special forms (the seam form of
+k1, the a < 1/2 forms of i1 and j1, the psi2 series) on the entries
+that take them, gathered by boolean masks and scattered back.  Each
+entry gets the same arithmetic, in the same order, as when every form
+ran on the whole grid and np.where kept one; tests/test_kernels.py
+keeps that builder and checks the tables against it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,22 +52,46 @@ def _phi1(x):
     return np.where(small, 1.0 - x / 2.0, out)
 
 
+# Taylor coefficients (m + 1) / (m + 2)! of (-x)^m in psi2, for
+# m = 8, ..., 0 in Horner order
+_PSI2_SERIES = tuple((m + 1) / float(math.factorial(m + 2))
+                     for m in range(8, -1, -1))
+
+
 def _psi2(x):
     """(1 - (1 + x) e^{-x}) / x^2, entire with psi2(0) = 1/2.
 
-    Series branch below |x| = 0.15; the direct form loses ~x^2 digits
-    to cancellation, which is harmless above that cut.
+    Series below |x| = 0.15, evaluated on those entries alone; the
+    direct form loses ~x^2 digits to cancellation, which is harmless
+    above that cut.  Returns an array, 0-d for a scalar x.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 0.15
     xs = np.where(small, 1.0, x)
-    direct = (-np.expm1(-xs) - xs * np.exp(-xs)) / (xs * xs)
-    # coefficients (m+1)/(m+2)! of (-x)^m
-    series = np.zeros_like(x)
-    for m in range(8, -1, -1):
-        c = (m + 1) / float(math.factorial(m + 2))
-        series = series * (-x) + c
-    return np.where(small, series, direct)
+    out = np.empty(x.shape)
+    np.divide(-np.expm1(-xs) - xs * np.exp(-xs), xs * xs, out=out)
+    neg = -x[small]
+    series = _PSI2_SERIES[0]
+    for c in _PSI2_SERIES[1:]:
+        series = series * neg + c
+    out[small] = series
+    return out
+
+
+def _grid(v, shape):
+    """v broadcast to shape, as a read-only view unless it has it."""
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
+def _at(v, mask):
+    """The entries of v, broadcast to mask's shape, where mask holds.
+
+    A 0-d v against an n-d mask is returned as it is: it broadcasts
+    against the other operands, which are gathered entries.
+    """
+    if np.ndim(v) == 0 and mask.ndim > 0:
+        return v
+    return _grid(v, mask.shape)[mask]
 
 
 def propagator_arrays(t, a):
@@ -68,42 +102,53 @@ def propagator_arrays(t, a):
     then, which is accepted behavior).  Slightly negative t is allowed:
     the closed forms continue analytically, which the residual checker
     exploits; only the roundoff clamps on the moments assume t >= 0.
+
+    A step table (scalar t) or a record batch (t of shape (m, 1, ...))
+    costs what its entries need: see the module docstring.
     """
     t = np.minimum(np.asarray(t, dtype=float), T_CAP)
     a = np.asarray(a, dtype=float)
-    t, a = np.broadcast_arrays(t, a)
-
     et = np.exp(-t)
+    em1 = np.expm1(-t)
+
     x = (a - 1.0) * t
+    shape = x.shape
     # Seam-safe form k1 = e^{-t} t phi1((a-1) t); outside the strip the
-    # direct difference quotient is cheaper and safe.
+    # direct difference quotient is cheaper and safe.  The seam entries
+    # divide by 1 and are then overwritten.
     seam = np.abs(x) < 0.5
-    one_minus_a = np.where(seam, 1.0, 1.0 - a)
-    k1_direct = (np.exp(-a * t) - et) / one_minus_a
-    # where() evaluates both branches, so keep phi1's argument in range
-    k1 = np.where(seam, et * t * _phi1(np.where(seam, x, 0.0)), k1_direct)
+    k1 = np.subtract(np.exp(-a * t), et, out=np.empty(shape))
+    k1 /= np.where(seam, 1.0, 1.0 - a)
+    k1[seam] = _at(et, seam) * _at(t, seam) * _phi1(x[seam])
 
     k0 = k1 + et
     dk0 = -a * k1
     dk1 = et - a * k1
 
-    # i1 = int_0^t k1: two algebraically exact forms, split at a = 1/2
-    # so neither divides by a small number.
-    lo = a < 0.5
-    a_lo = np.where(lo, a, 0.0)
-    a_hi = np.where(lo, 1.0, a)
-    i1_lo = (t * _phi1(a_lo * t) + np.expm1(-t)) / (1.0 - a_lo)
-    i1_hi = (-np.expm1(-t) - k1) / a_hi
-    i1 = np.where(lo, i1_lo, i1_hi)
-
-    # j1 = int_0^t s k1(s) ds, same splitting.
-    j1_lo = t * t * (_psi2(a_lo * t) - _psi2(t)) / (1.0 - a_lo)
-    j1_hi = (k1 - t * dk1 + (1.0 + a) * (i1 - t * k1)) / a_hi
-    j1 = np.where(lo, j1_lo, j1_hi)
+    # i1 = int_0^t k1 and j1 = int_0^t s k1(s) ds: two algebraically
+    # exact forms each, split at a = 1/2 so neither divides by a small
+    # number.  The a >= 1/2 forms run on the whole grid, with a_hi = 1
+    # on the other entries to keep them in range, and those entries are
+    # then overwritten with the a < 1/2 forms.
+    lo_a = a < 0.5
+    a_hi = np.where(lo_a, 1.0, a)
+    i1 = np.divide(-em1 - k1, a_hi, out=np.empty(shape))
+    j1 = np.divide(k1 - t * dk1 + (1.0 + a) * (i1 - t * k1), a_hi,
+                   out=np.empty(shape))
+    lo = _grid(lo_a, shape)
+    t_lo, a_lo = _at(t, lo), _at(a, lo)
+    at_lo = a_lo * t_lo
+    i1[lo] = (t_lo * _phi1(at_lo) + _at(em1, lo)) / (1.0 - a_lo)
+    # one psi2 call on the a t of these entries followed by t alone
+    psi = _psi2(np.concatenate([at_lo, np.ravel(t)]))
+    psi_t = psi[at_lo.size:].reshape(np.shape(t))
+    j1[lo] = (t_lo * t_lo * (psi[: at_lo.size] - _at(psi_t, lo))
+              / (1.0 - a_lo))
     # k1 and its moments are integrals of nonnegative quantities; shave
     # off the negative roundoff residue so the invariants hold exactly.
-    i1 = np.maximum(i1, 0.0)
-    j1 = np.maximum(j1, 0.0)
+    # In place; [()] hands a 0-d result back as a scalar.
+    i1 = np.maximum(i1, 0.0, out=i1)[()]
+    j1 = np.maximum(j1, 0.0, out=j1)[()]
     return k0, k1, dk0, dk1, i1, j1
 
 

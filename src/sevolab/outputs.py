@@ -56,14 +56,11 @@ def write_norms_csv(path, result) -> Path:
     names = ["t"]
     for stem in ("l2", "hs", "sup", "mean"):
         names += [f"{stem}_{ell + 1}" for ell in range(k)]
-    blocks = (result.l2, result.hsigma, result.sup, result.mean)
+    rows = np.vstack((result.times, result.l2, result.hsigma, result.sup,
+                      result.mean)).T.tolist()
     with path.open("w") as fh:
         fh.write(",".join(names) + "\n")
-        for j, t in enumerate(result.times):
-            row = [repr(float(t))]
-            for block in blocks:
-                row += [repr(float(block[ell, j])) for ell in range(k)]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
     return path
 
 

@@ -320,14 +320,22 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     i1 - w_new_u, which step() uses in that form."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
-    # Duhamel weights of the linear-in-time nonlinearity model
-    w_new_u = i1 - j1 / dt
-    w_new_v = i1 / dt
-    w_old_v = k1 - w_new_v
-    mask = _half(grid.dealias_mask)
-    return (k0, k1, dk0, dk1) + tuple(
-        w * mask for w in (i1, w_new_u, w_old_v, w_new_v)
-    )
+    # one block per kind of table: four tables are the size of a
+    # two-component state spectrum, so on a 2D grid the blocks come from
+    # the heap like the step's arrays.  One 8-row block is mmapped
+    # instead, and on the simulate-2d workload it left the heap tight
+    # enough to be trimmed and refaulted every other step.
+    prop = np.stack((k0, k1, dk0, dk1))
+    # Duhamel weights of the linear-in-time nonlinearity model, in the
+    # rows i1, w_new_u = i1 - j1 / dt, w_old_v = k1 - w_new_v and
+    # w_new_v = i1 / dt
+    w = np.empty((4,) + a.shape)
+    w[0] = i1
+    np.subtract(i1, j1 / dt, out=w[1])
+    np.divide(i1, dt, out=w[3])
+    np.subtract(k1, w[3], out=w[2])
+    w *= _half(grid.dealias_mask)
+    return (*prop, *w)
 
 
 def _power(u: np.ndarray, p: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sevolab import cli, outputs
 from sevolab.cli import cli_main
 from sevolab.config import (
+    KINDS as CONFIG_KINDS,
     ExperimentConfig,
     apply_overrides,
     config_from_dict,
@@ -154,11 +155,27 @@ def fake_run(times, k=2, seed=3):
         u_final=None, steps=7)
 
 
+def norms_csv_by_cell(result):
+    """Reference norms.csv text, converting one cell at a time."""
+    k = result.l2.shape[0]
+    names = ["t"] + [f"{stem}_{ell + 1}" for stem in ("l2", "hs", "sup",
+                                                      "mean")
+                     for ell in range(k)]
+    lines = [",".join(names)]
+    for j, t in enumerate(result.times):
+        row = [repr(float(t))]
+        for block in (result.l2, result.hsigma, result.sup, result.mean):
+            row += [repr(float(block[ell, j])) for ell in range(k)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestOutputs:
     def test_norms_csv_bit_exact(self, tmp_path):
         res = fake_run(np.geomspace(0.1, 97.3, 23))
         path = write_norms_csv(tmp_path / "norms.csv", res)
         text = path.read_text()
+        assert text == norms_csv_by_cell(res)
         assert text.startswith("t,l2_1,l2_2,hs_1,hs_2,sup_1,sup_2,"
                                "mean_1,mean_2\n")
         assert text.endswith("\n")
@@ -451,6 +468,13 @@ MISSPELT = [(cmd, section) for cmd in sorted(KINDS)
 
 
 class TestCliKeys:
+    def test_one_set_of_kinds(self):
+        # config validates the kinds, the CLI keys its defaults and its
+        # subcommands by them: the three copies must agree
+        assert (set(CONFIG_KINDS) == set(cli._DEFAULTS)
+                == set(KINDS.values()))
+        assert len(CONFIG_KINDS) == len(set(CONFIG_KINDS))
+
     @pytest.mark.parametrize("cmd,section", MISSPELT)
     def test_misspelt_key_is_usage_error(self, cmd, section, capsys):
         path = "t_edn" if section is None else f"{section}.t_edn"

@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 from sevolab.errors import FitUnstable
 from sevolab.kernels import (
     T_CAP,
+    _phi1,
     decay_profile,
     ode_residual,
     propagator_arrays,
 )
+from sevolab.solver import GridSpec
 
 E1, E2 = math.exp(-1.0), math.exp(-2.0)
 
@@ -215,3 +217,125 @@ class TestDecayProfile:
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             decay_profile(0.0, "L2Linf", 1, 1.0)
+
+
+def _psi2_where(x):
+    """psi2 with both branches on every entry, kept by np.where."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 0.15
+    xs = np.where(small, 1.0, x)
+    direct = (-np.expm1(-xs) - xs * np.exp(-xs)) / (xs * xs)
+    series = np.zeros_like(x)
+    for m in range(8, -1, -1):
+        c = (m + 1) / float(math.factorial(m + 2))
+        series = series * (-x) + c
+    return np.where(small, series, direct)
+
+
+def propagator_arrays_where(t, a):
+    """Reference builder: every form of k1, i1 and j1 on the whole
+    broadcast grid, one kept per entry by np.where."""
+    t = np.minimum(np.asarray(t, dtype=float), T_CAP)
+    a = np.asarray(a, dtype=float)
+    t, a = np.broadcast_arrays(t, a)
+
+    et = np.exp(-t)
+    x = (a - 1.0) * t
+    seam = np.abs(x) < 0.5
+    one_minus_a = np.where(seam, 1.0, 1.0 - a)
+    k1_direct = (np.exp(-a * t) - et) / one_minus_a
+    k1 = np.where(seam, et * t * _phi1(np.where(seam, x, 0.0)), k1_direct)
+
+    k0 = k1 + et
+    dk0 = -a * k1
+    dk1 = et - a * k1
+
+    lo = a < 0.5
+    a_lo = np.where(lo, a, 0.0)
+    a_hi = np.where(lo, 1.0, a)
+    i1_lo = (t * _phi1(a_lo * t) + np.expm1(-t)) / (1.0 - a_lo)
+    i1_hi = (-np.expm1(-t) - k1) / a_hi
+    i1 = np.where(lo, i1_lo, i1_hi)
+
+    j1_lo = t * t * (_psi2_where(a_lo * t) - _psi2_where(t)) / (1.0 - a_lo)
+    j1_hi = (k1 - t * dk1 + (1.0 + a) * (i1 - t * k1)) / a_hi
+    j1 = np.where(lo, j1_lo, j1_hi)
+    i1 = np.maximum(i1, 0.0)
+    j1 = np.maximum(j1, 0.0)
+    return k0, k1, dk0, dk1, i1, j1
+
+
+def _half_symbol(n, N, L, sigma):
+    a = GridSpec(n=n, N=N, L=L).symbol(sigma)
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+_ULP_HALF = (np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0))
+_SCALAR_A = (0.0, 5e-324, 1e-300, 0.3, *_ULP_HALF, 1.0 - 1e-9, 1.0,
+             1.0 + 1e-7, 40.0, 1e6)
+
+
+class TestBranchesOnTheirEntries:
+    """propagator_arrays evaluates each form only where it is kept; every
+    table stays bit-identical to the np.where reference."""
+
+    @staticmethod
+    def assert_same(t, a):
+        got, want = propagator_arrays(t, a), propagator_arrays_where(t, a)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n,N,L", [(1, 512, 40.0), (1, 64, 10.0),
+                                       (2, 64, 20.0), (2, 32, 10.0)])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+    def test_symbol_grids(self, n, N, L, sigma):
+        a = _half_symbol(n, N, L, sigma)
+        # step sizes from 0.05 to 1e3, with seam strips of every width
+        for t in (0.0, 0.05, 0.3, 2.0, 50.0, 1e3, 2e6):
+            self.assert_same(t, a)
+        # record batches: tau of shape (m, 1, ...)
+        for m in (1, 16):
+            tau = np.linspace(0.01, 3.0, m).reshape((m,) + (1,) * n)
+            self.assert_same(tau, a)
+
+    def test_batch_of_shape_m_1_1(self):
+        a = _half_symbol(1, 64, 10.0, 1.0).reshape(1, 33)
+        self.assert_same(np.geomspace(1e-4, 5.0, 7).reshape(7, 1, 1), a)
+
+    @pytest.mark.parametrize("a", _SCALAR_A)
+    def test_scalars(self, a):
+        for t in (0.0, 1e-3, 0.5, 1.0, 2.0, 40.0, 1e5):
+            self.assert_same(t, a)
+
+    def test_seam_edges(self):
+        # both sides of |(a - 1) t| = 1/2, in one array and as scalars
+        t = np.array([0.6, 2.0, 10.0, 50.0])[:, None]
+        edge = 1.0 + np.array([-1.0, 1.0]) * 0.5 / t
+        a = edge * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])[:, None, None]
+        self.assert_same(t, a)
+        for tt, aa in zip(np.broadcast_to(t, a.shape).ravel(), a.ravel()):
+            self.assert_same(tt, aa)
+
+    def test_negative_time_of_the_residual_stencil(self):
+        a = np.array([0.0, 0.3, 0.5, 1.0, 10.0, 100.0])
+        for t in (-2e-4, -1e-4, 1e-4, 2e-4):
+            self.assert_same(t, a)
+        self.assert_same(np.array([-2e-4, -1e-4, 0.0])[:, None], a[None, :])
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(5)
+        self.assert_same(rng.uniform(0.0, 50.0, 500),
+                         rng.uniform(0.0, 200.0, 500))
+
+    def test_decay_profile_grid(self):
+        t = np.geomspace(10.0, 1000.0, 41)[:, None]
+        a = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 600)])[None, :]
+        self.assert_same(t, a)
+
+    def test_subnormal_symbol(self):
+        # a discarded a >= 1/2 entry must not overflow (warnings are
+        # errors in this suite) for a = 5e-324
+        for t in (1e-3, 1.0, 1e3):
+            self.assert_same(t, np.array([0.0, 5e-324, 1e-310, 2.0]))
