@@ -133,6 +133,21 @@ def compute_gamma(params: SystemParams) -> GammaVector:
     )
 
 
+def _chain(p: tuple) -> tuple:
+    """Chain sums and products (S, Q, R), each indexed l = 1..k from 0:
+
+        S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l = 1 + p_l S_{l-1}
+        Q_l = p_1 p_2 ... p_l
+        R_l = p_2 p_3 ... p_l   (R_1 = 1)
+    """
+    S, Q, R = [1.0], [p[0]], [1.0]
+    for x in p[1:]:
+        S.append(1.0 + x * S[-1])
+        Q.append(Q[-1] * x)
+        R.append(R[-1] * x)
+    return S, Q, R
+
+
 def gamma_max_closed_form(params: SystemParams) -> float:
     """Closed form for the last gamma component:
 
@@ -140,22 +155,16 @@ def gamma_max_closed_form(params: SystemParams) -> float:
 
     Equals max(gamma) whenever component k attains the max.
     """
-    p = params.p
-    k = params.k
-    num = 1.0
-    tail = 1.0
-    # tail accumulates p_k, p_{k-1} p_k, ..., p_2 ... p_k
-    for j in range(k - 1, 0, -1):
-        tail *= p[j]
-        num += tail
-    denom = float(np.prod(p)) - 1.0
+    S, Q, _ = _chain(params.p)
+    denom = Q[-1] - 1.0
     if abs(denom) < 1e-14:
         raise SingularSystem("product of exponents equals 1; gamma undefined")
-    return num / denom
+    return S[-1] / denom
 
 
-def classify(params: SystemParams, tol: float = CRITICAL_TOL) -> str:
-    """Compare max(gamma) against n/(2*sigma).
+def classify(params: SystemParams) -> str:
+    """Compare max(gamma) against n/(2*sigma), with a gap of at most
+    CRITICAL_TOL read as equality.
 
     Below the threshold the system is supercritical (small data exist
     globally), above it subcritical (blow-up), equal is the critical
@@ -163,7 +172,7 @@ def classify(params: SystemParams, tol: float = CRITICAL_TOL) -> str:
     nothing downstream will claim a verdict there.
     """
     gap = compute_gamma(params).max - params.fujita_ratio
-    if abs(gap) <= tol:
+    if abs(gap) <= CRITICAL_TOL:
         return CRITICAL
     return SUBCRITICAL if gap > 0 else SUPERCRITICAL
 
@@ -179,33 +188,25 @@ def check_global_conditions(params: SystemParams) -> dict:
                          for l = 2..k-1 (vacuous for k = 2)
       low_dim            n <= 2 sigma
       p_min_two          every p_l >= 2
-      gamma_supercritical  max gamma < n/(2 sigma), strict
-      gamma_subcritical    max gamma > n/(2 sigma), strict (blow-up side)
+      gamma_supercritical  classify(params) == SUPERCRITICAL
+      gamma_subcritical    classify(params) == SUBCRITICAL (blow-up side)
       lifespan_lower_scope p_min_two and low_dim (regime of the lower
                            lifespan bound that the experiments cover)
 
-    The chain bound is non-strict while the supercritical bound is
-    strict; its boundary case is untested territory and is reported
-    as-is.
+    On the critical borderline both gamma flags are False.
     """
     p = params.p
     ratio = 2.0 * params.sigma / params.n  # = 1 / fujita_ratio
+    S, Q, _ = _chain(p)
+    cls = classify(params)
     flags = {}
     flags["fujita_p1"] = p[0] <= 1.0 + ratio
-    chain_ok = True
-    num = p[0]  # running product p_1 ... p_l
-    den = 1.0   # running sum 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
-    for ell in range(1, params.k - 1):
-        num *= p[ell]
-        den = den * p[ell] + 1.0
-        if (num - 1.0) / den > ratio:
-            chain_ok = False
-    flags["chain_products"] = chain_ok
+    flags["chain_products"] = all(
+        (Q[ell] - 1.0) / S[ell] <= ratio for ell in range(1, params.k - 1))
     flags["low_dim"] = params.n <= 2.0 * params.sigma
     flags["p_min_two"] = min(p) >= 2.0
-    gmax = compute_gamma(params).max
-    flags["gamma_supercritical"] = gmax < params.fujita_ratio
-    flags["gamma_subcritical"] = gmax > params.fujita_ratio
+    flags["gamma_supercritical"] = cls == SUPERCRITICAL
+    flags["gamma_subcritical"] = cls == SUBCRITICAL
     flags["lifespan_lower_scope"] = flags["p_min_two"] and flags["low_dim"]
     return flags
 
@@ -215,41 +216,45 @@ def loss_of_decay_sequence(params: SystemParams, eps: float) -> tuple:
 
     Recursion: eps_1 = 1 - (n/2sigma)(p_1 - 1) + eps and
     eps_l = 1 - (n/2sigma)(p_l - 1) + p_l eps_{l-1} for l = 2..k-1.
-    The expanded closed form
+    The closed form, in the chain sums of `_chain`,
 
-        eps_l = (1 + p_l + ... + p_2...p_l)
-                - (n/2sigma)(p_1...p_l - 1) + p_2...p_l * eps
+        eps_l = S_l - (n/2sigma)(Q_l - 1) + R_l * eps
 
     is evaluated independently and both are required to agree to 1e-12.
+    Its eps-free part is `decay_slack`.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     p = params.p
     r = params.fujita_ratio
-    k = params.k
     seq = [1.0 - r * (p[0] - 1.0) + eps]
-    for ell in range(1, k - 1):
+    for ell in range(1, params.k - 1):
         seq.append(1.0 - r * (p[ell] - 1.0) + p[ell] * seq[-1])
     seq.append(0.0)
 
-    # Independent expanded form, accumulated left to right.
-    s = 1.0      # 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
-    q = p[0]     # p_1 p_2 ... p_l
-    rtail = 1.0  # p_2 p_3 ... p_l
-    expanded = [s - r * (q - 1.0) + rtail * eps]
-    for ell in range(1, k - 1):
-        s = 1.0 + p[ell] * s
-        q *= p[ell]
-        rtail *= p[ell]
-        expanded.append(s - r * (q - 1.0) + rtail * eps)
-    expanded.append(0.0)
+    S, Q, R = _chain(p)
+    closed = [S[ell] - r * (Q[ell] - 1.0) + R[ell] * eps
+              for ell in range(params.k - 1)] + [0.0]
     scale = max(1.0, max(abs(x) for x in seq))
-    mismatch = max(abs(a - b) for a, b in zip(seq, expanded)) / scale
+    mismatch = max(abs(a - b) for a, b in zip(seq, closed)) / scale
     if mismatch > 1e-12:
         raise AssertionError(
             f"loss-of-decay recursion and closed form disagree by {mismatch:.3e}"
         )
     return tuple(seq)
+
+
+def decay_slack(params: SystemParams) -> tuple:
+    """The loss-of-decay sequence as eps -> 0, clipped at zero:
+    max(0, S_l - (n/2sigma)(Q_l - 1)) for l < k, and 0 for l = k.
+
+    This is the width of the interval [-n/4s, -n/4s + slack_l] the
+    theory leaves a component's L2 decay exponent in.
+    """
+    S, Q, _ = _chain(params.p)
+    r = params.fujita_ratio
+    return tuple(max(0.0, S[ell] - r * (Q[ell] - 1.0))
+                 for ell in range(params.k - 1)) + (0.0,)
 
 
 def predicted_decay(params: SystemParams) -> tuple:
@@ -282,10 +287,10 @@ def lifespan_exponent(params: SystemParams) -> float:
         exponent = -1 / (max gamma - n/(2 sigma)),
 
     defined only on the subcritical side."""
-    if classify(params) != SUBCRITICAL:
+    cls = classify(params)
+    if cls != SUBCRITICAL:
         raise NotSubcritical(
-            f"lifespan scaling needs a subcritical system, "
-            f"got {classify(params)}"
+            f"lifespan scaling needs a subcritical system, got {cls}"
         )
     return -1.0 / (compute_gamma(params).max - params.fujita_ratio)
 

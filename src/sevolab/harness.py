@@ -30,6 +30,7 @@ from .errors import (
 from .exponents import (
     AUX_EPS,
     SystemParams,
+    decay_slack,
     lifespan_exponent,
     loss_of_decay_sequence,
     predicted_decay,
@@ -126,18 +127,6 @@ def fit_power_law(t, y, window=None, *, expected: float | None = None,
     )
 
 
-def _decay_slack(params: SystemParams) -> tuple:
-    """Loss-of-decay sequence at vanishing auxiliary epsilon.
-
-    The sequence is affine in epsilon, so two evaluations pin the
-    limit exactly; the last component's slack is zero by construction.
-    """
-    e = 1e-6
-    a = loss_of_decay_sequence(params, e)
-    b = loss_of_decay_sequence(params, 2.0 * e)
-    return tuple(max(0.0, 2.0 * x - y) for x, y in zip(a, b))
-
-
 def mean_mode_cutoff(grid: GridSpec, result: RunResult,
                      fraction: float = FLOOR_FRACTION) -> float:
     """First time the constant mode carries `fraction` of some
@@ -218,7 +207,7 @@ def decay_experiment(params: SystemParams, grid: GridSpec,
         )
     if window is None:
         window = (WINDOW_START, mean_mode_cutoff(grid, result))
-    slack = _decay_slack(params)
+    slack = decay_slack(params)
     base = -params.n / (4.0 * params.sigma)
     fits_l2, fits_hs = [], []
     for ell in range(params.k):

@@ -430,6 +430,20 @@ class TestCliExitCodes:
         assert code == 1
         assert "NotSubcritical" in capsys.readouterr().err
 
+    def test_critical_system_gets_no_decay_verdict(self, tmp_path, capsys):
+        # max gamma = n/(2 sigma) up to an ulp below: neither regime flag
+        # holds, so no rate is predicted and decay refuses to run
+        system = ["--sigma", "1.25", "--p", "3.0833333333333335,6"]
+        assert cli_main(["exponents", *system]) == 0
+        out = capsys.readouterr().out
+        assert "classification: Critical" in out
+        assert "gamma_supercritical=FAIL, gamma_subcritical=FAIL" in out
+        assert "decay L2" not in out and "decay Hsigma" not in out
+        code = cli_main(["decay", *system, "--out", str(tmp_path)])
+        assert code == 1
+        assert "ConditionsUnmet" in capsys.readouterr().err
+        assert not (tmp_path / "decay.json").exists()
+
 
 # subcommand -> config kind, read off the CLI's own table
 KINDS = {cmd: kind for cmd, (kind, *_) in cli.COMMANDS.items()}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sevolab import (
     SystemParams,
@@ -28,7 +28,14 @@ from sevolab.errors import (
     NotSubcritical,
     SingularSystem,
 )
-from sevolab.exponents import AUX_EPS, CRITICAL, SUBCRITICAL, SUPERCRITICAL
+from sevolab.exponents import (
+    AUX_EPS,
+    CRITICAL,
+    SUBCRITICAL,
+    SUPERCRITICAL,
+    _chain,
+    decay_slack,
+)
 from sevolab.harness import lifespan_sweep
 from sevolab.solver import ComponentData, GridSpec
 
@@ -155,6 +162,114 @@ class TestClassification:
         assert not check_global_conditions(
             sys_(1, 1.0, (3.01, 4))
         )["fujita_p1"]
+
+
+def critical_p1(n, sigma, p2):
+    """p_1 that puts gamma_2 = (1 + p_2)/(p_1 p_2 - 1) of a k = 2
+    system on n/(2 sigma); gamma_2 is the max when p_1 <= p_2."""
+    r = n / (2.0 * sigma)
+    return ((1.0 + p2) / r + 1.0) / p2
+
+
+# Critical systems whose computed max gamma misses n/(2 sigma) by an
+# ulp: the first falls 5.6e-17 below it, the second 2.2e-16 above.
+CRITICAL_SYSTEMS = [(1, 1.25, (3.0833333333333335, 6.0)),
+                    (2, 1.0, (1.3333333333333333, 6.0))]
+
+
+class TestCriticalBorderline:
+    """Critical systems get no verdict: no regime flag, no predicted
+    decay, no lifespan."""
+
+    @pytest.mark.parametrize("n,sigma,p", CRITICAL_SYSTEMS)
+    def test_no_verdict(self, n, sigma, p):
+        assert critical_p1(n, sigma, p[1]) == p[0]
+        params = sys_(n, sigma, p)
+        assert classify(params) == CRITICAL
+        flags = check_global_conditions(params)
+        assert flags["gamma_supercritical"] is False
+        assert flags["gamma_subcritical"] is False
+        with pytest.raises(ConditionsUnmet, match="gamma_supercritical"):
+            predicted_decay(params)
+        with pytest.raises(NotSubcritical):
+            lifespan_exponent(params)
+        assert report(params).decay_L2 == ()
+
+    @given(
+        n=st.integers(1, 4),
+        sigma=st.floats(1.0, 3.0),
+        p2=st.floats(1.05, 8.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_family_is_critical(self, n, sigma, p2):
+        p1 = critical_p1(n, sigma, p2)
+        assume(1.05 < p1 <= p2)
+        params = sys_(n, sigma, (p1, p2))
+        assert classify(params) == CRITICAL
+        flags = check_global_conditions(params)
+        assert not flags["gamma_supercritical"]
+        assert not flags["gamma_subcritical"]
+
+    @given(
+        n=st.integers(1, 4),
+        sigma=st.floats(1.0, 3.0),
+        p=st.lists(st.floats(1.05, 8.0), min_size=2, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_flags_follow_classify(self, n, sigma, p):
+        params = sys_(n, sigma, p)
+        cls = classify(params)
+        flags = check_global_conditions(params)
+        assert flags["gamma_supercritical"] == (cls == SUPERCRITICAL)
+        assert flags["gamma_subcritical"] == (cls == SUBCRITICAL)
+
+
+def slack_two_evaluations(params):
+    """The eps -> 0 limit of the loss-of-decay sequence extrapolated
+    from eps = 1e-6 and 2e-6, clipped at zero."""
+    e = 1e-6
+    a = loss_of_decay_sequence(params, e)
+    b = loss_of_decay_sequence(params, 2.0 * e)
+    return tuple(max(0.0, 2.0 * x - y) for x, y in zip(a, b))
+
+
+class TestChainSums:
+    @given(p=st.lists(st.floats(1.05, 8.0), min_size=2, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_brute_force(self, p):
+        S, Q, R = _chain(tuple(p))
+        assert len(S) == len(Q) == len(R) == len(p)
+        for ell in range(len(p)):
+            # S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
+            s = 1.0 + sum(float(np.prod(p[j:ell + 1]))
+                          for j in range(1, ell + 1))
+            assert S[ell] == pytest.approx(s, rel=1e-13)
+            assert Q[ell] == pytest.approx(float(np.prod(p[:ell + 1])),
+                                           rel=1e-13)
+            assert R[ell] == pytest.approx(float(np.prod(p[1:ell + 1])),
+                                           rel=1e-13)
+
+    def test_slack_frozen(self):
+        assert decay_slack(sys_(1, 1.0, (3, 4))) == (0.0, 0.0)
+
+    @given(
+        n=st.integers(1, 4),
+        sigma=st.floats(1.0, 3.0),
+        p=st.lists(st.floats(1.05, 8.0), min_size=2, max_size=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slack_is_the_eps_free_limit(self, n, sigma, p):
+        params = sys_(n, sigma, p)
+        slack = decay_slack(params)
+        assert len(slack) == params.k
+        assert min(slack) >= 0.0
+        assert slack[-1] == 0.0
+        # the extrapolation cancels two entries of the sequence's size,
+        # so it is good to a few ulps of that size, not absolutely
+        want = slack_two_evaluations(params)
+        scale = max(1.0, max(abs(x) for x in
+                             loss_of_decay_sequence(params, 1e-6)))
+        assert max(abs(a - b) for a, b in zip(slack, want)) <= 1e-13 * scale
 
 
 class TestLossOfDecay:
