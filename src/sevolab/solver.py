@@ -5,16 +5,17 @@ propagator from kernels; the nonlinearity |u_{l-1}|^{p_l} (component 1
 is forced by component k) is evaluated pointwise in physical space
 and injected through the Duhamel moment weights with one
 predictor-corrector sweep, so the stepper is second order in dt while
-remaining exact on linear problems.  The weights carry the 2/3-rule
-dealias mask, so the forcing is dealiased as it enters, at no extra
-pass over the spectrum.  The gap between the predictor and the
-corrector is the local error estimate by which adaptive runs accept,
-reject and size their steps.
+remaining exact on linear problems.  The forcing spectrum holds only
+the kept block of the 2/3 rule (|m| <= N/3 on every axis), so the
+forcing is dealiased by construction: its forward transform computes
+only that block, and its weights and products live on it.  The gap
+between the predictor and the corrector is the local error estimate
+by which adaptive runs accept, reject and size their steps.
 
 The fields are real, so a state holds rfftn half spectra (the m >= 0
 half of the last axis) and the solver uses real transforms only: the
-propagator tables, the masked Duhamel weights, the nonlinearity and
-the Parseval sums of norms() live on that half, and the inverse
+propagator tables and the Parseval sums of norms() live on that half,
+the Duhamel weights and the forcing on its kept block, and the inverse
 transforms are irfftn, which returns real fields by construction.  The
 full fftn layout is built only when a caller reads FieldState.u_hat or
 v_hat.
@@ -23,10 +24,11 @@ A stepped state carries the spectrum of the forcing its step evaluated
 at the predictor, which the next step uses in place of the forcing at
 the corrected field ("first same as last", Dormand & Prince 1980): the
 local error stays O(dt^3).  A nonlinear step thus costs 1 irfftn (the
-predictor) + 1 rfftn (its forcing).  The corrector stays a spectrum;
-it is transformed at most once, the first time norms() reads its
-FieldState.u, and the step's error estimate and run()'s blow-up check
-read the predictor and the spectral predictor-corrector gap instead.
+predictor) + 1 forward transform of its forcing, pruned to the block.
+The corrector stays a spectrum; it is transformed at most once, the
+first time norms() reads its FieldState.u, and the step's error
+estimate and run()'s blow-up check read the predictor and the spectral
+predictor-corrector gap instead.
 The records strictly inside one step are read off its interpolant as
 one batch, a FieldState stacked over their times: one propagator
 table build, one irfftn and one norms() call serve them all.
@@ -130,13 +132,38 @@ class GridSpec:
         """Multiplier a(xi) = |xi|^(2 sigma); a(0) = 0."""
         return self.xi_squared ** sigma
 
+    @property
+    def dealias_cut(self) -> int:
+        """Largest |m| the 2/3 rule keeps on each axis: |m| <= N/3."""
+        return self.N // 3
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         m = np.abs(np.fft.fftfreq(self.N, d=1.0 / self.N))
-        keep = m <= self.N / 3.0
+        keep = m <= self.dealias_cut
         if self.n == 2:
             keep = keep[:, None] & keep[None, :]
         return keep
+
+    @cached_property
+    def block_shape(self) -> tuple:
+        """Shape of the kept block of the 2/3 rule on the half spectrum:
+        c = dealias_cut + 1 columns m = 0..c - 1 and, in 2D, 2c - 1
+        rows m = 0..c - 1, -(c - 1)..-1.  The mask is a tensor product,
+        so the block is exactly its support."""
+        c = self.dealias_cut + 1
+        return (2 * c - 1,) * (self.n - 1) + (c,)
+
+    @cached_property
+    def block_pieces(self) -> tuple:
+        """(half-spectrum index, block index) pairs that place the block
+        in the rfftn half layout: one piece in 1D, and in 2D the rows
+        m >= 0 and m < 0, which sit at the two ends of that layout."""
+        c = self.dealias_cut + 1
+        if self.n == 1:
+            return ((np.s_[..., :c], np.s_[...]),)
+        return ((np.s_[..., :c, :c], np.s_[..., :c, :]),
+                (np.s_[..., 1 - c:, :c], np.s_[..., c:, :]))
 
     @cached_property
     def parseval_weights(self) -> np.ndarray:
@@ -157,9 +184,11 @@ class FieldState:
     step ends (_interpolate) come as one batch: t holds their m times,
     shape (m,), u_half is stacked to shape (m, k) + grid.shape[:-1] +
     (N/2 + 1,), and v_half is None.  The other fields are set when the
-    state came out of step(), else None.  nl_half is the rfftn of the
-    forcing |u_{l-1}|^{p_l} at the step's predictor u_pred, same layout
-    (None after a linear_only step), which the next step reuses.
+    state came out of step(), else None.  nl_half is the spectrum of the
+    forcing |u_{l-1}|^{p_l} at the step's predictor u_pred on the kept
+    block of the 2/3 rule only, shape (k,) + grid.block_shape (see
+    _nonlinearity_hat; None after a linear_only step), which the next
+    step reuses.
     pred_sup holds max |u_pred_l| per component, the numbers run()'s
     blow-up check reads (for linear_only, whose steps are exact, the
     sup of the field itself).  err is the local error estimate of the
@@ -304,20 +333,36 @@ def _full(half: np.ndarray) -> np.ndarray:
     return full
 
 
+def _block(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The kept block (grid.block_shape on the last n axes) of an array
+    in the rfftn half layout, or in that layout cut to the block's
+    columns, as a new array."""
+    out = np.empty(half.shape[:-grid.n] + grid.block_shape, half.dtype)
+    for at_half, at_block in grid.block_pieces:
+        out[at_block] = half[at_half]
+    return out
+
+
+def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
+    """half += block on the block's modes, in place through views."""
+    for at_half, at_block in grid.block_pieces:
+        half[at_half] += block[at_block]
+
+
 # step tables only: a fixed-dt run needs its dt table plus at most one
 # for a last step clipped to an off-grid t_end, and an adaptive run one
 # per ladder size it steps with; the interpolants of records inside a
 # step build their own tables outside the cache (see _interpolate).  An
-# entry holds 8 float64 half-spectrum tables (2.1 MB on a 2D grid of
-# N = 256, 66 KB on a 1D grid of N = 2048)
+# entry holds 4 float64 half-spectrum tables and 4 on the kept block
+# (1.53 MB on a 2D grid of N = 256, 55 KB on a 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
-    """Propagator tables k0, k1, dk0, dk1 and Duhamel weights i1,
-    w_new_u, w_old_v, w_new_v on the half spectrum.  The 2/3-rule
-    dealias mask lives only here, folded into the four weights that
-    multiply a nonlinearity spectrum; the propagator tables, which act
-    on the state, stay unmasked.  u's old-forcing weight j1 / dt is
-    i1 - w_new_u, which step() uses in that form."""
+    """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
+    Duhamel weights i1, w_new_u, w_old_v, w_new_v on its kept block
+    (see _block).  The weights multiply a forcing spectrum, which holds
+    only that block; the propagator tables act on the state.  u's
+    old-forcing weight j1 / dt is i1 - w_new_u, which step() uses in
+    that form."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # one block per kind of table: four tables are the size of a
@@ -329,12 +374,12 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     # Duhamel weights of the linear-in-time nonlinearity model, in the
     # rows i1, w_new_u = i1 - j1 / dt, w_old_v = k1 - w_new_v and
     # w_new_v = i1 / dt
-    w = np.empty((4,) + a.shape)
+    i1, j1, k1 = (_block(x, grid) for x in (i1, j1, k1))
+    w = np.empty((4,) + grid.block_shape)
     w[0] = i1
     np.subtract(i1, j1 / dt, out=w[1])
     np.divide(i1, dt, out=w[3])
     np.subtract(k1, w[3], out=w[2])
-    w *= _half(grid.dealias_mask)
     return (*prop, *w)
 
 
@@ -351,14 +396,19 @@ def _power(u: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _nonlinearity_hat(u_phys, params, axes):
-    """rfftn of the forcing |u_{l-1}|^{p_l}, undealiased: the weights of
-    _tables carry the mask."""
+def _nonlinearity_hat(u_phys, params, grid):
+    """The spectrum of the forcing |u_{l-1}|^{p_l} on the kept block of
+    the 2/3 rule only, bit for bit the block of its rfftn: rfft on the
+    last axis keeps the block's columns, and in 2D the fft along the
+    rows runs on those columns only before the block's rows are kept."""
     k = u_phys.shape[0]
     N = np.empty_like(u_phys)
     for ell in range(k):
         N[ell] = _power(u_phys[(ell - 1) % k], params.p[ell])
-    return np.fft.rfftn(N, axes=axes)
+    Nh = np.fft.rfft(N)[..., : grid.block_shape[-1]]
+    if grid.n == 2:
+        Nh = np.fft.fft(Nh, axis=-2)
+    return _block(Nh, grid)
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
@@ -369,13 +419,15 @@ def step(state: FieldState, dt: float, params: SystemParams,
     Linear part exact per mode; nonlinearity handled by an exponential
     predictor-corrector (second order).  The old forcing is the
     state's nl_half when set, else it is evaluated at the state's field
-    (one more irfftn and rfftn).  With w_old_u + w_new_u = i1 the
-    corrector is the predictor's spectrum plus the gap w_new_u (N_new -
-    N_old), so the corrected field is never transformed here.  The new
-    state carries the new forcing, the predictor's sup per component
-    and, with estimate=True, the estimate err, which costs no
-    transform.  Pure numerics: a step that overflows returns non-finite
-    spectra or sups, and judging blow-up is left to run().
+    (one more irfftn and forward transform).  The forcing terms are
+    formed on the kept block and added into the spectra there.  With
+    w_old_u + w_new_u = i1 the corrector is the predictor's spectrum
+    plus the gap w_new_u (N_new - N_old), so the corrected field is
+    never transformed here.  The new state carries the new forcing, the
+    predictor's sup per component and, with estimate=True, the estimate
+    err, which costs no transform.  Pure numerics: a step that
+    overflows returns non-finite spectra or sups, and judging blow-up is
+    left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -387,22 +439,23 @@ def step(state: FieldState, dt: float, params: SystemParams,
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
-            Nh_old = _nonlinearity_hat(state.u, params, axes)
-        u_half += i1 * Nh_old
+            Nh_old = _nonlinearity_hat(state.u, params, grid)
+        _add_block(u_half, i1 * Nh_old, grid)
     # the predictor, or for linear_only the exact new field
     u_pred = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
     sup = np.max(np.abs(u_pred), axis=axes)
     if linear_only:
         return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
                           err=0.0 if estimate else None)
-    Nh_new = _nonlinearity_hat(u_pred, params, axes)
+    Nh_new = _nonlinearity_hat(u_pred, params, grid)
     gap = w_nu * (Nh_new - Nh_old)
-    u_half += gap
-    v_half += w_ov * Nh_old
-    v_half += w_nv * Nh_new
+    _add_block(u_half, gap, grid)
+    _add_block(v_half, w_ov * Nh_old, grid)
+    _add_block(v_half, w_nv * Nh_new, grid)
     err = None
     if estimate:
-        bound = np.sum(grid.parseval_weights * np.abs(gap), axis=axes)
+        weights = grid.parseval_weights[: grid.block_shape[-1]]
+        bound = np.sum(weights * np.abs(gap), axis=axes)
         err = float(np.max(bound / grid.N ** grid.n / np.maximum(sup, TINY)))
     return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
                       pred_sup=sup, err=err)
@@ -414,13 +467,13 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     the Duhamel interpolant of the step of size h from old to new.
 
     With tau = t - old.t, u(t) = k0 u + k1 v + i1 N_old + (tau / h)
-    w_new_u (N_new - N_old), with w_new_u = (i1 - j1 / tau) mask and i1
-    masked as in _tables: the exact flow of the forcing that is linear
-    in time from N_old, the forcing step() started from, to N_new, the
-    one at the predictor that new carries.  At tau = h it is step()'s
-    corrector, and it is second order like the step.  One
-    propagator_arrays call on tau of shape (m, 1, ...) builds the four
-    tables for all m times, outside the _tables cache.  N_old is
+    w_new_u (N_new - N_old), with w_new_u = i1 - j1 / tau and the
+    forcing terms on the kept block as in _tables: the exact flow of
+    the forcing that is linear in time from N_old, the forcing step()
+    started from, to N_new, the one at the predictor that new carries.
+    At tau = h it is step()'s corrector, and it is second order like
+    the step.  One propagator_arrays call on tau of shape (m, 1, ...)
+    builds the tables for all m times, outside the _tables cache.  N_old is
     old.nl_half, or evaluated at old.u when unset, as step() does; a
     linear_only step (new.nl_half None) has no forcing.  The batch has
     t = ts as an array and carries u_half only.
@@ -431,13 +484,13 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     k0, k1, _, _, i1, j1 = propagator_arrays(tau, a)
     u_half = k0 * old.u_half + k1 * old.v_half
     if new.nl_half is not None:
-        mask = _half(grid.dealias_mask)
         Nh_old = old.nl_half
         if Nh_old is None:
-            Nh_old = _nonlinearity_hat(old.u, params, grid.spatial_axes)
-        u_half += (i1 * mask) * Nh_old
-        u_half += (tau / h) * ((i1 - j1 / tau) * mask) * (new.nl_half
-                                                          - Nh_old)
+            Nh_old = _nonlinearity_hat(old.u, params, grid)
+        i1, j1 = _block(i1, grid), _block(j1, grid)
+        _add_block(u_half, i1 * Nh_old, grid)
+        _add_block(u_half, (tau / h) * (i1 - j1 / tau)
+                   * (new.nl_half - Nh_old), grid)
     return FieldState(ts, u_half, None)
 
 

@@ -418,7 +418,10 @@ class TestHalfSpectrumStep:
             state = step(state, 0.1, params, grid)
             assert rel_err(state.u_hat, want_u) <= 1e-13
             assert rel_err(state.v_hat, want_v) <= 1e-13
-            assert rel_err(solver._full(state.nl_half), nh) <= 1e-13
+            # the carried forcing holds the reference's kept block, in
+            # the order of the half layout's rows
+            kept = solver._half(nh)[:, solver._half(grid.dealias_mask)]
+            assert rel_err(state.nl_half.reshape(kept.shape), kept) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_real_by_construction(self, n):
@@ -476,6 +479,11 @@ def fft_calls(monkeypatch):
     return calls
 
 
+def nonzero(**counts):
+    """The counts that are not 0, as fft_calls holds them."""
+    return {name: c for name, c in counts.items() if c}
+
+
 def irfftn_after_each(monkeypatch, fft_calls, name):
     """Patch solver.<name> to log the irfftn count after each call;
     returns the log."""
@@ -500,7 +508,9 @@ class TestTransformBudget:
         state = step(state, 0.1, params, grid)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        assert fft_calls == {"rfftn": 1, "irfftn": 1}
+        # the forcing's pruned forward transform: rfft, then fft along
+        # each other axis
+        assert fft_calls == nonzero(rfft=1, fft=n - 1, irfftn=1)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_linear_only_step(self, n, fft_calls):
@@ -531,7 +541,7 @@ class TestTransformBudget:
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        assert fft_calls == {"rfftn": 2, "irfftn": 2}
+        assert fft_calls == nonzero(rfft=2, fft=2 * (n - 1), irfftn=2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_recorded_output_transforms_the_corrector(self, n, fft_calls):
@@ -553,8 +563,10 @@ class TestTransformBudget:
         assert res.steps >= 20 and not res.blown_up
         records = len(res.times)
         # setup: rfftn of u0 and u1; the first step evaluates its old
-        # forcing from the field the t = 0 record transformed
-        assert fft_calls == {"rfftn": 2 + 1 + res.steps,
+        # forcing from the field the t = 0 record transformed, and each
+        # forcing's pruned forward transform is one rfft and one fft
+        assert fft_calls == {"rfftn": 2, "rfft": 1 + res.steps,
+                             "fft": 1 + res.steps,
                              "irfftn": res.steps + records}
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -1183,10 +1195,10 @@ def per_time_interpolant(old, new, h, t, params, grid):
     if new.nl_half is not None:
         Nh_old = old.nl_half
         if Nh_old is None:
-            Nh_old = solver._nonlinearity_hat(old.u, params,
-                                              grid.spatial_axes)
-        u_half += i1 * Nh_old
-        u_half += (tau / h) * w_nu * (new.nl_half - Nh_old)
+            Nh_old = solver._nonlinearity_hat(old.u, params, grid)
+        solver._add_block(u_half, i1 * Nh_old, grid)
+        solver._add_block(u_half, (tau / h) * w_nu * (new.nl_half - Nh_old),
+                          grid)
     return u_half
 
 
@@ -1417,17 +1429,88 @@ class TestMaskedWeights:
         k0, k1, dk0, dk1, i1, j1 = propagator_arrays(
             dt, solver._half(grid.symbol(1.0)))
         tables = solver._tables(grid, 1.0, dt)
-        # the propagator tables act on the state and stay unmasked
+        # the propagator tables act on the state and stay full and
+        # unmasked
         for got, want in zip(tables[:4], (k0, k1, dk0, dk1)):
+            assert got.shape == mask.shape
             assert np.array_equal(got, want)
-        # i1, w_new_u, w_old_v, w_new_v multiply a nonlinearity spectrum
-        # and carry the 2/3-rule mask
+        # i1, w_new_u, w_old_v, w_new_v multiply a forcing spectrum and
+        # live on the mask's support only, where they are the unmasked
+        # formulas
         weights = (i1, i1 - j1 / dt, k1 - i1 / dt, i1 / dt)
         assert len(tables) == 4 + len(weights)
         for got, want in zip(tables[4:], weights):
-            assert np.all(got[~mask] == 0.0)
-            assert np.array_equal(got[mask], want[mask])
+            assert got.shape == grid.block_shape
+            assert np.array_equal(got.ravel(), want[mask])
             assert np.all(want[~mask] != 0.0)
+
+
+class TestKeptBlock:
+    """The forcing spectrum holds only the modes the 2/3 rule keeps:
+    c = N//3 + 1 half-spectrum columns and, in 2D, 2c - 1 rows."""
+
+    @pytest.mark.parametrize("N", [8, 32, 256, 2048])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_block_is_the_mask_support(self, n, N):
+        grid = GridSpec(n=n, N=N, L=10.0)
+        c = N // 3 + 1
+        assert grid.block_shape == (2 * c - 1,) * (n - 1) + (c,)
+        mask = solver._half(grid.dealias_mask)
+        # the block reads the kept modes in the order of the half layout
+        index = np.arange(mask.size).reshape(mask.shape)
+        assert np.array_equal(solver._block(index, grid).ravel(),
+                              index[mask])
+        # and adding it back covers each kept mode once, nothing else
+        placed = np.zeros(mask.shape, dtype=int)
+        solver._add_block(placed, np.ones(grid.block_shape, dtype=int),
+                          grid)
+        assert np.array_equal(placed, mask.astype(int))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nl_half_shape(self, n):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        for _ in range(2):
+            state = step(state, 0.1, params, grid)
+            assert state.nl_half.shape == ((2, 11) if n == 1
+                                           else (2, 21, 11))
+
+    @pytest.mark.parametrize("p", [(3.0, 4.0), (2.5, 2.0)])
+    @pytest.mark.parametrize("n, N", [(1, 32), (1, 2048), (2, 32),
+                                      (2, 256)])
+    def test_pruned_transform_is_the_rfftn_block_bit_for_bit(self, n, N,
+                                                             p):
+        grid = GridSpec(n=n, N=N, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=p)
+        u = np.random.default_rng(5).normal(size=(2,) + grid.shape)
+        force = np.stack([_power(u[1], p[0]), _power(u[0], p[1])])
+        full = np.fft.rfftn(force, axes=grid.spatial_axes)
+        want = full[:, solver._half(grid.dealias_mask)]
+        got = solver._nonlinearity_hat(u, params, grid)
+        assert got.shape == (2,) + grid.block_shape
+        assert np.array_equal(got.reshape(want.shape), want)
+
+    def test_second_pass_covers_the_block_columns(self, monkeypatch):
+        grid = GridSpec(n=2, N=256, L=10.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        shapes = []
+        real = np.fft.fft
+
+        def logged(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", logged)
+        solver._nonlinearity_hat(np.ones((2,) + grid.shape), params, grid)
+        assert shapes == [(2, 256, 86)]
+
+    def test_table_entry_bytes(self):
+        # 4 propagator tables on 256 x 129 points and 4 weights on the
+        # 171 x 86 block, float64
+        grid = GridSpec(n=2, N=256, L=10.0)
+        tables = solver._tables(grid, 1.0, 0.1)
+        assert sum(t.nbytes for t in tables) == 1_527_360
 
 
 class TestTableCache:
