@@ -16,15 +16,18 @@ The fields are real, so a state holds rfftn half spectra (the m >= 0
 half of the last axis) and the solver uses real transforms only: the
 propagator tables and the Parseval sums of norms() live on that half,
 the Duhamel weights and the forcing on its kept block, and the inverse
-transforms are irfftn, which returns real fields by construction.  The
-full fftn layout is built only when a caller reads FieldState.u_hat or
-v_hat.
+transforms are irfftn (in step(), its ifft and irfft per component),
+which returns real fields by construction.  The full fftn layout is
+built only when a caller reads FieldState.u_hat or v_hat.
 
 A stepped state carries the spectrum of the forcing its step evaluated
 at the predictor, which the next step uses in place of the forcing at
 the corrected field ("first same as last", Dormand & Prince 1980): the
-local error stays O(dt^3).  A nonlinear step thus costs 1 irfftn (the
-predictor) + 1 forward transform of its forcing, pruned to the block.
+local error stays O(dt^3).  A nonlinear step thus costs, per component,
+one inverse transform (the predictor) and one forward transform of the
+forcing it drives, pruned to the block.  Both run one component at a
+time through a scratch workspace that every step on the grid reuses
+(_workspace), so a step allocates little beyond the state it returns.
 The corrector stays a spectrum; it is transformed at most once, the
 first time norms() reads its FieldState.u, and the step's error
 estimate and run()'s blow-up check read the predictor and the spectral
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +58,9 @@ BLOWUP_THRESHOLD = 1e8
 # adaptive runs accept a step when, in every component, the l1 bound on
 # max|u_corr - u_pred| is at most STEP_TOL times max|u_pred|
 STEP_TOL = 1e-4
-# physical magnitudes below this are flushed to zero before |u|^p
+# physical magnitudes up to this are flushed to zero before |u|^p for a
+# non-integer p, whose power of them can be subnormal; integer powers of
+# them underflow to +0.0 unflushed (see _power)
 TINY = 1e-300
 # a sup decade needs this many points for a fit of the blow-up time
 FIT_POINTS = 8
@@ -333,11 +339,12 @@ def _full(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _block(half: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _block(half: np.ndarray, grid: GridSpec, out=None) -> np.ndarray:
     """The kept block (grid.block_shape on the last n axes) of an array
     in the rfftn half layout, or in that layout cut to the block's
-    columns, as a new array."""
-    out = np.empty(half.shape[:-grid.n] + grid.block_shape, half.dtype)
+    columns, into out (a new array when None)."""
+    if out is None:
+        out = np.empty(half.shape[:-grid.n] + grid.block_shape, half.dtype)
     for at_half, at_block in grid.block_pieces:
         out[at_block] = half[at_half]
     return out
@@ -354,7 +361,8 @@ def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
 # per ladder size it steps with; the interpolants of records inside a
 # step build their own tables outside the cache (see _interpolate).  An
 # entry holds 4 float64 half-spectrum tables and 4 on the kept block
-# (1.53 MB on a 2D grid of N = 256, 55 KB on a 1D grid of N = 2048)
+# (1.53 MB on a 2D grid of N = 256, 55 KB on a 1D grid of N = 2048).
+# The step's scratch buffers are cached beside it, per grid (_workspace)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
@@ -383,32 +391,73 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     return (*prop, *w)
 
 
-def _power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p for p > 1, magnitudes <= TINY flushed to 0.  Integer p by
-    repeated multiplication, which costs a fraction of a pow call."""
-    au = np.abs(u)
-    au = np.where(au > TINY, au, 0.0)
+# one grid's buffers, which every step and forcing evaluation on it
+# reuses, so that the 2D step loop frees and refaults no scratch memory
+# (2.16 MB on a 2D grid of N = 256).  maxsize=1: a command that steps on
+# several grids holds only the last one's.  No buffer leaves step(); the
+# states it returns own their arrays
+@lru_cache(maxsize=1)
+def _workspace(grid: GridSpec) -> SimpleNamespace:
+    """Scratch buffers of one component's size: a physical field, its
+    magnitude, a half spectrum, the half spectrum's kept columns and a
+    kept block."""
+    lead = grid.shape[:-1]
+    return SimpleNamespace(
+        field=np.empty(grid.shape), mag=np.empty(grid.shape),
+        half=np.empty(lead + (grid.N // 2 + 1,), complex),
+        cols=np.empty(lead + grid.block_shape[-1:], complex),
+        block=np.empty(grid.block_shape, complex))
+
+
+def _power(mag: np.ndarray, p: float, out=None) -> np.ndarray:
+    """mag^p for magnitudes mag = |u| and p > 1, into out (a new array
+    when None).  Integer p by repeated multiplication, which costs a
+    fraction of a pow call; every such product of magnitudes <= TINY
+    underflows to +0.0 by itself.  For other p, magnitudes <= TINY (and
+    NaN) are first flushed to 0 in mag, in place."""
     if not float(p).is_integer():
-        return au ** p
-    out = au * au
+        np.copyto(mag, 0.0, where=~(mag > TINY))
+        return np.power(mag, p, out=out)
+    out = np.multiply(mag, mag, out=out)
     for _ in range(int(p) - 2):
-        out *= au
+        out *= mag
     return out
 
 
-def _nonlinearity_hat(u_phys, params, grid):
-    """The spectrum of the forcing |u_{l-1}|^{p_l} on the kept block of
-    the 2/3 rule only, bit for bit the block of its rfftn: rfft on the
-    last axis keeps the block's columns, and in 2D the fft along the
-    rows runs on those columns only before the block's rows are kept."""
-    k = u_phys.shape[0]
-    N = np.empty_like(u_phys)
-    for ell in range(k):
-        N[ell] = _power(u_phys[(ell - 1) % k], params.p[ell])
-    Nh = np.fft.rfft(N)[..., : grid.block_shape[-1]]
+def _irfftn(half: np.ndarray, grid: GridSpec,
+            ws: SimpleNamespace) -> np.ndarray:
+    """One component's field from its half spectrum, into ws.field: the
+    ifft along the rows (2D) into ws.half, then irfft, as irfftn does."""
     if grid.n == 2:
-        Nh = np.fft.fft(Nh, axis=-2)
-    return _block(Nh, grid)
+        half = np.fft.ifft(half, axis=0, out=ws.half)
+    return np.fft.irfft(half, n=grid.N, out=ws.field)
+
+
+def _forcing(mag: np.ndarray, p: float, row: np.ndarray, grid: GridSpec,
+             ws: SimpleNamespace):
+    """The spectrum of mag^p on the kept block of the 2/3 rule into row,
+    bit for bit the block of its rfftn: mag^p goes into ws.field, rfft
+    on the last axis into ws.half, and in 2D the fft along the rows runs
+    on the block's columns only, into ws.cols."""
+    spec = np.fft.rfft(_power(mag, p, out=ws.field), out=ws.half)
+    if grid.n == 2:
+        spec = np.fft.fft(spec[:, : grid.block_shape[-1]], axis=0,
+                          out=ws.cols)
+    _block(spec, grid, out=row)
+
+
+def _nonlinearity_hat(u_phys, params, grid):
+    """The forcing spectrum |u_{l-1}|^{p_l} of the fields u_phys, shape
+    (k,) + grid.block_shape, one component at a time (_forcing); u_phys
+    is only read."""
+    ws = _workspace(grid)
+    k = len(u_phys)
+    out = np.empty((k,) + grid.block_shape, complex)
+    for ell in range(k):
+        nxt = (ell + 1) % k
+        _forcing(np.abs(u_phys[ell], out=ws.mag), params.p[nxt], out[nxt],
+                 grid, ws)
+    return out
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
@@ -417,46 +466,64 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  The old forcing is the
-    state's nl_half when set, else it is evaluated at the state's field
-    (one more irfftn and forward transform).  The forcing terms are
-    formed on the kept block and added into the spectra there.  With
-    w_old_u + w_new_u = i1 the corrector is the predictor's spectrum
-    plus the gap w_new_u (N_new - N_old), so the corrected field is
-    never transformed here.  The new state carries the new forcing, the
-    predictor's sup per component and, with estimate=True, the estimate
-    err, which costs no transform.  Pure numerics: a step that
-    overflows returns non-finite spectra or sups, and judging blow-up is
-    left to run().
+    predictor-corrector (second order).  The old forcing is the state's
+    nl_half when set, else it is evaluated at the state's field (its
+    irfftn, kept as FieldState.u, and one more forward transform per
+    component).  The forcing terms are formed on the kept block and
+    added into the spectra there.  With w_old_u + w_new_u = i1 the
+    corrector is the predictor's spectrum plus the gap w_new_u (N_new -
+    N_old), so the corrected field is never transformed here.  Each
+    component's predictor goes through the grid's workspace: its field,
+    its sup and the forcing it drives (component l forces l + 1).  The
+    new state carries the new forcing, the predictor's sup per component
+    and, with estimate=True, the estimate err, which costs no transform.
+    Pure numerics: a step that overflows returns non-finite spectra or
+    sups, and judging blow-up is left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = _tables(grid, params.sigma, dt)
-    axes = grid.spatial_axes
+    ws = _workspace(grid)
     uh, vh = state.u_half, state.v_half
-    u_half = k0 * uh + k1 * vh
-    v_half = dk0 * uh + dk1 * vh
+    k = len(uh)
+    u_half, v_half = np.empty_like(uh), np.empty_like(vh)
+    for u, v, a, b in zip(u_half, v_half, uh, vh):
+        np.multiply(k0, a, out=u)
+        u += np.multiply(k1, b, out=ws.half)
+        np.multiply(dk0, a, out=v)
+        v += np.multiply(dk1, b, out=ws.half)
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
             Nh_old = _nonlinearity_hat(state.u, params, grid)
-        _add_block(u_half, i1 * Nh_old, grid)
-    # the predictor, or for linear_only the exact new field
-    u_pred = np.fft.irfftn(u_half, s=grid.shape, axes=axes)
-    sup = np.max(np.abs(u_pred), axis=axes)
+        Nh_new = np.empty_like(Nh_old)
+    sup = np.empty(k)
+    for ell, u in enumerate(u_half):
+        if not linear_only:
+            _add_block(u, np.multiply(i1, Nh_old[ell], out=ws.block), grid)
+        # the predictor, or for linear_only the exact new field
+        mag = np.abs(_irfftn(u, grid, ws), out=ws.mag)
+        sup[ell] = mag.max()
+        if not linear_only:
+            nxt = (ell + 1) % k
+            _forcing(mag, params.p[nxt], Nh_new[nxt], grid, ws)
     if linear_only:
         return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
                           err=0.0 if estimate else None)
-    Nh_new = _nonlinearity_hat(u_pred, params, grid)
-    gap = w_nu * (Nh_new - Nh_old)
-    _add_block(u_half, gap, grid)
-    _add_block(v_half, w_ov * Nh_old, grid)
-    _add_block(v_half, w_nv * Nh_new, grid)
+    bounds = []
+    weights = grid.parseval_weights[: grid.block_shape[-1]]
+    for u, v, new, old in zip(u_half, v_half, Nh_new, Nh_old):
+        gap = np.subtract(new, old, out=ws.block)
+        np.multiply(w_nu, gap, out=gap)
+        _add_block(u, gap, grid)
+        if estimate:
+            bounds.append((weights * np.abs(gap)).sum())
+        _add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
+        _add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
     err = None
     if estimate:
-        weights = grid.parseval_weights[: grid.block_shape[-1]]
-        bound = np.sum(weights * np.abs(gap), axis=axes)
-        err = float(np.max(bound / grid.N ** grid.n / np.maximum(sup, TINY)))
+        bound = np.array(bounds) / grid.N ** grid.n
+        err = float(np.max(bound / np.maximum(sup, TINY)))
     return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
                       pred_sup=sup, err=err)
 

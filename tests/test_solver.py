@@ -8,6 +8,7 @@ the nonlinear oracle.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -438,15 +439,24 @@ class TestHalfSpectrumStep:
 
 class TestPower:
     def test_odd_power_of_negative_is_absolute(self):
+        # _power takes magnitudes; the forcing takes them off the field
         u = np.array([-2.0, -0.5, 3.0])
-        assert np.array_equal(_power(u, 3.0), np.array([8.0, 0.125, 27.0]))
-        assert np.array_equal(_power(u, 2.5), np.abs(u) ** 2.5)
+        assert np.array_equal(_power(np.abs(u), 3.0),
+                              np.array([8.0, 0.125, 27.0]))
+        assert np.array_equal(_power(np.abs(u), 2.5), np.abs(u) ** 2.5)
+        grid = GridSpec(n=1, N=32, L=10.0)
+        field = np.random.default_rng(3).normal(size=(2,) + grid.shape)
+        for p in ((3.0, 5.0), (2.5, 3.5)):
+            params = SystemParams(n=1, sigma=1.0, k=2, p=p)
+            assert np.array_equal(
+                solver._nonlinearity_hat(field, params, grid),
+                solver._nonlinearity_hat(np.abs(field), params, grid))
 
     @pytest.mark.parametrize("p", [1.01, 2.0, 3.0, 4.0])
     def test_tiny_flushed_to_zero(self, p):
         # 1e-300 ** 1.01 is a subnormal, not 0: only the flush zeroes it
         u = np.array([TINY, -TINY, 0.5 * TINY, 0.0, -0.0])
-        assert np.array_equal(_power(u, p), np.zeros(5))
+        assert np.array_equal(_power(np.abs(u), p), np.zeros(5))
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_integer_branch_within_four_ulp_of_pow(self, p):
@@ -454,8 +464,61 @@ class TestPower:
         u = rng.choice([-1.0, 1.0], 4096) * 10.0 ** rng.uniform(-60, 60,
                                                                 4096)
         want = np.abs(u) ** p
-        got = _power(u, p)
+        got = _power(np.abs(u), p)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    @pytest.mark.parametrize("p", [(2.0, 3.0), (4.0, 5.0)])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_integer_powers_need_no_flush(self, n, p, monkeypatch):
+        # every product of magnitudes <= TINY underflows to +0.0, so
+        # the forcing is the flushed one bit for bit
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=p)
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=(2,) + grid.shape)
+        small = rng.random(u.shape) < 0.3
+        u[small] = rng.choice([TINY, -TINY, 0.5 * TINY, -1e-310, 5e-324,
+                               0.0, -0.0], np.count_nonzero(small))
+        got = solver._nonlinearity_hat(u, params, grid)
+        monkeypatch.setattr(solver, "_power", flushing_power(_power))
+        want = solver._nonlinearity_hat(u, params, grid)
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_predictor_gets_the_flushed_verdict(self, monkeypatch):
+        # without the flush a NaN predictor entry makes the forcing NaN
+        # too; its sup is NaN either way, and run() stops on that
+        grid = GridSpec(n=1, N=64, L=10.0)
+        real_irfftn = solver._irfftn
+        results = []
+        for power in (_power, flushing_power(_power)):
+            calls = []
+
+            def poisoned(*args):
+                out = real_irfftn(*args)
+                calls.append(None)
+                if len(calls) == 7:  # step 4, component 1
+                    out[5] = np.nan
+                return out
+
+            monkeypatch.setattr(solver, "_irfftn", poisoned)
+            monkeypatch.setattr(solver, "_power", power)
+            results.append(run(PARAMS_34, grid, gaussian_data(0.3),
+                               t_end=1.0, dt=0.1, outputs=8))
+        got, want = results
+        assert got.blown_up and got.blowup_time == pytest.approx(0.35)
+        for key in ("times", "l2", "hsigma", "sup", "mean", "u_final"):
+            assert np.array_equal(getattr(got, key), getattr(want, key))
+        assert ((got.blowup_time, got.blowup_error, got.steps)
+                == (want.blowup_time, want.blowup_error, want.steps))
+
+
+def flushing_power(power):
+    """power with magnitudes <= TINY (and NaN) flushed to 0 for every p,
+    as it once was for integer p too."""
+    def flushed(mag, p, out=None):
+        np.copyto(mag, 0.0, where=~(mag > TINY))
+        return power(mag, p, out)
+    return flushed
 
 
 FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
@@ -484,15 +547,26 @@ def nonzero(**counts):
     return {name: c for name, c in counts.items() if c}
 
 
-def irfftn_after_each(monkeypatch, fft_calls, name):
-    """Patch solver.<name> to log the irfftn count after each call;
-    returns the log."""
+def per_component(n, k, inverse=0, forward=0):
+    """fft_calls of `inverse` inverse and `forward` forward transforms
+    of each of k components on an n-dimensional grid: irfft, after an
+    ifft along the rows in 2D (as irfftn does), and rfft, then fft on
+    the kept columns in 2D."""
+    return nonzero(ifft=k * inverse * (n - 1), irfft=k * inverse,
+                   rfft=k * forward, fft=k * forward * (n - 1))
+
+
+def inverse_after_each(monkeypatch, fft_calls, name):
+    """Patch solver.<name> to log the (irfftn, irfft) counts after each
+    call: whole-state and per-component inverse transforms; returns the
+    log."""
     log = []
     real = getattr(solver, name)
 
     def logged(*args, **kwargs):
         out = real(*args, **kwargs)
-        log.append(fft_calls.get("irfftn", 0))
+        log.append(np.array([fft_calls.get("irfftn", 0),
+                             fft_calls.get("irfft", 0)]))
         return out
 
     monkeypatch.setattr(solver, name, logged)
@@ -508,9 +582,9 @@ class TestTransformBudget:
         state = step(state, 0.1, params, grid)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        # the forcing's pruned forward transform: rfft, then fft along
-        # each other axis
-        assert fft_calls == nonzero(rfft=1, fft=n - 1, irfftn=1)
+        # the predictor's inverse and the forcing's pruned forward
+        # transform, one of each per component
+        assert fft_calls == per_component(n, 2, inverse=1, forward=1)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_linear_only_step(self, n, fft_calls):
@@ -519,7 +593,7 @@ class TestTransformBudget:
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         fft_calls.clear()
         step(state, 0.1, params, grid, linear_only=True)
-        assert fft_calls == {"irfftn": 1}
+        assert fft_calls == per_component(n, 2, inverse=1)
 
     @pytest.mark.parametrize("linear_only", [False, True])
     def test_estimate_costs_no_transform(self, linear_only, fft_calls):
@@ -541,7 +615,11 @@ class TestTransformBudget:
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         fft_calls.clear()
         step(state, 0.1, params, grid)
-        assert fft_calls == nonzero(rfft=2, fft=2 * (n - 1), irfftn=2)
+        # the state's field (one irfftn, kept as state.u) and the old
+        # forcing's forward transforms, then the predictor's inverse and
+        # the new forcing's forward transforms
+        want = per_component(n, 2, inverse=1, forward=2)
+        assert fft_calls == {"irfftn": 1, **want}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_recorded_output_transforms_the_corrector(self, n, fft_calls):
@@ -563,11 +641,13 @@ class TestTransformBudget:
         assert res.steps >= 20 and not res.blown_up
         records = len(res.times)
         # setup: rfftn of u0 and u1; the first step evaluates its old
-        # forcing from the field the t = 0 record transformed, and each
-        # forcing's pruned forward transform is one rfft and one fft
-        assert fft_calls == {"rfftn": 2, "rfft": 1 + res.steps,
-                             "fft": 1 + res.steps,
-                             "irfftn": res.steps + records}
+        # forcing from the field the t = 0 record transformed; each step
+        # makes one inverse (ifft, irfft) and one pruned forward (rfft,
+        # fft) transform per component, and each record one irfftn
+        assert fft_calls == {"rfftn": 2, "rfft": 2 * (1 + res.steps),
+                             "fft": 2 * (1 + res.steps),
+                             "ifft": 2 * res.steps, "irfft": 2 * res.steps,
+                             "irfftn": records}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_field_is_transformed_once_per_state(self, n, fft_calls):
@@ -586,28 +666,30 @@ class TestTransformBudget:
 
     def test_one_transform_from_initial_data_to_the_first_predictor(
             self, monkeypatch, fft_calls):
-        after_init = irfftn_after_each(monkeypatch, fft_calls,
-                                       "make_initial_data")
-        after_step = irfftn_after_each(monkeypatch, fft_calls, "step")
+        after_init = inverse_after_each(monkeypatch, fft_calls,
+                                        "make_initial_data")
+        after_step = inverse_after_each(monkeypatch, fft_calls, "step")
         run(PARAMS_34, GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3),
             t_end=1.0, dt=0.1)
         # up to the end of the first step: the t = 0 record's irfftn,
         # whose field the step's old forcing reuses, and the predictor's
-        assert after_step[0] - after_init[0] == 1 + 1
+        # irfft per component
+        assert list(after_step[0] - after_init[0]) == [1, 2]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_snapshot_record_transforms_once(self, n, monkeypatch,
                                              fft_calls):
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        after_step = irfftn_after_each(monkeypatch, fft_calls, "step")
+        after_step = inverse_after_each(monkeypatch, fft_calls, "step")
         res = run(params, grid, gaussian_data(0.3), t_end=1.0, dt=0.125,
                   outputs=2)
         assert res.times[-1] == 1.0
         assert np.array_equal(np.abs(res.u_final).max(axis=grid.spatial_axes),
                               res.sup[:, -1])
         # the t_end record's norms() and u_final share one irfftn
-        assert fft_calls["irfftn"] - after_step[-1] == 1
+        assert list(np.array([fft_calls["irfftn"], fft_calls["irfft"]])
+                    - after_step[-1]) == [1, 0]
 
 
 class TestNorms:
@@ -1484,7 +1566,8 @@ class TestKeptBlock:
         grid = GridSpec(n=n, N=N, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=p)
         u = np.random.default_rng(5).normal(size=(2,) + grid.shape)
-        force = np.stack([_power(u[1], p[0]), _power(u[0], p[1])])
+        force = np.stack([_power(np.abs(u[1]), p[0]),
+                          _power(np.abs(u[0]), p[1])])
         full = np.fft.rfftn(force, axes=grid.spatial_axes)
         want = full[:, solver._half(grid.dealias_mask)]
         got = solver._nonlinearity_hat(u, params, grid)
@@ -1503,7 +1586,8 @@ class TestKeptBlock:
 
         monkeypatch.setattr(np.fft, "fft", logged)
         solver._nonlinearity_hat(np.ones((2,) + grid.shape), params, grid)
-        assert shapes == [(2, 256, 86)]
+        # one component at a time
+        assert shapes == [(256, 86)] * 2
 
     def test_table_entry_bytes(self):
         # 4 propagator tables on 256 x 129 points and 4 weights on the
@@ -1511,6 +1595,78 @@ class TestKeptBlock:
         grid = GridSpec(n=2, N=256, L=10.0)
         tables = solver._tables(grid, 1.0, 0.1)
         assert sum(t.nbytes for t in tables) == 1_527_360
+
+
+class TestWorkspace:
+    """step() and the forcing run one component at a time through one
+    cached workspace per grid, which no returned array shares."""
+
+    @staticmethod
+    def buffers(grid):
+        return list(vars(solver._workspace(grid)).values())
+
+    @pytest.mark.parametrize("estimate", [False, True])
+    def test_warm_step_allocates_little_beyond_its_state(self, estimate):
+        grid = GridSpec(n=2, N=64, L=10.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        state = step(state, 0.1, params, grid)
+        step(state, 0.1, params, grid, estimate=estimate)  # warm caches
+        tracemalloc.start()
+        try:
+            new = step(state, 0.1, params, grid, estimate=estimate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(x.nbytes for x in (new.u_half, new.v_half,
+                                          new.nl_half, new.pred_sup))
+        assert peak - returned < np.empty(grid.shape).nbytes
+
+    @pytest.mark.parametrize("linear_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_steps_from_one_state_are_independent(self, n, linear_only):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 2.5))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        state = step(state, 0.1, params, grid)
+        fields = ("u_half", "v_half", "pred_sup") + (
+            () if linear_only else ("nl_half",))
+        first = step(state, 0.1, params, grid, linear_only=linear_only,
+                     estimate=True)
+        kept = {f: getattr(first, f).copy() for f in fields}
+        second = step(state, 0.1, params, grid, linear_only=linear_only,
+                      estimate=True)
+        assert first.err == second.err
+        for f in fields:
+            assert getattr(first, f).tobytes() == kept[f].tobytes()
+            assert getattr(second, f).tobytes() == kept[f].tobytes()
+        arrays = [getattr(st, f) for st in (first, second) for f in fields]
+        arrays += [state.u, first.u]
+        for buf in self.buffers(grid):
+            assert not any(np.shares_memory(buf, x) for x in arrays)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_step_leaves_the_state_field(self, n):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 2.5))
+        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        field = state.u
+        before = field.copy()
+        new = step(state, 0.1, params, grid)
+        assert state.nl_half is None and new.nl_half is not None
+        assert state.u is field and field.tobytes() == before.tobytes()
+
+    def test_one_grid_held(self):
+        solver._workspace.cache_clear()
+        params = SystemParams(n=1, sigma=1.0, k=2, p=(3.0, 4.0))
+        for N in (32, 64):
+            grid = GridSpec(n=1, N=N, L=10.0)
+            state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+            step(state, 0.1, params, grid)
+        info = solver._workspace.cache_info()
+        assert info.currsize == 1 and info.misses == 2
+        assert [b.shape[-1] for b in self.buffers(grid)] == [64, 64, 33,
+                                                             22, 22]
 
 
 class TestTableCache:
