@@ -16,18 +16,20 @@ The fields are real, so a state holds rfftn half spectra (the m >= 0
 half of the last axis) and the solver uses real transforms only: the
 propagator tables and the Parseval sums of norms() live on that half,
 the Duhamel weights and the forcing on its kept block, and the inverse
-transforms are irfftn (in step(), its ifft and irfft per component),
-which returns real fields by construction.  The full fftn layout is
+transforms are irfftn (in step(), its ifft and irfft per pass), which
+returns real fields by construction.  The full fftn layout is
 built only when a caller reads FieldState.u_hat or v_hat.
 
 A stepped state carries the spectrum of the forcing its step evaluated
 at the predictor, which the next step uses in place of the forcing at
 the corrected field ("first same as last", Dormand & Prince 1980): the
-local error stays O(dt^3).  A nonlinear step thus costs, per component,
-one inverse transform (the predictor) and one forward transform of the
-forcing it drives, pruned to the block.  Both run one component at a
-time through a scratch workspace that every step on the grid reuses
-(_workspace), so a step allocates little beyond the state it returns.
+local error stays O(dt^3).  A nonlinear step thus costs one inverse
+transform (the predictors) and one forward transform of the forcing
+they drive, pruned to the block, per pass of its components through a
+scratch workspace that every step on the grid reuses (_workspace), so
+a step allocates little beyond the state it returns.  A pass takes all
+k components where their buffers fit BATCH_BYTES, as on 1D grids, else
+one, and makes one numpy call per operation for them.
 The corrector stays a spectrum; it is transformed at most once, the
 first time norms() reads its FieldState.u, and the step's error
 estimate and run()'s blow-up check read the predictor and the spectral
@@ -64,10 +66,10 @@ STEP_TOL = 1e-4
 TINY = 1e-300
 # a sup decade needs this many points for a fit of the blow-up time
 FIT_POINTS = 8
-# the records inside one step are interpolated in batches whose four
-# float64 tables (k0, k1, i1, w_new_u) take at most this many bytes,
-# or one record at a time where a single record's take more
-INTERP_BATCH_BYTES = 2 ** 20
+# the bytes batched scratch may take, past which it goes one item at a
+# time: a step's pass of all components (_workspace) and a batch of the
+# records inside one step (four float64 tables k0, k1, i1, w_new_u each)
+BATCH_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -360,9 +362,12 @@ def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
 # for a last step clipped to an off-grid t_end, and an adaptive run one
 # per ladder size it steps with; the interpolants of records inside a
 # step build their own tables outside the cache (see _interpolate).  An
-# entry holds 4 float64 half-spectrum tables and 4 on the kept block
-# (1.53 MB on a 2D grid of N = 256, 55 KB on a 1D grid of N = 2048).
-# The step's scratch buffers are cached beside it, per grid (_workspace)
+# entry holds 4 half-spectrum tables and 4 on the kept block, real
+# values held as complex128 (3.05 MB on a 2D grid of N = 256, 109 KB on
+# a 1D grid of N = 2048): numpy casts a float64 table to complex in each
+# of its products with a spectrum, which on a 1D grid of N = 2048 made a
+# product take 1.4-1.6 times as long.  The step's scratch buffers are
+# cached beside it, per grid (_workspace)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
@@ -373,17 +378,12 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     that form."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
-    # one block per kind of table: four tables are the size of a
-    # two-component state spectrum, so on a 2D grid the blocks come from
-    # the heap like the step's arrays.  One 8-row block is mmapped
-    # instead, and on the simulate-2d workload it left the heap tight
-    # enough to be trimmed and refaulted every other step.
-    prop = np.stack((k0, k1, dk0, dk1))
+    prop = np.stack((k0, k1, dk0, dk1), dtype=complex)
     # Duhamel weights of the linear-in-time nonlinearity model, in the
     # rows i1, w_new_u = i1 - j1 / dt, w_old_v = k1 - w_new_v and
     # w_new_v = i1 / dt
     i1, j1, k1 = (_block(x, grid) for x in (i1, j1, k1))
-    w = np.empty((4,) + grid.block_shape)
+    w = np.empty((4,) + grid.block_shape, complex)
     w[0] = i1
     np.subtract(i1, j1 / dt, out=w[1])
     np.divide(i1, dt, out=w[3])
@@ -393,20 +393,34 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
 
 # one grid's buffers, which every step and forcing evaluation on it
 # reuses, so that the 2D step loop frees and refaults no scratch memory
-# (2.16 MB on a 2D grid of N = 256).  maxsize=1: a command that steps on
-# several grids holds only the last one's.  No buffer leaves step(); the
-# states it returns own their arrays
+# (142 KB for k = 2 on a 1D grid of N = 2048; 2.16 MB, one component, on
+# a 2D grid of N = 256).  maxsize=1: a command that steps on several
+# grids holds only the last one's.  No buffer leaves step()
 @lru_cache(maxsize=1)
-def _workspace(grid: GridSpec) -> SimpleNamespace:
-    """Scratch buffers of one component's size: a physical field, its
-    magnitude, a half spectrum, the half spectrum's kept columns and a
-    kept block."""
-    lead = grid.shape[:-1]
+def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
+    """Buffers of (g,) physical fields, magnitudes, half spectra, their
+    kept columns and kept blocks, for passes of g = k components where
+    they fit BATCH_BYTES, else of g = 1."""
+    lead, c = grid.shape[:-1], grid.block_shape[-1]
+    # a component's bytes: 8 a point in the float64 field and magnitude,
+    # 16 in the complex half spectrum, its kept columns and block
+    spectra = math.prod(lead) * (grid.N // 2 + 1 + c)
+    size = 16 * (grid.N ** grid.n + spectra + math.prod(grid.block_shape))
+    g = k if k * size <= BATCH_BYTES else 1
     return SimpleNamespace(
-        field=np.empty(grid.shape), mag=np.empty(grid.shape),
-        half=np.empty(lead + (grid.N // 2 + 1,), complex),
-        cols=np.empty(lead + grid.block_shape[-1:], complex),
-        block=np.empty(grid.block_shape, complex))
+        field=np.empty((g,) + grid.shape), mag=np.empty((g,) + grid.shape),
+        half=np.empty((g,) + lead + (grid.N // 2 + 1,), complex),
+        cols=np.empty((g,) + lead + (c,), complex),
+        block=np.empty((g,) + grid.block_shape, complex))
+
+
+def _passes(k: int, g: int):
+    """(sources, targets) slices of the passes of g = k or 1 components;
+    component l forces l + 1 mod k, so the targets are the sources
+    shifted by one, for g = k rolled."""
+    for first in range(0, k, g):
+        target = (first + g) % k
+        yield slice(first, first + g), slice(target, target + g)
 
 
 def _power(mag: np.ndarray, p: float, out=None) -> np.ndarray:
@@ -426,36 +440,38 @@ def _power(mag: np.ndarray, p: float, out=None) -> np.ndarray:
 
 def _irfftn(half: np.ndarray, grid: GridSpec,
             ws: SimpleNamespace) -> np.ndarray:
-    """One component's field from its half spectrum, into ws.field: the
-    ifft along the rows (2D) into ws.half, then irfft, as irfftn does."""
+    """A pass's fields from their half spectra, into ws.field: the ifft
+    along the rows (2D) into ws.half, then irfft, as irfftn does."""
     if grid.n == 2:
-        half = np.fft.ifft(half, axis=0, out=ws.half)
+        half = np.fft.ifft(half, axis=-2, out=ws.half)
     return np.fft.irfft(half, n=grid.N, out=ws.field)
 
 
-def _forcing(mag: np.ndarray, p: float, row: np.ndarray, grid: GridSpec,
+def _forcing(mag: np.ndarray, p: tuple, out: np.ndarray, grid: GridSpec,
              ws: SimpleNamespace):
-    """The spectrum of mag^p on the kept block of the 2/3 rule into row,
-    bit for bit the block of its rfftn: mag^p goes into ws.field, rfft
-    on the last axis into ws.half, and in 2D the fft along the rows runs
-    on the block's columns only, into ws.cols."""
-    spec = np.fft.rfft(_power(mag, p, out=ws.field), out=ws.half)
+    """A pass's forcing spectra on the kept block of the 2/3 rule into
+    out, its targets' rows (_passes), bit for bit the block of their
+    rfftn: target r's mag[r - 1]^p[r] goes into ws.field[r], rfft on the
+    last axis into ws.half, and in 2D the fft along the rows runs on the
+    block's columns only, into ws.cols."""
+    for r in range(len(mag)):
+        _power(mag[r - 1], p[r], out=ws.field[r])
+    spec = np.fft.rfft(ws.field, out=ws.half)
     if grid.n == 2:
-        spec = np.fft.fft(spec[:, : grid.block_shape[-1]], axis=0,
+        spec = np.fft.fft(spec[..., : grid.block_shape[-1]], axis=-2,
                           out=ws.cols)
-    _block(spec, grid, out=row)
+    _block(spec, grid, out=out)
 
 
 def _nonlinearity_hat(u_phys, params, grid):
     """The forcing spectrum |u_{l-1}|^{p_l} of the fields u_phys, shape
-    (k,) + grid.block_shape, one component at a time (_forcing); u_phys
-    is only read."""
-    ws = _workspace(grid)
+    (k,) + grid.block_shape, in passes through the workspace (_forcing);
+    u_phys is only read."""
     k = len(u_phys)
+    ws = _workspace(grid, k)
     out = np.empty((k,) + grid.block_shape, complex)
-    for ell in range(k):
-        nxt = (ell + 1) % k
-        _forcing(np.abs(u_phys[ell], out=ws.mag), params.p[nxt], out[nxt],
+    for src, dst in _passes(k, len(ws.field)):
+        _forcing(np.abs(u_phys[src], out=ws.mag), params.p[dst], out[dst],
                  grid, ws)
     return out
 
@@ -469,60 +485,65 @@ def step(state: FieldState, dt: float, params: SystemParams,
     predictor-corrector (second order).  The old forcing is the state's
     nl_half when set, else it is evaluated at the state's field (its
     irfftn, kept as FieldState.u, and one more forward transform per
-    component).  The forcing terms are formed on the kept block and
-    added into the spectra there.  With w_old_u + w_new_u = i1 the
-    corrector is the predictor's spectrum plus the gap w_new_u (N_new -
-    N_old), so the corrected field is never transformed here.  Each
-    component's predictor goes through the grid's workspace: its field,
-    its sup and the forcing it drives (component l forces l + 1).  The
-    new state carries the new forcing, the predictor's sup per component
-    and, with estimate=True, the estimate err, which costs no transform.
-    Pure numerics: a step that overflows returns non-finite spectra or
-    sups, and judging blow-up is left to run().
+    pass).  The forcing terms are formed on the kept block and added
+    into the spectra there.  With w_old_u + w_new_u = i1 the corrector
+    is the predictor's spectrum plus the gap w_new_u (N_new - N_old), so
+    the corrected field is never transformed here.  The components go
+    through the grid's workspace in passes (_workspace), each making one
+    numpy call per operation: the predictors' fields, their sups and the
+    forcing they drive (component l forces l + 1).  The new state
+    carries the new forcing, the predictor's sup per component and, with
+    estimate=True, the estimate err, which costs no transform.  Pure
+    numerics: a step that overflows returns non-finite spectra or sups,
+    and judging blow-up is left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = _tables(grid, params.sigma, dt)
-    ws = _workspace(grid)
     uh, vh = state.u_half, state.v_half
     k = len(uh)
+    ws = _workspace(grid, k)
+    passes = tuple(_passes(k, len(ws.field)))
     u_half, v_half = np.empty_like(uh), np.empty_like(vh)
-    for u, v, a, b in zip(u_half, v_half, uh, vh):
-        np.multiply(k0, a, out=u)
-        u += np.multiply(k1, b, out=ws.half)
-        np.multiply(dk0, a, out=v)
-        v += np.multiply(dk1, b, out=ws.half)
+    for src, _ in passes:
+        u, v = u_half[src], v_half[src]
+        np.multiply(k0, uh[src], out=u)
+        u += np.multiply(k1, vh[src], out=ws.half)
+        np.multiply(dk0, uh[src], out=v)
+        v += np.multiply(dk1, vh[src], out=ws.half)
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
             Nh_old = _nonlinearity_hat(state.u, params, grid)
         Nh_new = np.empty_like(Nh_old)
     sup = np.empty(k)
-    for ell, u in enumerate(u_half):
+    for src, dst in passes:
+        u = u_half[src]
         if not linear_only:
-            _add_block(u, np.multiply(i1, Nh_old[ell], out=ws.block), grid)
-        # the predictor, or for linear_only the exact new field
+            _add_block(u, np.multiply(i1, Nh_old[src], out=ws.block), grid)
+        # the predictors, or for linear_only the exact new fields
         mag = np.abs(_irfftn(u, grid, ws), out=ws.mag)
-        sup[ell] = mag.max()
+        np.maximum.reduce(mag, axis=grid.spatial_axes, out=sup[src])
         if not linear_only:
-            nxt = (ell + 1) % k
-            _forcing(mag, params.p[nxt], Nh_new[nxt], grid, ws)
+            _forcing(mag, params.p[dst], Nh_new[dst], grid, ws)
     if linear_only:
         return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
                           err=0.0 if estimate else None)
-    bounds = []
+    bounds = np.empty(k)
     weights = grid.parseval_weights[: grid.block_shape[-1]]
-    for u, v, new, old in zip(u_half, v_half, Nh_new, Nh_old):
+    for src, _ in passes:
+        u, v, new, old = u_half[src], v_half[src], Nh_new[src], Nh_old[src]
         gap = np.subtract(new, old, out=ws.block)
         np.multiply(w_nu, gap, out=gap)
         _add_block(u, gap, grid)
         if estimate:
-            bounds.append((weights * np.abs(gap)).sum())
+            bounds[src] = np.add.reduce(weights * np.abs(gap),
+                                        axis=grid.spatial_axes)
         _add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
         _add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
     err = None
     if estimate:
-        bound = np.array(bounds) / grid.N ** grid.n
+        bound = bounds / grid.N ** grid.n
         err = float(np.max(bound / np.maximum(sup, TINY)))
     return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
                       pred_sup=sup, err=err)
@@ -689,7 +710,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     Schedule times within 1e-9 relative of 0 or t_end count as those
     records.  An accepted step records the times strictly inside it
     from its Duhamel interpolant (_interpolate), all at once in batches
-    whose tables take at most INTERP_BATCH_BYTES, so the schedule does
+    whose tables take at most BATCH_BYTES, so the schedule does
     not change the trajectory; a step without such times builds no
     interpolant.  A step that ends at a time up to roundoff records its
     end state with that time exactly.  The fixed policy rounds each
@@ -761,7 +782,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     times, rows = [], []
     # records per interpolant batch; 32 bytes per half-spectrum point
     # hold its four float64 tables
-    per_batch = max(1, INTERP_BATCH_BYTES
+    per_batch = max(1, BATCH_BYTES
                     // (32 * grid.N ** (grid.n - 1) * (grid.N // 2 + 1)))
 
     def record(st: FieldState):

@@ -313,6 +313,28 @@ class TestLifespanSweep:
         assert runs == [0, 2, 4, 6] and len(records) == 8
         assert records[::2] == [0.0] * 4
 
+    def test_default_sweep_pin(self, monkeypatch):
+        # the default `lifespan` sweep (the lifespan-1d workload's A8
+        # run), pinned so that a change to the step shows in its times
+        # and step counts
+        results = []
+        real_run = harness.run
+
+        def kept_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "run", kept_run)
+        sw = lifespan_sweep(P22, GridSpec(n=1, N=2048, L=160.0), self.COMPS,
+                            (0.05, 0.1, 0.2, 0.4))
+        assert sw.epsilons == (0.4, 0.2, 0.1, 0.05)
+        frozen = (54.10241339556467, 174.59952061925947, 638.2338663605764,
+                  2466.2566694839898)
+        for got, want in zip(sw.lifespans, frozen, strict=True):
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert [r.steps for r in results] == [310, 397, 527, 691]
+        assert [r.rejected_steps for r in results] == [6, 4, 5, 2]
+
     def test_no_blowup_at_cap(self):
         with pytest.raises(NoBlowUpAtCap):
             lifespan_sweep(P22, self.GRID, self.COMPS,

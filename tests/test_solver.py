@@ -10,6 +10,7 @@ the nonlinear oracle.
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -496,8 +497,9 @@ class TestPower:
             def poisoned(*args):
                 out = real_irfftn(*args)
                 calls.append(None)
-                if len(calls) == 7:  # step 4, component 1
-                    out[5] = np.nan
+                # step 4's pass, which holds both components
+                if len(calls) == 4:
+                    out[0, 5] = np.nan  # component 1
                 return out
 
             monkeypatch.setattr(solver, "_irfftn", poisoned)
@@ -547,13 +549,36 @@ def nonzero(**counts):
     return {name: c for name, c in counts.items() if c}
 
 
-def per_component(n, k, inverse=0, forward=0):
+def per_pass(n, passes, inverse=0, forward=0):
     """fft_calls of `inverse` inverse and `forward` forward transforms
-    of each of k components on an n-dimensional grid: irfft, after an
-    ifft along the rows in 2D (as irfftn does), and rfft, then fft on
-    the kept columns in 2D."""
-    return nonzero(ifft=k * inverse * (n - 1), irfft=k * inverse,
-                   rfft=k * forward, fft=k * forward * (n - 1))
+    in each of `passes` passes on an n-dimensional grid, one numpy call
+    each for all of a pass's components: irfft, after an ifft along the
+    rows in 2D (as irfftn does), and rfft, then fft on the kept columns
+    in 2D."""
+    return nonzero(ifft=passes * inverse * (n - 1), irfft=passes * inverse,
+                   rfft=passes * forward, fft=passes * forward * (n - 1))
+
+
+@pytest.fixture
+def batch_bytes(monkeypatch):
+    """set_to(value) patches solver.BATCH_BYTES, None restoring it; the
+    workspace cache is cleared on each change and at teardown, so that
+    no step runs through a workspace sized under another budget."""
+    default = solver.BATCH_BYTES
+
+    def set_to(value):
+        monkeypatch.setattr(solver, "BATCH_BYTES",
+                            default if value is None else value)
+        solver._workspace.cache_clear()
+
+    solver._workspace.cache_clear()
+    yield set_to
+    solver._workspace.cache_clear()
+
+
+def passes_of(grid, k):
+    """The number of passes a step on grid makes for k components."""
+    return k // len(solver._workspace(grid, k).field)
 
 
 def inverse_after_each(monkeypatch, fft_calls, name):
@@ -575,25 +600,30 @@ def inverse_after_each(monkeypatch, fft_calls, name):
 
 class TestTransformBudget:
     @pytest.mark.parametrize("n", [1, 2])
-    def test_stepped_state_nonlinear_step(self, n, fft_calls):
+    def test_stepped_state_nonlinear_step(self, n, fft_calls, batch_bytes):
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        state = step(state, 0.1, params, grid)
-        fft_calls.clear()
-        step(state, 0.1, params, grid)
-        # the predictor's inverse and the forcing's pruned forward
-        # transform, one of each per component
-        assert fft_calls == per_component(n, 2, inverse=1, forward=1)
+        start, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        for budget, passes in ((0, 2), (None, 1)):
+            batch_bytes(budget)
+            assert passes_of(grid, 2) == passes
+            state = step(start, 0.1, params, grid)
+            fft_calls.clear()
+            step(state, 0.1, params, grid)
+            # the predictors' inverse and the forcing's pruned forward
+            # transform, one of each per pass
+            assert fft_calls == per_pass(n, passes, inverse=1, forward=1)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_linear_only_step(self, n, fft_calls):
+    def test_linear_only_step(self, n, fft_calls, batch_bytes):
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        fft_calls.clear()
-        step(state, 0.1, params, grid, linear_only=True)
-        assert fft_calls == per_component(n, 2, inverse=1)
+        for budget, passes in ((0, 2), (None, 1)):
+            batch_bytes(budget)
+            fft_calls.clear()
+            step(state, 0.1, params, grid, linear_only=True)
+            assert fft_calls == per_pass(n, passes, inverse=1)
 
     @pytest.mark.parametrize("linear_only", [False, True])
     def test_estimate_costs_no_transform(self, linear_only, fft_calls):
@@ -609,17 +639,19 @@ class TestTransformBudget:
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_first_step_from_initial_data(self, n, fft_calls):
+    def test_first_step_from_initial_data(self, n, fft_calls, batch_bytes):
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        fft_calls.clear()
-        step(state, 0.1, params, grid)
-        # the state's field (one irfftn, kept as state.u) and the old
-        # forcing's forward transforms, then the predictor's inverse and
-        # the new forcing's forward transforms
-        want = per_component(n, 2, inverse=1, forward=2)
-        assert fft_calls == {"irfftn": 1, **want}
+        for budget, passes in ((0, 2), (None, 1)):
+            batch_bytes(budget)
+            state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+            fft_calls.clear()
+            step(state, 0.1, params, grid)
+            # the state's field (one irfftn, kept as state.u) and the old
+            # forcing's forward transforms, then the predictors' inverse
+            # and the new forcing's forward transforms
+            want = per_pass(n, passes, inverse=1, forward=2)
+            assert fft_calls == {"irfftn": 1, **want}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_recorded_output_transforms_the_corrector(self, n, fft_calls):
@@ -643,10 +675,11 @@ class TestTransformBudget:
         # setup: rfftn of u0 and u1; the first step evaluates its old
         # forcing from the field the t = 0 record transformed; each step
         # makes one inverse (ifft, irfft) and one pruned forward (rfft,
-        # fft) transform per component, and each record one irfftn
-        assert fft_calls == {"rfftn": 2, "rfft": 2 * (1 + res.steps),
-                             "fft": 2 * (1 + res.steps),
-                             "ifft": 2 * res.steps, "irfft": 2 * res.steps,
+        # fft) transform in its one pass, and each record one irfftn
+        assert passes_of(grid, 2) == 1
+        assert fft_calls == {"rfftn": 2, "rfft": 1 + res.steps,
+                             "fft": 1 + res.steps,
+                             "ifft": res.steps, "irfft": res.steps,
                              "irfftn": records}
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -672,9 +705,9 @@ class TestTransformBudget:
         run(PARAMS_34, GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3),
             t_end=1.0, dt=0.1)
         # up to the end of the first step: the t = 0 record's irfftn,
-        # whose field the step's old forcing reuses, and the predictor's
-        # irfft per component
-        assert list(after_step[0] - after_init[0]) == [1, 2]
+        # whose field the step's old forcing reuses, and one irfft for
+        # the predictors of both components, which go in one pass
+        assert list(after_step[0] - after_init[0]) == [1, 1]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_snapshot_record_transforms_once(self, n, monkeypatch,
@@ -1443,17 +1476,18 @@ class TestInterpolantBatch:
         assert inside < set(res.times.tolist())
 
     def test_byte_bound_splits_without_changing_records(self,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        batch_bytes):
         kw = dict(t_end=100.0, dt=0.05, dt_policy="adaptive", outputs=40)
         grid, data = GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3)
         log = interpolating(monkeypatch)
         whole = run(PARAMS_34, grid, data, **kw)
         longest = max(len(ts) for _, _, ts in log)
         assert longest > 2
-        # 32 bytes per half-spectrum point: four float64 tables
+        # 32 bytes per half-spectrum point: four float64 tables; a
+        # budget this small also steps one component at a time
         for per_batch in (1, 2):
-            monkeypatch.setattr(solver, "INTERP_BATCH_BYTES",
-                                per_batch * 32 * (grid.N // 2 + 1))
+            batch_bytes(per_batch * 32 * (grid.N // 2 + 1))
             log.clear()
             split = run(PARAMS_34, grid, data, **kw)
             assert max(len(ts) for _, _, ts in log) == per_batch
@@ -1586,41 +1620,91 @@ class TestKeptBlock:
 
         monkeypatch.setattr(np.fft, "fft", logged)
         solver._nonlinearity_hat(np.ones((2,) + grid.shape), params, grid)
-        # one component at a time
-        assert shapes == [(256, 86)] * 2
+        # one component at a time, the layout of this grid
+        assert shapes == [(1, 256, 86)] * 2
 
     def test_table_entry_bytes(self):
         # 4 propagator tables on 256 x 129 points and 4 weights on the
-        # 171 x 86 block, float64
+        # 171 x 86 block, real values held as complex128
         grid = GridSpec(n=2, N=256, L=10.0)
         tables = solver._tables(grid, 1.0, 0.1)
-        assert sum(t.nbytes for t in tables) == 1_527_360
+        assert sum(t.nbytes for t in tables) == 3_054_720
+        assert all(t.dtype == complex and not t.imag.any() for t in tables)
+
+
+def warm_step_transient(grid, params, estimate):
+    """Bytes a warm step's tracemalloc peak holds beyond the arrays of
+    the state it returns."""
+    state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+    state = step(state, 0.1, params, grid)
+    step(state, 0.1, params, grid, estimate=estimate)  # warm caches
+    tracemalloc.start()
+    try:
+        new = step(state, 0.1, params, grid, estimate=estimate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(x.nbytes for x in (new.u_half, new.v_half,
+                                         new.nl_half, new.pred_sup))
 
 
 class TestWorkspace:
-    """step() and the forcing run one component at a time through one
-    cached workspace per grid, which no returned array shares."""
+    """step() and the forcing run their components in passes through
+    one cached workspace per grid, which no returned array shares."""
 
     @staticmethod
-    def buffers(grid):
-        return list(vars(solver._workspace(grid)).values())
+    def buffers(grid, k=2):
+        return list(vars(solver._workspace(grid, k)).values())
 
     @pytest.mark.parametrize("estimate", [False, True])
-    def test_warm_step_allocates_little_beyond_its_state(self, estimate):
+    def test_warm_step_allocates_little_beyond_its_state(self, estimate,
+                                                         batch_bytes):
+        # one component at a time, the layout of the 2D grids whose
+        # components do not fit the budget together
+        batch_bytes(0)
         grid = GridSpec(n=2, N=64, L=10.0)
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
-        state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        state = step(state, 0.1, params, grid)
-        step(state, 0.1, params, grid, estimate=estimate)  # warm caches
-        tracemalloc.start()
-        try:
-            new = step(state, 0.1, params, grid, estimate=estimate)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        returned = sum(x.nbytes for x in (new.u_half, new.v_half,
-                                          new.nl_half, new.pred_sup))
-        assert peak - returned < np.empty(grid.shape).nbytes
+        assert passes_of(grid, 2) == 2
+        assert (warm_step_transient(grid, params, estimate)
+                < np.empty(grid.shape).nbytes)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_warm_pass_of_all_components_allocates_below_its_workspace(
+            self, n):
+        # the estimate's temporaries and numpy's buffers for the block
+        # adds through strided views (2D) grow with the pass, not with
+        # the state
+        grid = GridSpec(n=n, N=2048 if n == 1 else 64, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+        assert passes_of(grid, 2) == 1
+        workspace = sum(b.nbytes for b in self.buffers(grid))
+        assert warm_step_transient(grid, params, True) < workspace
+
+    def test_simulate_2d_grid_steps_one_component_at_a_time(self,
+                                                            fft_calls):
+        # the simulate-2d workload's grid: a pass of both components
+        # would take 4.3 MB, over the budget, so its fft calls per step
+        # are those of the per-component step
+        grid = GridSpec(n=2, N=256, L=40.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        state, _ = make_initial_data(grid, gaussian_data(0.1), 1.0)
+        state = step(state, 0.05, params, grid)
+        assert [b.shape[0] for b in self.buffers(grid)] == [1] * 5
+        fft_calls.clear()
+        step(state, 0.05, params, grid)
+        assert fft_calls == {"ifft": 2, "irfft": 2, "rfft": 2, "fft": 2}
+
+    def test_lifespan_grid_steps_in_one_pass(self, fft_calls):
+        # the lifespan-1d workload's grid: both components fit 142 KB
+        grid = GridSpec(n=1, N=2048, L=160.0)
+        data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
+        state, _ = make_initial_data(grid, data, 1.0)
+        state = step(state, 0.05, PARAMS_22, grid)
+        assert sum(b.nbytes for b in self.buffers(grid)) == 142_048
+        assert [b.shape[0] for b in self.buffers(grid)] == [2] * 5
+        fft_calls.clear()
+        step(state, 0.05, PARAMS_22, grid, estimate=True)
+        assert fft_calls == {"irfft": 1, "rfft": 1}
 
     @pytest.mark.parametrize("linear_only", [False, True])
     @pytest.mark.parametrize("n", [1, 2])
@@ -1665,8 +1749,150 @@ class TestWorkspace:
             step(state, 0.1, params, grid)
         info = solver._workspace.cache_info()
         assert info.currsize == 1 and info.misses == 2
-        assert [b.shape[-1] for b in self.buffers(grid)] == [64, 64, 33,
-                                                             22, 22]
+        assert [b.shape for b in self.buffers(grid)] == [
+            (2, 64), (2, 64), (2, 33), (2, 22), (2, 22)]
+
+
+def one_component_buffers(grid):
+    """The buffers of one component that per_component_step reuses."""
+    lead = grid.shape[:-1]
+    return SimpleNamespace(
+        field=np.empty(grid.shape), mag=np.empty(grid.shape),
+        half=np.empty(lead + (grid.N // 2 + 1,), complex),
+        cols=np.empty(lead + grid.block_shape[-1:], complex),
+        block=np.empty(grid.block_shape, complex))
+
+
+def irfftn_one(half, grid, ws):
+    if grid.n == 2:
+        half = np.fft.ifft(half, axis=0, out=ws.half)
+    return np.fft.irfft(half, n=grid.N, out=ws.field)
+
+
+def forcing_one(mag, p, row, grid, ws):
+    spec = np.fft.rfft(_power(mag, p, out=ws.field), out=ws.half)
+    if grid.n == 2:
+        spec = np.fft.fft(spec[:, : grid.block_shape[-1]], axis=0,
+                          out=ws.cols)
+    solver._block(spec, grid, out=row)
+
+
+def per_component_nonlinearity_hat(u_phys, params, grid):
+    ws = one_component_buffers(grid)
+    k = len(u_phys)
+    out = np.empty((k,) + grid.block_shape, complex)
+    for ell in range(k):
+        nxt = (ell + 1) % k
+        forcing_one(np.abs(u_phys[ell], out=ws.mag), params.p[nxt],
+                    out[nxt], grid, ws)
+    return out
+
+
+def per_component_step(state, dt, params, grid, *, linear_only=False,
+                       estimate=False):
+    """Reference: step() as it ran one component at a time, every
+    operation one numpy call per component, into the row of component
+    l + 1 for the forcing that component l drives."""
+    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = solver._tables(
+        grid, params.sigma, dt)
+    ws = one_component_buffers(grid)
+    uh, vh = state.u_half, state.v_half
+    k = len(uh)
+    u_half, v_half = np.empty_like(uh), np.empty_like(vh)
+    for u, v, a, b in zip(u_half, v_half, uh, vh):
+        np.multiply(k0, a, out=u)
+        u += np.multiply(k1, b, out=ws.half)
+        np.multiply(dk0, a, out=v)
+        v += np.multiply(dk1, b, out=ws.half)
+    if not linear_only:
+        Nh_old = state.nl_half
+        if Nh_old is None:
+            Nh_old = per_component_nonlinearity_hat(state.u, params, grid)
+        Nh_new = np.empty_like(Nh_old)
+    sup = np.empty(k)
+    for ell, u in enumerate(u_half):
+        if not linear_only:
+            solver._add_block(u, np.multiply(i1, Nh_old[ell], out=ws.block),
+                              grid)
+        mag = np.abs(irfftn_one(u, grid, ws), out=ws.mag)
+        sup[ell] = mag.max()
+        if not linear_only:
+            nxt = (ell + 1) % k
+            forcing_one(mag, params.p[nxt], Nh_new[nxt], grid, ws)
+    if linear_only:
+        return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
+                          err=0.0 if estimate else None)
+    bounds = []
+    weights = grid.parseval_weights[: grid.block_shape[-1]]
+    for u, v, new, old in zip(u_half, v_half, Nh_new, Nh_old):
+        gap = np.subtract(new, old, out=ws.block)
+        np.multiply(w_nu, gap, out=gap)
+        solver._add_block(u, gap, grid)
+        if estimate:
+            bounds.append((weights * np.abs(gap)).sum())
+        solver._add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
+        solver._add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
+    err = None
+    if estimate:
+        bound = np.array(bounds) / grid.N ** grid.n
+        err = float(np.max(bound / np.maximum(sup, TINY)))
+    return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
+                      pred_sup=sup, err=err)
+
+
+def assert_same_state(got, want):
+    for name in ("u_half", "v_half", "nl_half", "pred_sup"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.err == want.err
+
+
+class TestPasses:
+    """step() runs its components in passes of g = k or 1 through the
+    workspace, one numpy call per operation and pass, and is the step
+    made one component at a time (per_component_step) bit for bit."""
+
+    @pytest.mark.parametrize("p", [(2.0, 3.0, 4.0), (2.5, 1.5, 3.5)])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_passes_are_the_per_component_step_bit_for_bit(
+            self, n, k, p, batch_bytes, monkeypatch):
+        grid = GridSpec(n=n, N=32, L=10.0)
+        params = SystemParams(n=n, sigma=1.0, k=k, p=p[:k])
+        rng = np.random.default_rng(29)
+        u, v = 0.5 * rng.normal(size=(2, k) + grid.shape)
+        axes = grid.spatial_axes
+        start = FieldState(0.0, np.fft.rfftn(u, axes=axes),
+                           np.fft.rfftn(v, axes=axes))
+        h, ts = 0.1, [0.02, 0.05, 0.1]
+        real_nonlinearity_hat = solver._nonlinearity_hat
+        for budget, g in ((0, 1), (None, k)):
+            batch_bytes(budget)
+            assert len(solver._workspace(grid, k).field) == g
+            for linear_only in (False, True):
+                for estimate in (False, True):
+                    kw = dict(linear_only=linear_only, estimate=estimate)
+                    # the first step evaluates its old forcing from the
+                    # state's field, the second carries it
+                    first = step(start, h, params, grid, **kw)
+                    assert_same_state(
+                        first, per_component_step(start, h, params, grid,
+                                                  **kw))
+                    assert_same_state(
+                        step(first, h, params, grid, **kw),
+                        per_component_step(first, h, params, grid, **kw))
+            # a record batch on a first step's interpolant, whose old
+            # forcing comes from _nonlinearity_hat
+            first = step(start, h, params, grid)
+            got = solver._interpolate(start, first, h, ts, params, grid)
+            monkeypatch.setattr(solver, "_nonlinearity_hat",
+                                per_component_nonlinearity_hat)
+            want = solver._interpolate(start, first, h, ts, params, grid)
+            monkeypatch.setattr(solver, "_nonlinearity_hat",
+                                real_nonlinearity_hat)
+            assert got.u_half.tobytes() == want.u_half.tobytes()
 
 
 class TestTableCache:
