@@ -28,7 +28,7 @@ transform (the predictors) and one forward transform of the forcing
 they drive, pruned to the block, per pass of its components through a
 scratch workspace that every step on the grid reuses (_workspace), so
 a step allocates little beyond the state it returns.  A pass takes all
-k components where their buffers fit BATCH_BYTES, as on 1D grids, else
+k components of a 1D grid where their buffers fit BATCH_BYTES, else
 one, and makes one numpy call per operation for them.
 The corrector stays a spectrum; it is transformed at most once, the
 first time norms() reads its FieldState.u, and the step's error
@@ -362,12 +362,10 @@ def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
 # for a last step clipped to an off-grid t_end, and an adaptive run one
 # per ladder size it steps with; the interpolants of records inside a
 # step build their own tables outside the cache (see _interpolate).  An
-# entry holds 4 half-spectrum tables and 4 on the kept block, real
-# values held as complex128 (3.05 MB on a 2D grid of N = 256, 109 KB on
-# a 1D grid of N = 2048): numpy casts a float64 table to complex in each
-# of its products with a spectrum, which on a 1D grid of N = 2048 made a
-# product take 1.4-1.6 times as long.  The step's scratch buffers are
-# cached beside it, per grid (_workspace)
+# entry holds 4 half-spectrum tables and 4 on the kept block, real but
+# held as complex128, to which numpy would cast float64 tables in each
+# product with a spectrum (3.05 MB on a 2D grid of N = 256, 109 KB on a
+# 1D grid of N = 2048)
 @lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
@@ -378,6 +376,11 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     that form."""
     a = _half(grid.symbol(sigma))
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
+    # one block per kind of table, so that on a 2D grid they come from
+    # the heap like the step's arrays (prop is twice a two-component
+    # state spectrum).  One 8-row block is mmapped instead: before the
+    # workspace it left the heap tight enough to be trimmed and refaulted
+    # every other step of simulate-2d; now it adds 1,200 of 24,400 faults
     prop = np.stack((k0, k1, dk0, dk1), dtype=complex)
     # Duhamel weights of the linear-in-time nonlinearity model, in the
     # rows i1, w_new_u = i1 - j1 / dt, w_old_v = k1 - w_new_v and
@@ -393,34 +396,34 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
 
 # one grid's buffers, which every step and forcing evaluation on it
 # reuses, so that the 2D step loop frees and refaults no scratch memory
-# (142 KB for k = 2 on a 1D grid of N = 2048; 2.16 MB, one component, on
-# a 2D grid of N = 256).  maxsize=1: a command that steps on several
-# grids holds only the last one's.  No buffer leaves step()
+# (142 KB for k = 2 on a 1D grid of N = 2048, 2.16 MB on a 2D grid of
+# N = 256).  2D grids go one component at a time: numpy buffers a block
+# add through 2D strided views, the pass's block size per operand, past
+# one field for two components.  maxsize=1: a command that steps
+# on several grids holds only the last one's.  No buffer leaves step()
 @lru_cache(maxsize=1)
 def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
     """Buffers of (g,) physical fields, magnitudes, half spectra, their
-    kept columns and kept blocks, for passes of g = k components where
-    they fit BATCH_BYTES, else of g = 1."""
-    lead, c = grid.shape[:-1], grid.block_shape[-1]
-    # a component's bytes: 8 a point in the float64 field and magnitude,
-    # 16 in the complex half spectrum, its kept columns and block
-    spectra = math.prod(lead) * (grid.N // 2 + 1 + c)
-    size = 16 * (grid.N ** grid.n + spectra + math.prod(grid.block_shape))
-    g = k if k * size <= BATCH_BYTES else 1
-    return SimpleNamespace(
-        field=np.empty((g,) + grid.shape), mag=np.empty((g,) + grid.shape),
-        half=np.empty((g,) + lead + (grid.N // 2 + 1,), complex),
-        cols=np.empty((g,) + lead + (c,), complex),
-        block=np.empty((g,) + grid.block_shape, complex))
+    kept columns and kept blocks, for passes of g = k components on a 1D
+    grid where they fit BATCH_BYTES, else of g = 1."""
+    lead = grid.shape[:-1]
+    shapes = dict(field=(grid.shape, float), mag=(grid.shape, float),
+                  half=(lead + (grid.N // 2 + 1,), complex),
+                  cols=(lead + grid.block_shape[-1:], complex),
+                  block=(grid.block_shape, complex))
+    size = sum(math.prod(s) * np.dtype(t).itemsize
+               for s, t in shapes.values())
+    g = k if grid.n == 1 and k * size <= BATCH_BYTES else 1
+    return SimpleNamespace(**{name: np.empty((g,) + s, t)
+                              for name, (s, t) in shapes.items()})
 
 
-def _passes(k: int, g: int):
-    """(sources, targets) slices of the passes of g = k or 1 components;
+def _passes(k: int, g: int) -> tuple:
+    """(sources, targets) slices of the passes of g = k or 1 components:
     component l forces l + 1 mod k, so the targets are the sources
-    shifted by one, for g = k rolled."""
-    for first in range(0, k, g):
-        target = (first + g) % k
-        yield slice(first, first + g), slice(target, target + g)
+    shifted by one, for g = k rolled (see _forcing)."""
+    return tuple((slice(i, i + g), slice((i + g) % k, (i + g) % k + g))
+                 for i in range(0, k, g))
 
 
 def _power(mag: np.ndarray, p: float, out=None) -> np.ndarray:
@@ -503,14 +506,8 @@ def step(state: FieldState, dt: float, params: SystemParams,
     uh, vh = state.u_half, state.v_half
     k = len(uh)
     ws = _workspace(grid, k)
-    passes = tuple(_passes(k, len(ws.field)))
+    passes = _passes(k, len(ws.field))
     u_half, v_half = np.empty_like(uh), np.empty_like(vh)
-    for src, _ in passes:
-        u, v = u_half[src], v_half[src]
-        np.multiply(k0, uh[src], out=u)
-        u += np.multiply(k1, vh[src], out=ws.half)
-        np.multiply(dk0, uh[src], out=v)
-        v += np.multiply(dk1, vh[src], out=ws.half)
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
@@ -518,7 +515,11 @@ def step(state: FieldState, dt: float, params: SystemParams,
         Nh_new = np.empty_like(Nh_old)
     sup = np.empty(k)
     for src, dst in passes:
-        u = u_half[src]
+        u, v = u_half[src], v_half[src]
+        np.multiply(k0, uh[src], out=u)
+        u += np.multiply(k1, vh[src], out=ws.half)
+        np.multiply(dk0, uh[src], out=v)
+        v += np.multiply(dk1, vh[src], out=ws.half)
         if not linear_only:
             _add_block(u, np.multiply(i1, Nh_old[src], out=ws.block), grid)
         # the predictors, or for linear_only the exact new fields

@@ -604,7 +604,7 @@ class TestTransformBudget:
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         start, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        for budget, passes in ((0, 2), (None, 1)):
+        for budget, passes in ((0, 2), (None, n)):
             batch_bytes(budget)
             assert passes_of(grid, 2) == passes
             state = step(start, 0.1, params, grid)
@@ -619,8 +619,9 @@ class TestTransformBudget:
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        for budget, passes in ((0, 2), (None, 1)):
+        for budget, passes in ((0, 2), (None, n)):
             batch_bytes(budget)
+            assert passes_of(grid, 2) == passes
             fft_calls.clear()
             step(state, 0.1, params, grid, linear_only=True)
             assert fft_calls == per_pass(n, passes, inverse=1)
@@ -642,8 +643,9 @@ class TestTransformBudget:
     def test_first_step_from_initial_data(self, n, fft_calls, batch_bytes):
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
-        for budget, passes in ((0, 2), (None, 1)):
+        for budget, passes in ((0, 2), (None, n)):
             batch_bytes(budget)
+            assert passes_of(grid, 2) == passes
             state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
             fft_calls.clear()
             step(state, 0.1, params, grid)
@@ -675,11 +677,12 @@ class TestTransformBudget:
         # setup: rfftn of u0 and u1; the first step evaluates its old
         # forcing from the field the t = 0 record transformed; each step
         # makes one inverse (ifft, irfft) and one pruned forward (rfft,
-        # fft) transform in its one pass, and each record one irfftn
-        assert passes_of(grid, 2) == 1
-        assert fft_calls == {"rfftn": 2, "rfft": 1 + res.steps,
-                             "fft": 1 + res.steps,
-                             "ifft": res.steps, "irfft": res.steps,
+        # fft) transform in each of its two passes, one component each,
+        # and each record one irfftn
+        assert passes_of(grid, 2) == 2
+        forward = 2 * (1 + res.steps)
+        assert fft_calls == {"rfftn": 2, "rfft": forward, "fft": forward,
+                             "ifft": 2 * res.steps, "irfft": 2 * res.steps,
                              "irfftn": records}
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -1657,34 +1660,27 @@ class TestWorkspace:
         return list(vars(solver._workspace(grid, k)).values())
 
     @pytest.mark.parametrize("estimate", [False, True])
-    def test_warm_step_allocates_little_beyond_its_state(self, estimate,
-                                                         batch_bytes):
-        # one component at a time, the layout of the 2D grids whose
-        # components do not fit the budget together
-        batch_bytes(0)
+    def test_warm_step_allocates_little_beyond_its_state(self, estimate):
         grid = GridSpec(n=2, N=64, L=10.0)
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
         assert passes_of(grid, 2) == 2
         assert (warm_step_transient(grid, params, estimate)
                 < np.empty(grid.shape).nbytes)
 
-    @pytest.mark.parametrize("n", [1, 2])
     def test_warm_pass_of_all_components_allocates_below_its_workspace(
-            self, n):
-        # the estimate's temporaries and numpy's buffers for the block
-        # adds through strided views (2D) grow with the pass, not with
-        # the state
-        grid = GridSpec(n=n, N=2048 if n == 1 else 64, L=10.0)
-        params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
+            self):
+        # 1D: the estimate's temporaries and numpy's buffers for the
+        # table products, which broadcast over the pass, grow with the
+        # pass, not with the state
+        grid = GridSpec(n=1, N=2048, L=10.0)
         assert passes_of(grid, 2) == 1
         workspace = sum(b.nbytes for b in self.buffers(grid))
-        assert warm_step_transient(grid, params, True) < workspace
+        assert warm_step_transient(grid, PARAMS_34, True) < workspace
 
     def test_simulate_2d_grid_steps_one_component_at_a_time(self,
                                                             fft_calls):
-        # the simulate-2d workload's grid: a pass of both components
-        # would take 4.3 MB, over the budget, so its fft calls per step
-        # are those of the per-component step
+        # the simulate-2d workload's grid: its fft calls per step are
+        # those of the per-component step
         grid = GridSpec(n=2, N=256, L=40.0)
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
         state, _ = make_initial_data(grid, gaussian_data(0.1), 1.0)
@@ -1850,8 +1846,8 @@ def assert_same_state(got, want):
 
 
 class TestPasses:
-    """step() runs its components in passes of g = k or 1 through the
-    workspace, one numpy call per operation and pass, and is the step
+    """step() runs its components in passes of g = k (1D) or 1 through
+    the workspace, one numpy call per operation and pass, and is the step
     made one component at a time (per_component_step) bit for bit."""
 
     @pytest.mark.parametrize("p", [(2.0, 3.0, 4.0), (2.5, 1.5, 3.5)])
@@ -1868,7 +1864,8 @@ class TestPasses:
                            np.fft.rfftn(v, axes=axes))
         h, ts = 0.1, [0.02, 0.05, 0.1]
         real_nonlinearity_hat = solver._nonlinearity_hat
-        for budget, g in ((0, 1), (None, k)):
+        # 2D grids step one component at a time under any budget
+        for budget, g in ((0, 1), (None, k if n == 1 else 1)):
             batch_bytes(budget)
             assert len(solver._workspace(grid, k).field) == g
             for linear_only in (False, True):
