@@ -33,7 +33,8 @@ one, and makes one numpy call per operation for them.
 The corrector stays a spectrum; it is transformed at most once, the
 first time norms() reads its FieldState.u, and the step's error
 estimate and run()'s blow-up check read the predictor and the spectral
-predictor-corrector gap instead.
+predictor-corrector gap instead, and a finite estimate spares run() a
+scan of the spectra.
 The records strictly inside one step are read off its interpolant as
 one batch, a FieldState stacked over their times: one propagator
 table build, one irfftn and one norms() call serve them all.
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -70,6 +71,8 @@ FIT_POINTS = 8
 # time: a step's pass of all components (_workspace) and a batch of the
 # records inside one step (four float64 tables k0, k1, i1, w_new_u each)
 BATCH_BYTES = 2 ** 20
+# the bytes of the step tables one grid keeps (see _workspace)
+TABLE_BYTES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class GridSpec:
     def dx(self) -> float:
         return 2.0 * self.L / self.N
 
-    @property
+    @cached_property
     def spatial_axes(self) -> tuple:
         return tuple(range(1, self.n + 1))
 
@@ -204,7 +207,7 @@ class FieldState:
     on max |u_corr_l - u_pred_l|, with g the spectral gap between the
     corrector u_corr and u_pred, over max(pred_sup_l, TINY), so a
     component far smaller than the others still has its relative error
-    bounded (0.0 for linear_only), when step() was asked for it.
+    bounded (0.0 for linear_only; NaN when any component's ratio is).
     """
 
     t: float
@@ -327,6 +330,15 @@ def _half(arr: np.ndarray) -> np.ndarray:
     return arr[..., : arr.shape[-1] // 2 + 1]
 
 
+@lru_cache(maxsize=4)
+def _half_symbol(grid: GridSpec, sigma: float) -> np.ndarray:
+    """_half(grid.symbol(sigma)), contiguous and read-only, computed once
+    per grid and sigma."""
+    a = np.ascontiguousarray(_half(grid.symbol(sigma)))
+    a.flags.writeable = False
+    return a
+
+
 def _full(half: np.ndarray) -> np.ndarray:
     """Full fftn layout of half spectra of real fields (N = 2 (h - 1) for
     h last-axis columns): the missing m < 0 columns are conj(u_hat(-m)),
@@ -358,15 +370,6 @@ def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
         half[at_half] += block[at_block]
 
 
-# step tables only: a fixed-dt run needs its dt table plus at most one
-# for a last step clipped to an off-grid t_end, and an adaptive run one
-# per ladder size it steps with; the interpolants of records inside a
-# step build their own tables outside the cache (see _interpolate).  An
-# entry holds 4 half-spectrum tables and 4 on the kept block, real but
-# held as complex128, to which numpy would cast float64 tables in each
-# product with a spectrum (3.05 MB on a 2D grid of N = 256, 109 KB on a
-# 1D grid of N = 2048)
-@lru_cache(maxsize=4)
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
     Duhamel weights i1, w_new_u, w_old_v, w_new_v on its kept block
@@ -374,7 +377,7 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     only that block; the propagator tables act on the state.  u's
     old-forcing weight j1 / dt is i1 - w_new_u, which step() uses in
     that form."""
-    a = _half(grid.symbol(sigma))
+    a = _half_symbol(grid, sigma)
     k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
     # one block per kind of table, so that on a 2D grid they come from
     # the heap like the step's arrays (prop is twice a two-component
@@ -396,34 +399,49 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
 
 # one grid's buffers, which every step and forcing evaluation on it
 # reuses, so that the 2D step loop frees and refaults no scratch memory
-# (142 KB for k = 2 on a 1D grid of N = 2048, 2.16 MB on a 2D grid of
+# (164 KB for k = 2 on a 1D grid of N = 2048, 2.40 MB on a 2D grid of
 # N = 256).  2D grids go one component at a time: numpy buffers a block
 # add through 2D strided views, the pass's block size per operand, past
-# one field for two components.  maxsize=1: a command that steps
-# on several grids holds only the last one's.  No buffer leaves step()
+# one field for two components.  maxsize=1: a command that steps on
+# several grids holds only the last one's buffers and step tables.  No
+# buffer leaves step()
 @lru_cache(maxsize=1)
 def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
     """Buffers of (g,) physical fields, magnitudes, half spectra, their
-    kept columns and kept blocks, for passes of g = k components on a 1D
-    grid where they fit BATCH_BYTES, else of g = 1."""
+    kept columns and kept blocks, and the estimate's |gap| and Parseval
+    weights on the block, for passes of g = k components on a 1D grid
+    where they fit BATCH_BYTES, else of g = 1; the passes' (sources,
+    targets) slices, where component l forces l + 1 mod k, so that the
+    targets are the sources shifted by one, for g = k rolled (see
+    _forcing); and tables(sigma, dt), the grid's step tables (_tables)."""
     lead = grid.shape[:-1]
     shapes = dict(field=(grid.shape, float), mag=(grid.shape, float),
                   half=(lead + (grid.N // 2 + 1,), complex),
                   cols=(lead + grid.block_shape[-1:], complex),
-                  block=(grid.block_shape, complex))
+                  block=(grid.block_shape, complex),
+                  l1=(grid.block_shape, float),
+                  weights=(grid.block_shape, float))
     size = sum(math.prod(s) * np.dtype(t).itemsize
                for s, t in shapes.values())
     g = k if grid.n == 1 and k * size <= BATCH_BYTES else 1
-    return SimpleNamespace(**{name: np.empty((g,) + s, t)
-                              for name, (s, t) in shapes.items()})
-
-
-def _passes(k: int, g: int) -> tuple:
-    """(sources, targets) slices of the passes of g = k or 1 components:
-    component l forces l + 1 mod k, so the targets are the sources
-    shifted by one, for g = k rolled (see _forcing)."""
-    return tuple((slice(i, i + g), slice((i + g) % k, (i + g) % k + g))
-                 for i in range(0, k, g))
+    ws = SimpleNamespace(**{name: np.empty((g,) + s, t)
+                            for name, (s, t) in shapes.items()})
+    # at the pass's shape: numpy buffers a broadcast operand
+    ws.weights[...] = grid.parseval_weights[: grid.block_shape[-1]]
+    ws.passes = tuple((slice(i, i + g), slice((i + g) % k, (i + g) % k + g))
+                      for i in range(0, k, g))
+    # step tables only: a fixed-dt run needs its dt table plus at most
+    # one for a last step clipped to an off-grid t_end, and an adaptive
+    # run one per ladder size it steps with (records inside a step build
+    # theirs outside the cache, see _interpolate).  An entry holds 4
+    # half-spectrum tables and 4 on the kept block, real but held as
+    # complex128, to which numpy would cast float64 tables in each
+    # product with a spectrum; as many entries as fit TABLE_BYTES, 1 to 4
+    # (4 of 109 KB on a 1D grid of N = 2048, 2 of 3.05 MB on 2D N = 256)
+    entry = 4 * (ws.half[0].nbytes + ws.block[0].nbytes)
+    ws.tables = lru_cache(max(1, min(4, TABLE_BYTES // entry)))(
+        partial(_tables, grid))
+    return ws
 
 
 def _power(mag: np.ndarray, p: float, out=None) -> np.ndarray:
@@ -473,15 +491,14 @@ def _nonlinearity_hat(u_phys, params, grid):
     k = len(u_phys)
     ws = _workspace(grid, k)
     out = np.empty((k,) + grid.block_shape, complex)
-    for src, dst in _passes(k, len(ws.field)):
+    for src, dst in ws.passes:
         _forcing(np.abs(u_phys[src], out=ws.mag), params.p[dst], out[dst],
                  grid, ws)
     return out
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
-         grid: GridSpec, *, linear_only: bool = False,
-         estimate: bool = False) -> FieldState:
+         grid: GridSpec, *, linear_only: bool = False) -> FieldState:
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
@@ -495,18 +512,18 @@ def step(state: FieldState, dt: float, params: SystemParams,
     through the grid's workspace in passes (_workspace), each making one
     numpy call per operation: the predictors' fields, their sups and the
     forcing they drive (component l forces l + 1).  The new state
-    carries the new forcing, the predictor's sup per component and, with
-    estimate=True, the estimate err, which costs no transform.  Pure
-    numerics: a step that overflows returns non-finite spectra or sups,
-    and judging blow-up is left to run().
+    carries the new forcing, the predictor's sup per component and the
+    estimate err (0.0 for linear_only), whose l1 sums of the gap cost
+    three block-sized calls per pass and no transform.  Pure numerics: a
+    step that overflows returns non-finite spectra, sups or err, and
+    judging blow-up is left to run().
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = _tables(grid, params.sigma, dt)
     uh, vh = state.u_half, state.v_half
     k = len(uh)
     ws = _workspace(grid, k)
-    passes = _passes(k, len(ws.field))
+    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = ws.tables(params.sigma, dt)
     u_half, v_half = np.empty_like(uh), np.empty_like(vh)
     if not linear_only:
         Nh_old = state.nl_half
@@ -514,7 +531,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
             Nh_old = _nonlinearity_hat(state.u, params, grid)
         Nh_new = np.empty_like(Nh_old)
     sup = np.empty(k)
-    for src, dst in passes:
+    for src, dst in ws.passes:
         u, v = u_half[src], v_half[src]
         np.multiply(k0, uh[src], out=u)
         u += np.multiply(k1, vh[src], out=ws.half)
@@ -529,25 +546,27 @@ def step(state: FieldState, dt: float, params: SystemParams,
             _forcing(mag, params.p[dst], Nh_new[dst], grid, ws)
     if linear_only:
         return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
-                          err=0.0 if estimate else None)
+                          err=0.0)
     bounds = np.empty(k)
-    weights = grid.parseval_weights[: grid.block_shape[-1]]
-    for src, _ in passes:
+    for src, _ in ws.passes:
         u, v, new, old = u_half[src], v_half[src], Nh_new[src], Nh_old[src]
         gap = np.subtract(new, old, out=ws.block)
         np.multiply(w_nu, gap, out=gap)
         _add_block(u, gap, grid)
-        if estimate:
-            bounds[src] = np.add.reduce(weights * np.abs(gap),
-                                        axis=grid.spatial_axes)
+        l1 = np.multiply(ws.weights, np.abs(gap, out=ws.l1), out=ws.l1)
+        np.add.reduce(l1, axis=grid.spatial_axes, out=bounds[src])
         _add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
         _add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
-    err = None
-    if estimate:
-        bound = bounds / grid.N ** grid.n
-        err = float(np.max(bound / np.maximum(sup, TINY)))
     return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
-                      pred_sup=sup, err=err)
+                      pred_sup=sup, err=_relative_max(
+                          bounds.tolist(), sup.tolist(), grid.N ** grid.n))
+
+
+def _relative_max(bounds: list, sups: list, scale: int) -> float:
+    """float(np.max(bounds / scale / np.maximum(sups, TINY))) bit for bit,
+    or NaN with it, in a fraction of its time for a few floats."""
+    ratios = [b / scale / max(s, TINY) for b, s in zip(bounds, sups)]
+    return math.nan if math.isnan(sum(ratios)) else max(ratios)
 
 
 def _interpolate(old: FieldState, new: FieldState, h: float, ts,
@@ -568,7 +587,7 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     t = ts as an array and carries u_half only.
     """
     ts = np.asarray(ts, dtype=float)
-    a = _half(grid.symbol(params.sigma))
+    a = _half_symbol(grid, params.sigma)
     tau = (ts - old.t).reshape((-1,) + (1,) * (a.ndim + 1))
     k0, k1, _, _, i1, j1 = propagator_arrays(tau, a)
     u_half = k0 * old.u_half + k1 * old.v_half
@@ -592,7 +611,7 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     batch (see FieldState) gets one value per record and component:
     tuples of k floats for one state, of m lists of k for a batch.
     """
-    a = _half(grid.symbol(sigma))
+    a = _half_symbol(grid, sigma)
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
     sq = grid.parseval_weights * np.abs(state.u_half) ** 2
     sum_axes = tuple(range(-grid.n, 0))
@@ -744,12 +763,16 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     h from a state at time t whose predictor (the one physical field a
     step holds) has a sup that is not at most BLOWUP_THRESHOLD (NaN
     and inf included), or whose corrector or carried forcing spectrum
-    is not finite, as when a finite predictor's |u|^p overflows.  That
-    check comes before the step's accept/reject, and numpy's overflow
-    and invalid-value warnings are silenced while step() runs, since
-    the check judges what they report.  blowup_time is then t + h/2,
-    the midpoint of the bracket [t, t + h], with blowup_error h/2, and
-    the last good state at t is the final record.
+    is not finite, as when a finite predictor's |u|^p overflows.  A
+    finite err vouches for those spectra: it sums |w_new_u (N_new -
+    N_old)|, which a non-finite forcing or corrector makes non-finite.
+    Only a step whose err is not finite has them scanned, since finite
+    spectra can still overflow a bound over the sup of a zero or tiny
+    component.  The check comes before the step's accept/reject, and
+    numpy's overflow and invalid-value warnings are silenced while
+    step() runs, since the check judges what they report.  blowup_time
+    is then t + h/2, the midpoint of the bracket [t, t + h], with
+    blowup_error h/2, and the last good state at t is the final record.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -808,13 +831,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         if near(h, dt_now):
             h = dt_now
         with np.errstate(over="ignore", invalid="ignore"):
-            new = step(state, h, params, grid, linear_only=linear_only,
-                       estimate=adaptive)
-        peak = float(np.max(new.pred_sup))
+            new = step(state, h, params, grid, linear_only=linear_only)
+        peak = new.pred_sup.max()
         # NaN and inf fail the comparison too
         if not (peak <= BLOWUP_THRESHOLD
-                and np.isfinite(new.u_half).all()
-                and (linear_only or np.isfinite(new.nl_half).all())):
+                and (math.isfinite(new.err)
+                     or np.isfinite(new.u_half).all()
+                     and np.isfinite(new.nl_half).all())):
             t_blow, t_err = state.t + 0.5 * h, 0.5 * h
             break
         if adaptive:

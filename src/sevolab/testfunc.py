@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConditionViolated, DataLeakage, DomainError
-from .solver import GridSpec, _edge_ratio, _half
+from .solver import GridSpec, _edge_ratio, _half_symbol
 
 INTEGER_TOL = 1e-12
 CONDITION_CAP = 1e6
@@ -96,7 +96,7 @@ def frac_laplacian_grid(grid: GridSpec, field: np.ndarray, nu: float,
                 f"enlarge the box or pass tail_tol=None"
             )
     hat = np.fft.rfftn(field)
-    return np.fft.irfftn(_half(grid.symbol(nu)) * hat, s=grid.shape,
+    return np.fft.irfftn(_half_symbol(grid, nu) * hat, s=grid.shape,
                          axes=range(grid.n))
 
 

@@ -86,7 +86,8 @@ def test_picks_each_tree_and_reduces_its_samples(results):
     # the k-th parent record against the k-th change record
     assert decay["pairs"]["wall_s"] == {
         "pairs": 3, "change_wins": 2,
-        "median_ratio": pytest.approx(0.6)}
+        "median_ratio": pytest.approx(0.6),
+        "resolved": False, "within_bound": True}
     assert decay["pairs"]["peak_rss_mb"]["change_wins"] == 1
     # a workload one tree lacks has no pairs
     sim = doc["workloads"]["simulate-2d"]
@@ -103,7 +104,9 @@ def test_cli_writes_the_file(results, tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["pr"] == 16 and set(doc["workloads"]) == {"decay-1d",
                                                          "simulate-2d"}
-    assert "change wins 2 of 3" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert ("change wins 2 of 3, median ratio 0.600, resolved False, "
+            "within bound True") in printed
     assert bench_record.main([*map(str, results), "--pr", "16",
                               "--parent", OTHER, "--change", OTHER,
                               "--seed", "5", "--out", str(out)]) == 1
@@ -120,3 +123,51 @@ def test_hash_is_perfbench_source_hash():
     assert bench_record.source_sha256(ROOT / "src") == want
     assert bench_record.tree_hash(str(ROOT / "src")) == want
     assert bench_record.tree_hash(want) == want
+
+
+BOUNDS = {"wall_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def paired(before, after, rss=(38.0, 38.0)):
+    """The pairs of alternating records with these wall_s samples and
+    peak_rss_mb values, setup_s equal on both sides."""
+    lines = []
+    for b, a in zip(before, after):
+        lines += [record("lifespan-1d", PARENT, False, (b, 0.2, rss[0])),
+                  record("lifespan-1d", CHANGE, False, (a, 0.2, rss[1]))]
+    doc = bench_record.bench_record(lines, 25, PARENT, CHANGE,
+                                    bounds=BOUNDS)
+    return doc["workloads"]["lifespan-1d"]["pairs"]
+
+
+PARENT_WALL = [1.00 + 0.01 * i for i in range(10)]  # quartiles 1.0225-1.0675
+
+
+@pytest.mark.parametrize("after, resolved", [
+    # 9 of 10 won, medians 0.104 apart against a 0.045 spread
+    ([0.9 * b for b in PARENT_WALL[:9]] + [1.2], True),
+    # 8 of 10 won
+    ([0.9 * b for b in PARENT_WALL[:8]] + [1.2, 1.2], False),
+    # 10 of 10 won, by 0.04 in the medians, inside the spread
+    ([b - 0.04 for b in PARENT_WALL], False),
+])
+def test_resolved_needs_nine_in_ten_and_the_spread(after, resolved):
+    wall = paired(PARENT_WALL, after)["wall_s"]
+    assert wall["resolved"] is resolved
+    assert wall["within_bound"] is True
+
+
+@pytest.mark.parametrize("rss, within", [((38.0, 41.7), True),
+                                         ((38.0, 42.0), False),
+                                         ((38.0, 30.0), True)])
+def test_within_bound_reads_the_metric_bound(rss, within):
+    got = paired(PARENT_WALL, PARENT_WALL, rss)
+    assert got["peak_rss_mb"]["within_bound"] is within
+    # an unchanged metric is within its bound and resolves nothing
+    assert got["setup_s"]["within_bound"] is True
+    assert got["setup_s"]["resolved"] is False
+    assert got["setup_s"]["change_wins"] == 0
+
+
+def test_bounds_come_from_the_benchmark_file():
+    assert set(bench_record.read_bounds()) == set(bench_record.END_TO_END)

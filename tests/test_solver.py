@@ -628,16 +628,16 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("linear_only", [False, True])
     def test_estimate_costs_no_transform(self, linear_only, fft_calls):
+        # every step carries its estimate, and makes only the transforms
+        # of its predictors and the forcing they drive
         grid = GridSpec(n=1, N=32, L=10.0)
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         state = step(state, 0.1, PARAMS_34, grid)
-        counts = []
-        for estimate in (False, True):
-            fft_calls.clear()
-            step(state, 0.1, PARAMS_34, grid, linear_only=linear_only,
-                 estimate=estimate)
-            counts.append(dict(fft_calls))
-        assert counts[0] == counts[1]
+        fft_calls.clear()
+        new = step(state, 0.1, PARAMS_34, grid, linear_only=linear_only)
+        assert new.err is not None
+        assert fft_calls == per_pass(1, passes_of(grid, 2), inverse=1,
+                                     forward=int(not linear_only))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_first_step_from_initial_data(self, n, fft_calls, batch_bytes):
@@ -809,6 +809,10 @@ class TestNorms:
             assert np.all(new.pred_sup != want)
 
 
+# component 2 starts at zero, and its predictor on the first step is zero
+ZERO_PREDICTOR_DATA = gaussian_data(1.0, ((0.0, 1e8), (0.0, 0.0)))
+
+
 class TestRun:
     def test_schedule_and_snapshots(self):
         grid = GridSpec(n=1, N=64, L=10.0)
@@ -899,6 +903,47 @@ class TestRun:
         table = read_norms_csv(write_norms_csv(tmp_path / "norms.csv", res))
         assert all(np.all(np.isfinite(col)) for col in table.values())
 
+    def test_infinite_estimate_of_finite_spectra_is_no_blowup(
+            self, monkeypatch):
+        # component 2's predictor is zero, so its bound over max(0, TINY)
+        # overflows: the estimate is inf while every spectrum is finite,
+        # and the run must scan the spectra rather than stop on the err
+        calls = recording_every_step(monkeypatch)
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_22, grid, ZERO_PREDICTOR_DATA, t_end=1.0, dt=0.05,
+                  dt_policy="adaptive")
+        _, _, first = calls[0]
+        assert first.err == math.inf
+        assert np.isfinite(first.u_half).all()
+        assert np.isfinite(first.nl_half).all()
+        assert res.blown_up
+        assert res.blowup_time == 0.008141251178062803
+        assert (res.steps, res.rejected_steps, res.floor_steps) == (136, 6,
+                                                                    62)
+
+    def test_finite_estimate_spares_the_spectrum_scan(self, monkeypatch):
+        # an accepted step whose err is finite has no np.isfinite pass
+        # over its spectra; one whose err is infinite has
+        scanned = []
+        real = np.isfinite
+
+        def counting(x, *args, **kwargs):
+            if np.iscomplexobj(x) and np.ndim(x) > 1:
+                scanned.append(x.shape)
+            return real(x, *args, **kwargs)
+
+        calls = recording_every_step(monkeypatch)
+        monkeypatch.setattr(np, "isfinite", counting)
+        grid = GridSpec(n=1, N=64, L=10.0)
+        res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.0, dt=0.05,
+                  dt_policy="adaptive", outputs=4)
+        assert res.steps > 10 and all(math.isfinite(new.err)
+                                      for _, _, new in calls)
+        assert scanned == []
+        run(PARAMS_22, grid, ZERO_PREDICTOR_DATA, t_end=1.0, dt=0.05,
+            dt_policy="adaptive", outputs=0)
+        assert scanned[:2] == [(2, 33), (2, 22)]
+
     def test_adaptive_matches_fixed(self):
         grid = GridSpec(n=1, N=256, L=40.0)
         data = gaussian_data(0.3, ((1.0, 1.0), (1.0, 1.0)))
@@ -963,13 +1008,13 @@ def adaptive_blowup_run():
 
 
 def recording_step(monkeypatch, calls, edit=None):
-    """Patch solver.step to record (state, dt, new state) of every step
-    the run loop asks an estimate of, optionally editing the result."""
+    """Patch solver.step to record (state, dt, new state) of every
+    nonlinear step, optionally editing the result."""
     real_step = solver.step
 
     def recorded(state, dt, *args, **kwargs):
         new = real_step(state, dt, *args, **kwargs)
-        if kwargs.get("estimate"):
+        if not kwargs.get("linear_only"):
             if edit is not None:
                 new = edit(len(calls), new)
             calls.append((state, dt, new))
@@ -984,13 +1029,44 @@ def on_ladder(h, dt):
 
 
 class TestStepControl:
-    def test_estimate_attached_only_on_request(self):
+    def test_every_step_carries_its_estimate(self):
         grid = GridSpec(n=1, N=64, L=10.0)
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
-        assert step(state, 0.1, PARAMS_34, grid).err is None
-        assert step(state, 0.1, PARAMS_34, grid, linear_only=True,
-                    estimate=True).err == 0.0
-        assert step(state, 0.1, PARAMS_34, grid, estimate=True).err > 0.0
+        for _ in range(2):  # a first step, then one carrying its forcing
+            linear = step(state, 0.1, PARAMS_34, grid, linear_only=True)
+            state = step(state, 0.1, PARAMS_34, grid)
+            assert type(linear.err) is float and linear.err == 0.0
+            assert type(state.err) is float and state.err > 0.0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_scalar_estimate_is_the_numpy_reduction(self, k):
+        # bit for bit float(np.max(bounds / scale / np.maximum(sups,
+        # TINY))), and NaN wherever that is, with zero, TINY and
+        # subnormal sups, ratios overflowing to inf and NaN anywhere
+        bounds = (0.0, 3e-7, 0.25, 1e300, math.inf, math.nan)
+        sups = (0.0, TINY, 1e-310, 0.5, 1e8, math.inf, math.nan)
+        pairs = [(b, s) for b in bounds for s in sups]
+        rng = np.random.default_rng(3)
+        picks = rng.integers(len(pairs), size=(2000, k))
+        picks[: len(pairs) ** 2, :2] = np.indices(
+            (len(pairs),) * 2).reshape(2, -1).T
+        seen = set()
+        for scale in (64, 256 ** 2):
+            for row in picks:
+                b, s = (list(x) for x in zip(*(pairs[i] for i in row)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = float(np.max(np.array(b) / scale
+                                        / np.maximum(s, TINY)))
+                got = solver._relative_max(b, s, scale)
+                assert type(got) is float
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert np.array(got).tobytes() == \
+                        np.array(want).tobytes()
+                seen.add("nan" if math.isnan(want) else
+                         "inf" if want == math.inf else "finite")
+        assert seen == {"nan", "inf", "finite"}
 
     # amp2 = 1e-4: component 2's gap is small against sup|u_1| but not
     # against its own sup, which is what err must measure it by
@@ -1009,7 +1085,7 @@ class TestStepControl:
         for _ in range(2):
             want_u, _, u_pred, nh = reference_step(state, 0.1, params, grid,
                                                    nh)
-            state = step(state, 0.1, params, grid, estimate=True)
+            state = step(state, 0.1, params, grid)
             size = np.max(np.abs(u_pred), axis=axes)
             gap_hat = want_u - np.fft.fftn(u_pred, axes=axes)
             bound = np.sum(np.abs(gap_hat), axis=axes) / grid.N ** n
@@ -1041,7 +1117,7 @@ class TestStepControl:
         state, _ = make_initial_data(
             grid, gaussian_data(0.5, ((1.0, 1.0), (1.0, 1.0))), 1.0)
         state = step(state, 0.05, PARAMS_22, grid)
-        errs = [step(state, h, PARAMS_22, grid, estimate=True).err
+        errs = [step(state, h, PARAMS_22, grid).err
                 for h in (0.8, 0.4, 0.2, 0.1, 0.05, 0.025)]
         for coarse, fine in zip(errs, errs[1:]):
             assert 3.5 < coarse / fine < 8.5
@@ -1141,11 +1217,11 @@ class TestStepControl:
     def test_fixed_policy_is_a_plain_step_loop(self, monkeypatch):
         grid = GridSpec(n=1, N=64, L=10.0)
         data = gaussian_data(0.5)
-        estimated = []
-        recording_step(monkeypatch, estimated)
+        calls = []
+        recording_step(monkeypatch, calls)
         res = run(PARAMS_34, grid, data, t_end=2.0, dt=0.125, outputs=2)
         monkeypatch.undo()
-        assert estimated == []  # no estimate pass on the fixed path
+        assert [h for _, h, _ in calls] == [0.125] * 16
         state, _ = make_initial_data(grid, data, PARAMS_34.sigma)
         for _ in range(16):
             state = step(state, 0.125, PARAMS_34, grid)
@@ -1428,12 +1504,12 @@ class TestInterpolantBatch:
         grid, params, pairs = two_steps(n)
         old, new = pairs[1]
         builds = counting_builds(monkeypatch)
-        before = solver._tables.cache_info()
+        before = table_cache(grid)
         ts = [old.t + 0.1, old.t + 0.2, old.t + 0.25]
         solver._interpolate(old, new, 0.3, ts, params, grid)
         assert len(builds) == 1
         assert np.shape(builds[0]) == (3, 1) + (1,) * n
-        assert solver._tables.cache_info() == before
+        assert table_cache(grid) == before
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_norms_of_a_batch_are_the_per_record_norms(self, n,
@@ -1457,9 +1533,9 @@ class TestInterpolantBatch:
         real = solver._interpolate
 
         def cache_checked(*args):
-            before = solver._tables.cache_info()
+            before = table_cache(args[-1])
             out = real(*args)
-            cache.append(solver._tables.cache_info() == before)
+            cache.append(table_cache(args[-1]) == before)
             return out
 
         monkeypatch.setattr(solver, "_interpolate", cache_checked)
@@ -1524,6 +1600,11 @@ class TestHalfLayoutOnly:
     def test_blowup_run(self):
         res = run(PARAMS_22, BLOWUP_GRID, BLOWUP_DATA, t_end=100.0, dt=0.05)
         assert res.blown_up and 5.0 < res.blowup_time < 25.0
+
+
+def table_cache(grid, k=2):
+    """The cache_info of the step tables a step on grid reads."""
+    return solver._workspace(grid, k).tables.cache_info()
 
 
 def counting_builds(monkeypatch):
@@ -1635,15 +1716,15 @@ class TestKeptBlock:
         assert all(t.dtype == complex and not t.imag.any() for t in tables)
 
 
-def warm_step_transient(grid, params, estimate):
+def warm_step_transient(grid, params):
     """Bytes a warm step's tracemalloc peak holds beyond the arrays of
     the state it returns."""
     state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
     state = step(state, 0.1, params, grid)
-    step(state, 0.1, params, grid, estimate=estimate)  # warm caches
+    step(state, 0.1, params, grid)  # warm caches
     tracemalloc.start()
     try:
-        new = step(state, 0.1, params, grid, estimate=estimate)
+        new = step(state, 0.1, params, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1657,25 +1738,24 @@ class TestWorkspace:
 
     @staticmethod
     def buffers(grid, k=2):
-        return list(vars(solver._workspace(grid, k)).values())
+        return [x for x in vars(solver._workspace(grid, k)).values()
+                if isinstance(x, np.ndarray)]
 
-    @pytest.mark.parametrize("estimate", [False, True])
-    def test_warm_step_allocates_little_beyond_its_state(self, estimate):
+    def test_warm_step_allocates_little_beyond_its_state(self):
         grid = GridSpec(n=2, N=64, L=10.0)
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
         assert passes_of(grid, 2) == 2
-        assert (warm_step_transient(grid, params, estimate)
+        assert (warm_step_transient(grid, params)
                 < np.empty(grid.shape).nbytes)
 
     def test_warm_pass_of_all_components_allocates_below_its_workspace(
             self):
-        # 1D: the estimate's temporaries and numpy's buffers for the
-        # table products, which broadcast over the pass, grow with the
-        # pass, not with the state
+        # 1D: numpy's buffers for the table products, which broadcast
+        # over the pass, grow with the pass, not with the state
         grid = GridSpec(n=1, N=2048, L=10.0)
         assert passes_of(grid, 2) == 1
         workspace = sum(b.nbytes for b in self.buffers(grid))
-        assert warm_step_transient(grid, PARAMS_34, True) < workspace
+        assert warm_step_transient(grid, PARAMS_34) < workspace
 
     def test_simulate_2d_grid_steps_one_component_at_a_time(self,
                                                             fft_calls):
@@ -1685,21 +1765,21 @@ class TestWorkspace:
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
         state, _ = make_initial_data(grid, gaussian_data(0.1), 1.0)
         state = step(state, 0.05, params, grid)
-        assert [b.shape[0] for b in self.buffers(grid)] == [1] * 5
+        assert [b.shape[0] for b in self.buffers(grid)] == [1] * 7
         fft_calls.clear()
         step(state, 0.05, params, grid)
         assert fft_calls == {"ifft": 2, "irfft": 2, "rfft": 2, "fft": 2}
 
     def test_lifespan_grid_steps_in_one_pass(self, fft_calls):
-        # the lifespan-1d workload's grid: both components fit 142 KB
+        # the lifespan-1d workload's grid: both components fit 164 KB
         grid = GridSpec(n=1, N=2048, L=160.0)
         data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
         state, _ = make_initial_data(grid, data, 1.0)
         state = step(state, 0.05, PARAMS_22, grid)
-        assert sum(b.nbytes for b in self.buffers(grid)) == 142_048
-        assert [b.shape[0] for b in self.buffers(grid)] == [2] * 5
+        assert sum(b.nbytes for b in self.buffers(grid)) == 163_904
+        assert [b.shape[0] for b in self.buffers(grid)] == [2] * 7
         fft_calls.clear()
-        step(state, 0.05, PARAMS_22, grid, estimate=True)
+        step(state, 0.05, PARAMS_22, grid)
         assert fft_calls == {"irfft": 1, "rfft": 1}
 
     @pytest.mark.parametrize("linear_only", [False, True])
@@ -1711,11 +1791,9 @@ class TestWorkspace:
         state = step(state, 0.1, params, grid)
         fields = ("u_half", "v_half", "pred_sup") + (
             () if linear_only else ("nl_half",))
-        first = step(state, 0.1, params, grid, linear_only=linear_only,
-                     estimate=True)
+        first = step(state, 0.1, params, grid, linear_only=linear_only)
         kept = {f: getattr(first, f).copy() for f in fields}
-        second = step(state, 0.1, params, grid, linear_only=linear_only,
-                      estimate=True)
+        second = step(state, 0.1, params, grid, linear_only=linear_only)
         assert first.err == second.err
         for f in fields:
             assert getattr(first, f).tobytes() == kept[f].tobytes()
@@ -1746,7 +1824,7 @@ class TestWorkspace:
         info = solver._workspace.cache_info()
         assert info.currsize == 1 and info.misses == 2
         assert [b.shape for b in self.buffers(grid)] == [
-            (2, 64), (2, 64), (2, 33), (2, 22), (2, 22)]
+            (2, 64), (2, 64), (2, 33), (2, 22), (2, 22), (2, 22), (2, 22)]
 
 
 def one_component_buffers(grid):
@@ -1784,8 +1862,7 @@ def per_component_nonlinearity_hat(u_phys, params, grid):
     return out
 
 
-def per_component_step(state, dt, params, grid, *, linear_only=False,
-                       estimate=False):
+def per_component_step(state, dt, params, grid, *, linear_only=False):
     """Reference: step() as it ran one component at a time, every
     operation one numpy call per component, into the row of component
     l + 1 for the forcing that component l drives."""
@@ -1817,21 +1894,18 @@ def per_component_step(state, dt, params, grid, *, linear_only=False,
             forcing_one(mag, params.p[nxt], Nh_new[nxt], grid, ws)
     if linear_only:
         return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
-                          err=0.0 if estimate else None)
+                          err=0.0)
     bounds = []
     weights = grid.parseval_weights[: grid.block_shape[-1]]
     for u, v, new, old in zip(u_half, v_half, Nh_new, Nh_old):
         gap = np.subtract(new, old, out=ws.block)
         np.multiply(w_nu, gap, out=gap)
         solver._add_block(u, gap, grid)
-        if estimate:
-            bounds.append((weights * np.abs(gap)).sum())
+        bounds.append((weights * np.abs(gap)).sum())
         solver._add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
         solver._add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
-    err = None
-    if estimate:
-        bound = np.array(bounds) / grid.N ** grid.n
-        err = float(np.max(bound / np.maximum(sup, TINY)))
+    bound = np.array(bounds) / grid.N ** grid.n
+    err = float(np.max(bound / np.maximum(sup, TINY)))
     return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
                       pred_sup=sup, err=err)
 
@@ -1869,17 +1943,15 @@ class TestPasses:
             batch_bytes(budget)
             assert len(solver._workspace(grid, k).field) == g
             for linear_only in (False, True):
-                for estimate in (False, True):
-                    kw = dict(linear_only=linear_only, estimate=estimate)
-                    # the first step evaluates its old forcing from the
-                    # state's field, the second carries it
-                    first = step(start, h, params, grid, **kw)
-                    assert_same_state(
-                        first, per_component_step(start, h, params, grid,
-                                                  **kw))
-                    assert_same_state(
-                        step(first, h, params, grid, **kw),
-                        per_component_step(first, h, params, grid, **kw))
+                kw = dict(linear_only=linear_only)
+                # the first step evaluates its old forcing from the
+                # state's field, the second carries it
+                first = step(start, h, params, grid, **kw)
+                assert_same_state(
+                    first, per_component_step(start, h, params, grid, **kw))
+                assert_same_state(
+                    step(first, h, params, grid, **kw),
+                    per_component_step(first, h, params, grid, **kw))
             # a record batch on a first step's interpolant, whose old
             # forcing comes from _nonlinearity_hat
             first = step(start, h, params, grid)
@@ -1894,7 +1966,7 @@ class TestPasses:
 
 class TestTableCache:
     def test_fixed_run_builds_its_dt_once(self, monkeypatch):
-        solver._tables.cache_clear()
+        solver._workspace.cache_clear()
         builds = counting_builds(monkeypatch)
         grid = GridSpec(n=1, N=64, L=10.0)
         res = run(PARAMS_34, grid, gaussian_data(0.1), t_end=20.0, dt=0.3,
@@ -1903,7 +1975,60 @@ class TestTableCache:
         # the outputs lie on the dt grid; only the last step, clipped to
         # t_end = 20 off the grid, needs a table of its own
         assert builds == [0.3, pytest.approx(0.2)]
-        assert solver._tables.cache_info().currsize <= 4
+        assert table_cache(grid).currsize == 2
+
+    @pytest.mark.parametrize("n, N, entries", [(1, 2048, 4), (2, 256, 2),
+                                               (2, 512, 1)])
+    def test_entries_are_bounded_by_bytes(self, n, N, entries):
+        # max(1, min(4, TABLE_BYTES // entry)) for an entry of 4 tables
+        # on the half spectrum and 4 weights on the kept block
+        grid = GridSpec(n=n, N=N, L=40.0)
+        half = (N,) * (n - 1) + (N // 2 + 1,)
+        entry = 4 * 16 * (math.prod(half) + math.prod(grid.block_shape))
+        assert max(1, min(4, solver.TABLE_BYTES // entry)) == entries
+        assert table_cache(grid).maxsize == entries
+        solver._workspace.cache_clear()
+
+    def test_adaptive_run_holds_at_most_its_entries(self, monkeypatch):
+        # with room for one entry, a ladder size that comes back after
+        # another is built again
+        monkeypatch.setattr(solver, "TABLE_BYTES", 1)
+        solver._workspace.cache_clear()
+        builds = counting_builds(monkeypatch)
+        adaptive_blowup_run()
+        info = table_cache(BLOWUP_GRID)
+        assert (info.maxsize, info.currsize) == (1, 1)
+        # record batches build outside the cache
+        sizes = [b for b in builds if np.ndim(b) == 0]
+        assert info.misses == len(sizes) > len(set(sizes))
+        solver._workspace.cache_clear()
+
+
+    def test_half_symbol_is_computed_once_per_grid_and_sigma(
+            self, monkeypatch):
+        solver._workspace.cache_clear()
+        solver._half_symbol.cache_clear()
+        sigmas = []
+        real = GridSpec.symbol
+
+        def counting(grid, sigma):
+            sigmas.append(sigma)
+            return real(grid, sigma)
+
+        monkeypatch.setattr(GridSpec, "symbol", counting)
+        builds = counting_builds(monkeypatch)
+        grid = GridSpec(n=2, N=32, L=10.0)
+        params = SystemParams(n=2, sigma=1.5, k=2, p=(3.0, 4.0))
+        run(params, grid, gaussian_data(0.3), t_end=2.0, dt=0.05,
+            dt_policy="adaptive", outputs=8)
+        # step tables of several sizes, record batches and norms
+        assert sum(np.ndim(b) == 0 for b in builds) > 3
+        assert sum(np.ndim(b) > 0 for b in builds) > 0
+        assert sigmas == [1.5]
+        monkeypatch.undo()
+        a = solver._half_symbol(grid, 1.5)
+        assert not a.flags.writeable
+        assert a.tobytes() == solver._half(grid.symbol(1.5)).tobytes()
 
 
 class TestFixedSchedule:
@@ -1919,7 +2044,7 @@ class TestFixedSchedule:
 
     @pytest.mark.usefixtures("refuse_interpolation")
     def test_2d_run_steps_on_its_dt_grid(self, monkeypatch):
-        solver._tables.cache_clear()
+        solver._workspace.cache_clear()
         builds = counting_builds(monkeypatch)
         grid = GridSpec(n=2, N=32, L=10.0)
         params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
@@ -1936,7 +2061,7 @@ class TestFixedSchedule:
 
     @pytest.mark.usefixtures("refuse_interpolation")
     def test_off_grid_t_end_is_hit(self, monkeypatch):
-        solver._tables.cache_clear()
+        solver._workspace.cache_clear()
         builds = counting_builds(monkeypatch)
         calls = recording_every_step(monkeypatch)
         grid = GridSpec(n=1, N=64, L=10.0)

@@ -22,8 +22,13 @@ files, in file order, and written per workload:
 
 and, where both trees have untraced records, `pairs`: the k-th parent
 record against the k-th change record, as taken when the two are run
-alternately, with the number of pairs the change wins and the ratio of
-the medians.
+alternately, with the number of pairs the change wins, the ratio of
+the medians and two verdicts per metric:
+
+- `resolved`: the change wins at least 9 of 10 pairs, and its median
+  is below the parent's by more than the parent's quartile spread;
+- `within_bound`: the change's median is at most the parent's median
+  times 1 + the metric's bound in `BENCHMARK.json`.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")  # all lower is better
+
+
+def read_bounds(path=ROOT / "BENCHMARK.json") -> dict:
+    """The bound of each end-to-end metric, by name."""
+    with open(path) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
 
 
 def source_sha256(src: Path) -> str:
@@ -101,25 +112,32 @@ def side(records: list) -> dict:
     }
 
 
-def pairs(parent: dict, change: dict) -> dict:
+def pairs(parent: dict, change: dict, bounds: dict) -> dict:
     out = {}
     for name in END_TO_END:
-        before = parent["end_to_end"][name]["samples"]
-        after = change["end_to_end"][name]["samples"]
-        n = min(len(before), len(after))
+        before, after = parent["end_to_end"][name], change["end_to_end"][name]
+        n = min(len(before["samples"]), len(after["samples"]))
+        wins = sum(a < b for a, b in zip(after["samples"],
+                                         before["samples"]))
         out[name] = {
             "pairs": n,
-            "change_wins": sum(a < b for a, b in zip(after, before)),
-            "median_ratio": (change["end_to_end"][name]["median"]
-                             / parent["end_to_end"][name]["median"]),
+            "change_wins": wins,
+            "median_ratio": after["median"] / before["median"],
+            "resolved": (10 * wins >= 9 * n
+                         and before["median"] - after["median"]
+                         > before["q3"] - before["q1"]),
+            "within_bound": (after["median"]
+                             <= before["median"] * (1.0 + bounds[name])),
         }
     return out
 
 
 def bench_record(records: list, pr: int, parent: str, change: str,
-                 seed: int = 0) -> dict:
+                 seed: int = 0, bounds: dict | None = None) -> dict:
     """The BENCH_<pr>.json document for the trees hashed parent and
-    change."""
+    change; bounds defaults to those of BENCHMARK.json."""
+    if bounds is None:
+        bounds = read_bounds()
     doc = {"pr": pr, "seed": seed,
            "source_sha256": {"parent": parent, "change": change},
            "workloads": {}}
@@ -135,7 +153,8 @@ def bench_record(records: list, pr: int, parent: str, change: str,
             continue
         if all(entry.get(label, {}).get("end_to_end")
                for label in ("parent", "change")):
-            entry["pairs"] = pairs(entry["parent"], entry["change"])
+            entry["pairs"] = pairs(entry["parent"], entry["change"],
+                                   bounds)
         doc["workloads"][name] = entry
     return doc
 
@@ -166,7 +185,9 @@ def main(argv=None) -> int:
         print(f"{name}: records {counts}")
         for metric, p in entry.get("pairs", {}).items():
             print(f"  {metric:<12} change wins {p['change_wins']} of "
-                  f"{p['pairs']}, median ratio {p['median_ratio']:.3f}")
+                  f"{p['pairs']}, median ratio {p['median_ratio']:.3f}, "
+                  f"resolved {p['resolved']}, "
+                  f"within bound {p['within_bound']}")
     print(f"wrote {out}")
     return 0
 
