@@ -97,7 +97,10 @@ _DEFAULTS = {
     },
     "lifespan": {
         "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-        "grid": {"N": 2048, "L": 160.0},
+        # sized by T's spatial error against N = 2048: 3e-8 relative for
+        # these centred bumps, up to 1.1e-5 with both centres half a cell
+        # off a node, against a step error of about 1.5e-4
+        "grid": {"N": 1024, "L": 160.0},
         "data": {"epsilon": 0.4, "components": [
             {"amp0": 0.25, "amp1": 0.25}, {"amp0": 0.25, "amp1": 0.25}]},
         "options": {"epsilons": [0.05, 0.1, 0.2, 0.4],

@@ -34,7 +34,13 @@ from sevolab.outputs import (
     write_lifespan_csv,
     write_norms_csv,
 )
-from sevolab.solver import ComponentData, GridSpec, InitialData, RunResult
+from sevolab.solver import (
+    ComponentData,
+    GridSpec,
+    InitialData,
+    RunResult,
+    run,
+)
 
 
 def small_config(**kw):
@@ -443,6 +449,39 @@ class TestCliExitCodes:
         assert code == 1
         assert "ConditionsUnmet" in capsys.readouterr().err
         assert not (tmp_path / "decay.json").exists()
+
+
+class TestLifespanGrid:
+    """The default `lifespan` grid against one of 2N points on the same
+    box: T's spatial error must stay far below its step error (about
+    1.5e-4 relative)."""
+
+    CONFIG = config_from_dict(dict(cli._DEFAULTS["lifespan"],
+                                   kind="lifespan"))
+
+    def blowup(self, N, eps, center=0.0):
+        cfg = self.CONFIG
+        comps = tuple(dataclasses.replace(c, center=(center,))
+                      for c in cfg.data.components)
+        # T does not depend on t_end once the run blows up before it
+        return run(cfg.params, dataclasses.replace(cfg.grid, N=N),
+                   InitialData(eps, comps), t_end=1e6, dt=cfg.options["dt"],
+                   dt_policy=cfg.options["dt_policy"], outputs=0)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    def test_centred_data_is_resolved(self, eps):
+        # measured: 3.2e-8 relative at eps = 0.4, 1e-14 at 0.05
+        N = self.CONFIG.grid.N
+        coarse, fine = (self.blowup(n, eps).blowup_time for n in (N, 2 * N))
+        assert coarse == pytest.approx(fine, rel=1e-6, abs=0.0)
+
+    def test_off_node_data_moves_t_within_a_quarter_bar(self):
+        # both centres half a cell (L/N) off a node of the default grid:
+        # T moves by 1.1e-5 relative, 0.24 of its bar
+        N, L = self.CONFIG.grid.N, self.CONFIG.grid.L
+        coarse, fine = (self.blowup(n, 0.4, L / N) for n in (N, 2 * N))
+        assert (abs(coarse.blowup_time - fine.blowup_time)
+                <= 0.25 * coarse.blowup_error)
 
 
 # subcommand -> config kind, read off the CLI's own table

@@ -1362,12 +1362,12 @@ class TestBlowupFit:
         assert not res.blown_up and res.blowup_error is None
 
     def test_lifespan_run_pin(self):
-        # the lifespan-1d (A8) run at eps = 0.4, capped at t_end = 1e4
-        # as the sweep runs it and at 1e5: the same T to the last bit,
-        # since the cap moves only the output times; within 1e-4 of the
-        # 54.10185151 the threshold path gave at 1e5, and its error bar
-        # covers 54.1021933, the limit the threshold path reaches there
-        # at a threshold of 1e12
+        # criterion 08's (A8) run at eps = 0.4 on its N = 2048 grid,
+        # capped at t_end = 1e4 as the sweep runs it and at 1e5: the
+        # same T to the last bit, since the cap moves only the output
+        # times; within 1e-4 of the 54.10185151 the threshold path gave
+        # at 1e5, and its error bar covers 54.1021933, the limit the
+        # threshold path reaches there at a threshold of 1e12
         grid = GridSpec(n=1, N=2048, L=160.0)
         data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
         capped, res = (run(PARAMS_22, grid, data, t_end=t_end, dt=0.05,
@@ -1771,7 +1771,7 @@ class TestWorkspace:
         assert fft_calls == {"ifft": 2, "irfft": 2, "rfft": 2, "fft": 2}
 
     def test_lifespan_grid_steps_in_one_pass(self, fft_calls):
-        # the lifespan-1d workload's grid: both components fit 164 KB
+        # criterion 08's grid: both components fit 164 KB
         grid = GridSpec(n=1, N=2048, L=160.0)
         data = gaussian_data(0.4, ((0.25, 0.25), (0.25, 0.25)))
         state, _ = make_initial_data(grid, data, 1.0)
