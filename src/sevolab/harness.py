@@ -36,8 +36,6 @@ from .exponents import (
     predicted_decay,
 )
 from .kernels import loglog_fit
-# nothing here calls make_initial_data: perfbench's tracer requires the
-# binding (perfbench/tracing.py, ENTRY_POINTS)
 from .solver import GridSpec, InitialData, RunResult, make_initial_data, run
 from .solver import _half
 
@@ -257,8 +255,11 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
     if not all(e > 0 for e in eps_desc):
         raise ValueError(f"epsilons must be positive, got {epsilons}")
 
-    # each mean is eps amp mean(g) with eps > 0 and a Gaussian g > 0
-    if not all(c.amp0 > 0.0 and c.amp1 > 0.0 for c in components):
+    _, report = make_initial_data(
+        grid, InitialData(epsilon=eps_desc[0], components=tuple(components)),
+        params.sigma,
+    )
+    if (min(report["means_u0"]) <= 0.0 or min(report["means_u1"]) <= 0.0):
         raise NonPositiveValues(
             "lifespan sweep requires strictly positive component means "
             "in both data layers"

@@ -260,21 +260,6 @@ class TestLifespanSweep:
         with pytest.raises(NonPositiveValues):
             lifespan_sweep(P22, self.GRID, comps, (0.3, 0.4, 0.5, 0.6))
 
-    def test_data_is_built_once_per_run(self, monkeypatch):
-        # the positive-mean guard reads the amplitudes, so each epsilon's
-        # data is built only inside its run
-        calls = []
-        real = solver.make_initial_data
-
-        def counted(*args):
-            calls.append(args[1].epsilon)
-            return real(*args)
-
-        for module in (solver, harness):
-            monkeypatch.setattr(module, "make_initial_data", counted)
-        lifespan_sweep(P22, self.GRID, self.COMPS, (0.3, 0.4, 0.5, 0.6))
-        assert calls == [0.6, 0.5, 0.4, 0.3]
-
     def test_needs_four_epsilons(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a sweep with bad epsilons ran")
