@@ -8,8 +8,9 @@ and its hash are echoed into the output directory next to the data.
 The built-in defaults name every option and tolerance a kind reads;
 any other key, or a value of another type, is a usage error.
 
-Exit codes: 0 all verdicts pass, 2 some verdict failed, 1 usage or
-runtime error.
+Each subcommand yields its stdout lines, judged ones as Verdicts.  Exit
+codes: 2 if a Verdict failed, else 0; 1 on a usage or runtime error.
+The ok/FAIL condition flags of `exponents` never give exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import copy
 import inspect
 import json
 import sys
-from dataclasses import asdict
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,19 @@ from .testfunc import (
 )
 
 PASS, USAGE_ERROR, VERDICT_FAILED = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A judged stdout line: text, then `pass`, or `FAIL` and detail."""
+
+    text: str
+    passed: bool
+    detail: str = ""
+
+    def __str__(self) -> str:
+        return (f"{self.text} pass" if self.passed
+                else f"{self.text} FAIL{self.detail}")
 
 
 class UsageError(Exception):
@@ -167,6 +182,9 @@ def _check_keys(doc: dict, kind: str):
                 raise UsageError(
                     f"{section}.{key} = {value!r} does not match the "
                     f"type of its default {known[key]!r}")
+            if section == "tolerances" and not np.isfinite(value):
+                raise UsageError(
+                    f"tolerances.{key} must be finite, got {value!r}")
 
 
 def _resolve_config(args, kind: str) -> ExperimentConfig:
@@ -214,33 +232,28 @@ def _step_stats(result) -> dict:
             "dt_min": result.dt_min, "dt_max": result.dt_max}
 
 
-def _cmd_exponents(config: ExperimentConfig) -> int:
+def _cmd_exponents(config: ExperimentConfig) -> Iterator[str | Verdict]:
     rep = report(config.params)
-    lines = [
-        f"system: n={config.params.n} sigma={config.params.sigma} "
-        f"p={config.params.p}",
-        f"gamma = ({', '.join(f'{g:.6g}' for g in rep.gamma.gamma)})",
-        f"max gamma = {rep.gamma.max:.6g} vs n/(2 sigma) = "
-        f"{config.params.fujita_ratio:.6g}",
-        f"classification: {rep.classification}",
-        "lifespan exponent: " + (
-            f"{rep.lifespan_exponent:.6g}" if rep.lifespan_exponent is not None
-            else "n/a (not subcritical)"),
-        f"loss of decay (eps={rep.eps}): "
-        f"({', '.join(f'{e:.6g}' for e in rep.epsilon_seq)})",
-        "conditions: " + ", ".join(
-            f"{name}={'ok' if ok else 'FAIL'}"
-            for name, ok in rep.condition_flags.items()),
-    ]
+    yield (f"system: n={config.params.n} sigma={config.params.sigma} "
+           f"p={config.params.p}")
+    yield f"gamma = ({', '.join(f'{g:.6g}' for g in rep.gamma.gamma)})"
+    yield (f"max gamma = {rep.gamma.max:.6g} vs n/(2 sigma) = "
+           f"{config.params.fujita_ratio:.6g}")
+    yield f"classification: {rep.classification}"
+    yield "lifespan exponent: " + (
+        f"{rep.lifespan_exponent:.6g}" if rep.lifespan_exponent is not None
+        else "n/a (not subcritical)")
+    yield (f"loss of decay (eps={rep.eps}): "
+           f"({', '.join(f'{e:.6g}' for e in rep.epsilon_seq)})")
+    yield "conditions: " + ", ".join(
+        f"{name}={'ok' if ok else 'FAIL'}"
+        for name, ok in rep.condition_flags.items())
     if rep.decay_L2:
-        lines.append(
-            f"decay L2: ({', '.join(f'{d:.6g}' for d in rep.decay_L2)})")
-        lines.append(
-            f"decay Hsigma: "
-            f"({', '.join(f'{d:.6g}' for d in rep.decay_Hsigma)})")
+        yield f"decay L2: ({', '.join(f'{d:.6g}' for d in rep.decay_L2)})"
+        yield (f"decay Hsigma: "
+               f"({', '.join(f'{d:.6g}' for d in rep.decay_Hsigma)})")
     for note in rep.notes:
-        lines.append(f"note: {note}")
-    print("\n".join(lines))
+        yield f"note: {note}"
     if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "exponents.json", {
@@ -253,23 +266,19 @@ def _cmd_exponents(config: ExperimentConfig) -> int:
             "condition_flags": rep.condition_flags,
             "notes": list(rep.notes),
         })
-    return PASS
 
 
-def _cmd_kernels(config: ExperimentConfig) -> int:
+def _cmd_kernels(config: ExperimentConfig) -> Iterator[str | Verdict]:
     n, sigma = config.params.n, config.params.sigma
     tol = config.tolerances["profile"]
     cases = (("L2L2", sigma), ("L2L2", 2.0 * sigma), ("L1L2", 0.0))
-    failed = False
     rows = []
     for regime, s in cases:
         prof = decay_profile(s, regime, n, sigma)
-        ok = abs(prof.slope - prof.expected) <= tol
-        failed |= not ok
         rows.append((regime, s, prof))
-        print(f"{regime} s={s:<4g} slope {prof.slope:+.4f} "
-              f"expected {prof.expected:+.4f} r2 {prof.r_squared:.5f} "
-              f"{'pass' if ok else 'FAIL'}")
+        yield Verdict(f"{regime} s={s:<4g} slope {prof.slope:+.4f} "
+                      f"expected {prof.expected:+.4f} r2 {prof.r_squared:.5f}",
+                      abs(prof.slope - prof.expected) <= tol)
     if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "kernels.json", {
@@ -285,10 +294,9 @@ def _cmd_kernels(config: ExperimentConfig) -> int:
                 title=f"multiplier decay {regime}, s={s:g}, n={n}, "
                       f"sigma={sigma:g}",
                 ylabel="profile")
-    return VERDICT_FAILED if failed else PASS
 
 
-def _cmd_simulate(config: ExperimentConfig) -> int:
+def _cmd_simulate(config: ExperimentConfig) -> Iterator[str | Verdict]:
     result = run(config.params, config.grid, config.data, **config.options)
     out_dir = _emit(config)
     write_norms_csv(out_dir / "norms.csv", result)
@@ -308,17 +316,16 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     except ValueError:
         pass  # an immediate blow-up can leave nothing plottable
     if result.blown_up:
-        print(f"blow-up at T = {result.blowup_time:.6g} "
-              f"+- {result.blowup_error:.2g} ({result.steps} steps)")
+        yield (f"blow-up at T = {result.blowup_time:.6g} "
+               f"+- {result.blowup_error:.2g} ({result.steps} steps)")
     else:
-        print(f"completed to t = {result.times[-1]:.6g} "
-              f"({result.steps} steps), sup norms "
-              f"{tuple(float(s) for s in result.sup[:, -1])}")
-    print(f"outputs: {out_dir}")
-    return PASS
+        yield (f"completed to t = {result.times[-1]:.6g} "
+               f"({result.steps} steps), sup norms "
+               f"{tuple(float(s) for s in result.sup[:, -1])}")
+    yield f"outputs: {out_dir}"
 
 
-def _cmd_decay(config: ExperimentConfig) -> int:
+def _cmd_decay(config: ExperimentConfig) -> Iterator[str | Verdict]:
     rep = decay_experiment(
         config.params, config.grid, config.data,
         fit_tolerance=config.tolerances["fit"], **config.options,
@@ -334,17 +341,16 @@ def _cmd_decay(config: ExperimentConfig) -> int:
         **_step_stats(rep.run),
     }
     write_json(out_dir / "decay.json", summary)
-    failed = not rep.xnorm_passed
     for ell in range(config.params.k):
         for name, fit in (("L2", rep.l2[ell]), ("Hsigma", rep.hsigma[ell])):
-            failed |= not fit.passed
-            print(f"comp {ell + 1} {name:<6} slope {fit.slope:+.4f} "
-                  f"expected {fit.expected:+.4f} +- {fit.tolerance:.3f} "
-                  f"r2 {fit.r_squared:.5f} "
-                  f"{'pass' if fit.passed else 'FAIL'}")
-    print(f"window [{rep.window[0]:.6g}, {rep.window[1]:.6g}]  "
-          f"xnorm ratios {tuple(round(r, 3) for r in rep.xnorm_ratios)} "
-          f"{'pass' if rep.xnorm_passed else 'FAIL'}")
+            yield Verdict(f"comp {ell + 1} {name:<6} slope {fit.slope:+.4f} "
+                          f"expected {fit.expected:+.4f} "
+                          f"+- {fit.tolerance:.3f} r2 {fit.r_squared:.5f}",
+                          fit.passed)
+    yield Verdict(
+        f"window [{rep.window[0]:.6g}, {rep.window[1]:.6g}]  "
+        f"xnorm ratios {tuple(round(r, 3) for r in rep.xnorm_ratios)}",
+        rep.xnorm_passed)
     times = rep.run.times
     sel = times > 0
     plot_loglog(
@@ -353,11 +359,10 @@ def _cmd_decay(config: ExperimentConfig) -> int:
          for ell in range(config.params.k)],
         fit=rep.l2[-1], guide_slope=rep.l2[-1].expected,
         title="component L2 decay", ylabel="L2 norm")
-    print(f"outputs: {out_dir}")
-    return VERDICT_FAILED if failed else PASS
+    yield f"outputs: {out_dir}"
 
 
-def _cmd_lifespan(config: ExperimentConfig) -> int:
+def _cmd_lifespan(config: ExperimentConfig) -> Iterator[str | Verdict]:
     sweep = lifespan_sweep(
         config.params, config.grid, config.data.components,
         fit_tolerance=config.tolerances["lifespan"], **config.options,
@@ -367,14 +372,13 @@ def _cmd_lifespan(config: ExperimentConfig) -> int:
     write_json(out_dir / "lifespan.json", asdict(sweep))
     for eps, T, err in zip(sweep.epsilons, sweep.lifespans,
                            sweep.lifespan_errors):
-        print(f"epsilon {eps:<8g} T = "
-              + (f"{T:.6g} +- {err:.2g}" if T is not None
-                 else "cap exceeded"))
-    ok = bool(sweep.fit.passed) and sweep.monotone
-    print(f"fitted slope {sweep.fit.slope:+.4f} expected "
-          f"{sweep.fit.expected:+.4f} +- {sweep.fit.tolerance:.2f} "
-          f"r2 {sweep.fit.r_squared:.5f} monotone {sweep.monotone} "
-          f"{'pass' if ok else 'FAIL'}")
+        yield (f"epsilon {eps:<8g} T = "
+               + (f"{T:.6g} +- {err:.2g}" if T is not None
+                  else "cap exceeded"))
+    yield Verdict(f"fitted slope {sweep.fit.slope:+.4f} expected "
+                  f"{sweep.fit.expected:+.4f} +- {sweep.fit.tolerance:.2f} "
+                  f"r2 {sweep.fit.r_squared:.5f} monotone {sweep.monotone}",
+                  bool(sweep.fit.passed) and sweep.monotone)
     pairs = [(e, t) for e, t in zip(sweep.epsilons, sweep.lifespans)
              if t is not None]
     plot_loglog(
@@ -383,27 +387,23 @@ def _cmd_lifespan(config: ExperimentConfig) -> int:
           "T(epsilon)")],
         fit=sweep.fit, guide_slope=sweep.fit.expected,
         title="lifespan scaling", xlabel="epsilon", ylabel="T")
-    print(f"outputs: {out_dir}")
-    return VERDICT_FAILED if not ok else PASS
+    yield f"outputs: {out_dir}"
 
 
-def _cmd_testfunc(config: ExperimentConfig) -> int:
+def _cmd_testfunc(config: ExperimentConfig) -> Iterator[str | Verdict]:
     opts = config.options
     n, sigma = config.params.n, config.params.sigma
     nu_list, r_list = opts["nu_list"], opts["r_list"]
     lam, mu = opts["lam"], opts["mu"]
     scaling_tol = config.tolerances["scaling"]
     stability_tol = config.tolerances["stability"]
-    failed = False
     scaling = {}
     for nu in nu_list:
         for R in r_list:
             err = check_scaling(nu, R)
-            ok = err < scaling_tol
-            failed |= not ok
             scaling[f"nu{nu:g}_R{R}"] = err
-            print(f"scaling nu={nu:<4g} R={R}: rel err {err:.3e} "
-                  f"{'pass' if ok else 'FAIL'}")
+            yield Verdict(f"scaling nu={nu:<4g} R={R}: rel err {err:.3e}",
+                          err < scaling_tol)
     stability = {}
     for nu in nu_list:
         q = weight_decay_exponent(nu, n)
@@ -412,50 +412,40 @@ def _cmd_testfunc(config: ExperimentConfig) -> int:
         coarse = check_weight_decay(GridSpec(n=n, N=2048, L=64.0), nu, q)
         fine = check_weight_decay(GridSpec(n=n, N=4096, L=64.0), nu, q)
         drift = abs(fine - coarse) / max(abs(fine), abs(coarse))
-        ok = drift <= stability_tol
-        failed |= not ok
         stability[f"nu{nu:g}"] = {"coarse": coarse, "fine": fine,
                                   "drift": drift}
-        print(f"weight decay nu={nu:<4g} q={q:g}: sup {fine:.6g} "
-              f"drift {drift:.2%} {'pass' if ok else 'FAIL'}")
+        yield Verdict(f"weight decay nu={nu:<4g} q={q:g}: sup {fine:.6g} "
+                      f"drift {drift:.2%}", drift <= stability_tol)
     try:
         sup = verify_eta_condition(lam, mu=mu)
-        print(f"eta condition lam'={lam / (lam - 1.0):g} mu={mu}: "
-              f"sup {sup:.6g} pass")
+        yield Verdict(f"eta condition lam'={lam / (lam - 1.0):g} mu={mu}: "
+                      f"sup {sup:.6g}", True)
         eta = {"sup": sup, "violated": False}
     except ConditionViolated as exc:
-        print(f"eta condition mu={mu}: FAIL ({exc})")
+        yield Verdict(f"eta condition mu={mu}:", False, f" ({exc})")
         eta = {"sup": None, "violated": True}
-        failed = True
     if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "testfunc.json", {
             "scaling": scaling, "stability": stability, "eta": eta})
-    return VERDICT_FAILED if failed else PASS
 
 
-def _cmd_convergence(config: ExperimentConfig) -> int:
+def _cmd_convergence(config: ExperimentConfig) -> Iterator[str | Verdict]:
     tols = config.tolerances
     lo, hi, tail_tol = tols["ratio_low"], tols["ratio_high"], tols["tail"]
     rep = convergence_study(config.params, config.grid, config.data,
                             **config.options)
-    failed = False
     for dt, err in zip(rep.dt_ladder, rep.errors):
-        print(f"dt {dt:<10g} error {err:.6e}")
+        yield f"dt {dt:<10g} error {err:.6e}"
     for r in rep.ratios:
-        ok = lo <= r <= hi
-        failed |= not ok
-        print(f"halving ratio {r:.3f} {'pass' if ok else 'FAIL'}")
+        yield Verdict(f"halving ratio {r:.3f}", lo <= r <= hi)
     for N, tail in zip(rep.n_ladder, rep.tails):
-        print(f"N {N:<6d} spectral tail {tail:.3e}")
-    tail_ok = rep.tails[-1] < tail_tol
-    failed |= not tail_ok
-    print(f"resolved tail {rep.tails[-1]:.3e} < {tail_tol:g} "
-          f"{'pass' if tail_ok else 'FAIL'}")
+        yield f"N {N:<6d} spectral tail {tail:.3e}"
+    yield Verdict(f"resolved tail {rep.tails[-1]:.3e} < {tail_tol:g}",
+                  rep.tails[-1] < tail_tol)
     if config.out:
         out_dir = _emit(config)
         write_json(out_dir / "convergence.json", asdict(rep))
-    return VERDICT_FAILED if failed else PASS
 
 
 # subcommand -> (config kind, handler, help, whether --epsilon sets the
@@ -507,8 +497,12 @@ def cli_main(argv=None) -> int:
         parser.print_help()
         return USAGE_ERROR
     kind, handler, _, _ = COMMANDS[args.cmd]
+    failed = False
     try:
-        return handler(_resolve_config(args, kind))
+        # printed as judged: a run that raises keeps the lines before it
+        for line in handler(_resolve_config(args, kind)):
+            print(line)
+            failed |= isinstance(line, Verdict) and not line.passed
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -522,6 +516,7 @@ def cli_main(argv=None) -> int:
         print("interrupted; outputs written so far are kept",
               file=sys.stderr)
         return USAGE_ERROR
+    return VERDICT_FAILED if failed else PASS
 
 
 def main():

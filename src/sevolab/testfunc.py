@@ -169,8 +169,8 @@ def verify_eta_condition(lam: float, mu: int = 16) -> float:
     quantity behaves like (1-t)^(mu - 2 lam'); ConditionViolated names
     that exponent when the sup runs past 1e6, so mu can be raised.
     """
-    if not lam > 1.0:
-        raise DomainError(f"lam must exceed 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise DomainError(f"lam must lie in (1, inf), got {lam}")
     lam_conj = lam / (lam - 1.0)
     gap = np.geomspace(1e-8, 0.5, 4001)
     t = np.concatenate([np.array([0.0, 0.25, 0.5]), 1.0 - gap[::-1]])

@@ -425,6 +425,34 @@ class TestCliExitCodes:
         assert cli_main(["testfunc"]) == 0
         assert cli_main(["testfunc", "--set", "options.mu=2"]) == 2
 
+    def test_infinite_lam_is_refused(self, capsys):
+        # lam' = lam / (lam - 1) is nan at lam = inf: no condition to judge
+        assert cli_main(["testfunc", "--set", "options.lam=Infinity"]) == 1
+        captured = capsys.readouterr()
+        assert "lam" in captured.err
+        assert "eta condition" not in captured.out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["kernels", "--set", "tolerances.profile=0.001"], 2),
+        (["testfunc", "--set", "options.mu=2"], 2),
+        (["decay", "--set", "options.t_end=400",
+          "--set", "tolerances.fit=0"], 2),
+        (["convergence", "--set", "tolerances.tail=1e-20"], 2),
+        (["lifespan", "--set", "grid.N=1024", "--set", "grid.L=80.0",
+          "--set", "options.epsilons=[0.3,0.4,0.5,0.6]"], 2),
+        # condition flags classify the system and judge nothing
+        (["exponents", "--sigma", "1.25",
+          "--p", "3.0833333333333335,6"], 0),
+    ], ids=["kernels", "testfunc", "decay", "convergence", "lifespan",
+            "exponents"])
+    def test_exit_code_follows_the_verdict_lines(self, argv, code, tmp_path,
+                                                 capsys):
+        assert cli_main(argv + ["--out", str(tmp_path / "out")]) == code
+        out = capsys.readouterr().out
+        failed = any(line.endswith(" FAIL") or ": FAIL (" in line
+                     for line in out.splitlines())
+        assert failed == (code == 2)
+
     def test_convergence(self, capsys):
         assert cli_main(["convergence"]) == 0
         out = capsys.readouterr().out
@@ -564,6 +592,10 @@ class TestCliKeys:
                      id="p-inf"),
         pytest.param(["exponents", "--sigma", "Infinity"], "sigma",
                      id="sigma-inf"),
+        pytest.param(["kernels", "--set", "tolerances.profile=NaN"],
+                     "profile", id="profile-nan"),
+        pytest.param(["decay", "--set", "tolerances.fit=Infinity"], "fit",
+                     id="fit-inf"),
     ])
     def test_non_finite_input_is_refused(self, argv, name, tmp_path,
                                          capsys):
