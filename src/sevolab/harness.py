@@ -246,6 +246,10 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
     flagged and skipped by the fit; fewer than 4 surviving points is a
     NoBlowUpAtCap error.
     """
+    for name, value in (("first_cap", first_cap), ("cap_factor", cap_factor)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value}")
     # NotSubcritical before any epsilon is checked
     expected = lifespan_exponent(params)
     eps_desc = tuple(sorted(set(float(e) for e in epsilons), reverse=True))

@@ -436,10 +436,10 @@ def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
     # theirs outside the cache, see _interpolate).  An entry holds 4
     # half-spectrum tables and 4 on the kept block, real but held as
     # complex128, to which numpy would cast float64 tables in each
-    # product with a spectrum; as many entries as fit TABLE_BYTES, 1 to 4
-    # (4 of 109 KB on a 1D grid of N = 2048, 2 of 3.05 MB on 2D N = 256)
+    # product with a spectrum; as many entries as fit TABLE_BYTES, at
+    # least 1 (153 of 55 KB on 1D N = 1024, 2 of 3.05 MB on 2D N = 256)
     entry = 4 * (ws.half[0].nbytes + ws.block[0].nbytes)
-    ws.tables = lru_cache(max(1, min(4, TABLE_BYTES // entry)))(
+    ws.tables = lru_cache(max(1, TABLE_BYTES // entry))(
         partial(_tables, grid))
     return ws
 
@@ -746,8 +746,8 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     carries u1 into u at times of order one, so data with u0 << u1 first
     grow to the scale of u1, a growth that is not the blow-up's.  Once
     the largest sup reaches 10 s0, lead and alpha are read off
-    compute_gamma's cached solve (a run that never grows never solves
-    for gamma), and every accepted step adds (t, sup_lead) of its
+    compute_gamma's solve, once per run (a run that never grows never
+    solves for gamma), and every accepted step adds (t, sup_lead) of its
     predictor to a history; each time sup_lead first reaches 10^d s0
     for d >= 4, _extrapolate_blowup fits T on the decades d - 2, d - 1
     and d of that history and extrapolates the three fits by Aitken's
@@ -769,10 +769,11 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     Only a step whose err is not finite has them scanned, since finite
     spectra can still overflow a bound over the sup of a zero or tiny
     component.  The check comes before the step's accept/reject, and
-    numpy's overflow and invalid-value warnings are silenced while
-    step() runs, since the check judges what they report.  blowup_time
-    is then t + h/2, the midpoint of the bracket [t, t + h], with
-    blowup_error h/2, and the last good state at t is the final record.
+    numpy's overflow and invalid-value warnings are silenced over the
+    whole stepping loop, entered once per run, since the check judges
+    what they report.  blowup_time is then t + h/2, the midpoint of the
+    bracket [t, t + h], with blowup_error h/2, and the last good state
+    at t is the final record.
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -818,7 +819,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
 
     s0 = abs(data.epsilon) * max(max(abs(c.amp0), abs(c.amp1))
                                  for c in data.components)
-    history, decade = [], 4
+    history, decade, lead = [], 4, None
 
     dt_now = float(dt)
     dt_floor = dt / 1024.0
@@ -826,62 +827,63 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     steps = rejected = floor = 0
     h_min, h_max = math.inf, 0.0
     ev_idx = 0
-    while state.t < t_end and not near(state.t, t_end):
-        h = min(dt_now, t_end - state.t)
-        if near(h, dt_now):
-            h = dt_now
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while state.t < t_end and not near(state.t, t_end):
+            h = min(dt_now, t_end - state.t)
+            if near(h, dt_now):
+                h = dt_now
             new = step(state, h, params, grid, linear_only=linear_only)
-        peak = new.pred_sup.max()
-        # NaN and inf fail the comparison too
-        if not (peak <= BLOWUP_THRESHOLD
-                and (math.isfinite(new.err)
-                     or np.isfinite(new.u_half).all()
-                     and np.isfinite(new.nl_half).all())):
-            t_blow, t_err = state.t + 0.5 * h, 0.5 * h
-            break
-        if adaptive:
-            fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
-                   if new.err else 2.0)
-            dt_now = max(dt_floor, _ladder(h * fac, dt))
-            if new.err > STEP_TOL:
-                if h > dt_floor:
-                    rejected += 1
-                    continue
-                floor += 1
-        steps += 1
-        h_min, h_max = min(h_min, h), max(h_max, h)
-        end = ev_idx
-        while events[end] < new.t and not near(events[end], new.t):
-            end += 1
-        # the batches live only inside record(), so they are gone
-        # before the next step
-        for i in range(ev_idx, end, per_batch):
-            record(_interpolate(state, new, h,
-                                events[i:min(end, i + per_batch)],
-                                params, grid))
-        ev_idx = end
-        # the step-end record comes after the old state is dropped, so
-        # that its field is not transformed while that state is alive
-        state = new
-        if near(events[ev_idx], state.t):
-            state = replace(state, t=events[ev_idx])
-            record(state)
-            ev_idx += 1
-        if s0 > 0 and peak >= 10.0 * s0:
-            # solved here, not up front, so that runs which never grow
-            # skip numpy's first linear solve (about 0.5 MB of RSS)
-            gamma = compute_gamma(params)
-            lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
-            sup = float(state.pred_sup[lead])
-            history.append((state.t, sup))
-            fit = None
-            while fit is None and sup >= 10.0 ** decade * s0:
-                fit = _extrapolate_blowup(history, s0, alpha, decade)
-                decade += 1
-            if fit is not None:
-                t_blow, t_err = fit
+            peak = new.pred_sup.max()
+            # NaN and inf fail the comparison too
+            if not (peak <= BLOWUP_THRESHOLD
+                    and (math.isfinite(new.err)
+                         or np.isfinite(new.u_half).all()
+                         and np.isfinite(new.nl_half).all())):
+                t_blow, t_err = state.t + 0.5 * h, 0.5 * h
                 break
+            if adaptive:
+                fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
+                       if new.err else 2.0)
+                dt_now = max(dt_floor, _ladder(h * fac, dt))
+                if new.err > STEP_TOL:
+                    if h > dt_floor:
+                        rejected += 1
+                        continue
+                    floor += 1
+            steps += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            end = ev_idx
+            while events[end] < new.t and not near(events[end], new.t):
+                end += 1
+            # the batches live only inside record(), so they are gone
+            # before the next step
+            for i in range(ev_idx, end, per_batch):
+                record(_interpolate(state, new, h,
+                                    events[i:min(end, i + per_batch)],
+                                    params, grid))
+            ev_idx = end
+            # the step-end record comes after the old state is dropped, so
+            # that its field is not transformed while that state is alive
+            state = new
+            if near(events[ev_idx], state.t):
+                state = replace(state, t=events[ev_idx])
+                record(state)
+                ev_idx += 1
+            if s0 > 0 and peak >= 10.0 * s0:
+                if lead is None:
+                    # solved here, not up front: runs that never grow
+                    # skip numpy's first linear solve (about 0.5 MB RSS)
+                    gamma = compute_gamma(params)
+                    lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
+                sup = float(state.pred_sup[lead])
+                history.append((state.t, sup))
+                fit = None
+                while fit is None and sup >= 10.0 ** decade * s0:
+                    fit = _extrapolate_blowup(history, s0, alpha, decade)
+                    decade += 1
+                if fit is not None:
+                    t_blow, t_err = fit
+                    break
     # after blow-up, the last good state
     if times[-1] != state.t:
         record(state)

@@ -29,6 +29,11 @@ def _fractional_part(value: float) -> tuple:
     return False, frac
 
 
+def _check_nu(nu: float):
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+
+
 def weight_decay_exponent(nu: float, n: int) -> float:
     """Decay order of (-Delta)^nu applied to an admissible weight.
 
@@ -36,8 +41,7 @@ def weight_decay_exponent(nu: float, n: int) -> float:
     nu mirrors the dichotomy of the underlying bound; no interpolation
     is attempted.
     """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     is_int, frac = _fractional_part(nu)
     return n + 2.0 * round(nu) if is_int else n + 2.0 * frac
 
@@ -129,6 +133,7 @@ def check_scaling(nu: float, R: int, q: float | None = None,
     R must be a positive integer with 2R dividing N so that such nodes
     exist; the default grid is L = 64 R, N = 1024 R for power-of-two R.
     """
+    _check_nu(nu)
     if abs(R - round(R)) > INTEGER_TOL or round(R) < 1:
         raise ValueError(f"R must be a positive integer, got {R}")
     R = int(round(R))

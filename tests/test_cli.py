@@ -24,7 +24,7 @@ from sevolab.config import (
     config_to_dict,
 )
 from sevolab.exponents import SystemParams
-from sevolab.harness import FitResult, LifespanSweep
+from sevolab.harness import FitResult, LifespanSweep, decay_experiment
 from sevolab.outputs import (
     plot_loglog,
     read_lifespan_csv,
@@ -512,6 +512,33 @@ class TestLifespanGrid:
                 <= 0.25 * coarse.blowup_error)
 
 
+class TestDecayGrid:
+    """The default `decay` grid against one of 2N points on the same box:
+    the A6 slopes and the steps must not move."""
+
+    CONFIG = config_from_dict(dict(cli._DEFAULTS["decay"], kind="decay"))
+
+    def decay(self, N, center):
+        cfg = self.CONFIG
+        comps = tuple(dataclasses.replace(c, center=(center,))
+                      for c in cfg.data.components)
+        return decay_experiment(
+            cfg.params, dataclasses.replace(cfg.grid, N=N),
+            InitialData(cfg.data.epsilon, comps), **cfg.options,
+            fit_tolerance=cfg.tolerances["fit"])
+
+    # measured: bit-identical, centred and with both centres half a cell
+    # of N = 512 off a node
+    @pytest.mark.parametrize("center", [0.0, 0.078125])
+    def test_slopes_and_steps_match_the_finer_grid(self, center):
+        N = self.CONFIG.grid.N
+        coarse, fine = (self.decay(n, center) for n in (N, 2 * N))
+        assert coarse.run.steps == fine.run.steps
+        for a, b in zip(coarse.l2 + coarse.hsigma, fine.l2 + fine.hsigma,
+                        strict=True):
+            assert a.slope == pytest.approx(b.slope, rel=1e-9, abs=0.0)
+
+
 # subcommand -> config kind, read off the CLI's own table
 KINDS = {cmd: kind for cmd, (kind, *_) in cli.COMMANDS.items()}
 SETTABLE = [(cmd, section, key) for cmd, kind in KINDS.items()
@@ -596,6 +623,14 @@ class TestCliKeys:
                      "profile", id="profile-nan"),
         pytest.param(["decay", "--set", "tolerances.fit=Infinity"], "fit",
                      id="fit-inf"),
+        pytest.param(["testfunc", "--set", "options.nu_list=[Infinity]"],
+                     "nu", id="nu-inf"),
+        pytest.param(["testfunc", "--set", "options.nu_list=[NaN]"], "nu",
+                     id="nu-nan"),
+        pytest.param(["lifespan", "--set", "options.cap_factor=Infinity"],
+                     "cap_factor", id="cap_factor-inf"),
+        pytest.param(["lifespan", "--set", "options.first_cap=NaN"],
+                     "first_cap", id="first_cap-nan"),
     ])
     def test_non_finite_input_is_refused(self, argv, name, tmp_path,
                                          capsys):

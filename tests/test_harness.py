@@ -260,6 +260,19 @@ class TestLifespanSweep:
         with pytest.raises(NonPositiveValues):
             lifespan_sweep(P22, self.GRID, comps, (0.3, 0.4, 0.5, 0.6))
 
+    @pytest.mark.parametrize("key", ["first_cap", "cap_factor"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_caps_must_be_positive_and_finite(self, key, value,
+                                              monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep with a bad cap ran")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        with pytest.raises(ValueError,
+                           match=f"{key} must be positive and finite"):
+            lifespan_sweep(P22, self.GRID, self.COMPS, (0.3, 0.4, 0.5, 0.6),
+                           **{key: value})
+
     def test_needs_four_epsilons(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a sweep with bad epsilons ran")

@@ -15,7 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sevolab import solver
+from sevolab import cli, harness, solver
+from sevolab.config import config_from_dict
 from sevolab.errors import DataLeakage
 from sevolab.kernels import propagator_arrays
 from sevolab.outputs import read_norms_csv, write_norms_csv
@@ -1977,15 +1978,16 @@ class TestTableCache:
         assert builds == [0.3, pytest.approx(0.2)]
         assert table_cache(grid).currsize == 2
 
-    @pytest.mark.parametrize("n, N, entries", [(1, 2048, 4), (2, 256, 2),
+    @pytest.mark.parametrize("n, N, entries", [(1, 1024, 153),
+                                               (1, 2048, 76), (2, 256, 2),
                                                (2, 512, 1)])
     def test_entries_are_bounded_by_bytes(self, n, N, entries):
-        # max(1, min(4, TABLE_BYTES // entry)) for an entry of 4 tables
-        # on the half spectrum and 4 weights on the kept block
+        # max(1, TABLE_BYTES // entry) for an entry of 4 tables on the
+        # half spectrum and 4 weights on the kept block
         grid = GridSpec(n=n, N=N, L=40.0)
         half = (N,) * (n - 1) + (N // 2 + 1,)
         entry = 4 * 16 * (math.prod(half) + math.prod(grid.block_shape))
-        assert max(1, min(4, solver.TABLE_BYTES // entry)) == entries
+        assert max(1, solver.TABLE_BYTES // entry) == entries
         assert table_cache(grid).maxsize == entries
         solver._workspace.cache_clear()
 
@@ -2003,6 +2005,29 @@ class TestTableCache:
         assert info.misses == len(sizes) > len(set(sizes))
         solver._workspace.cache_clear()
 
+
+    def test_default_sweep_builds_each_step_size_once(self, monkeypatch):
+        # the default lifespan sweep's four runs revisit ladder sizes
+        # across runs; the cache holds them all on its grid
+        cfg = config_from_dict(dict(cli._DEFAULTS["lifespan"],
+                                    kind="lifespan"))
+        opts = dict(cfg.options)
+        results = []
+        real_run = harness.run
+
+        def kept_run(*args, **kwargs):
+            results.append(real_run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "run", kept_run)
+        solver._workspace.cache_clear()
+        builds = counting_builds(monkeypatch)
+        harness.lifespan_sweep(cfg.params, cfg.grid, cfg.data.components,
+                               opts.pop("epsilons"), **opts)
+        sizes = [b for b in builds if np.ndim(b) == 0]
+        assert len(sizes) == len(set(sizes)) == 52
+        assert [r.steps for r in results] == [310, 397, 527, 691]
+        solver._workspace.cache_clear()
 
     def test_half_symbol_is_computed_once_per_grid_and_sigma(
             self, monkeypatch):
