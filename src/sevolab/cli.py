@@ -2,11 +2,11 @@
 
 One subcommand per experiment kind (the single-run blow-up experiment
 answers to `simulate`).  Every run resolves a full ExperimentConfig
-from built-in defaults, an optional --config JSON file, dotted --set
-overrides, and convenience flags, in that order; the resolved config
-and its hash are echoed into the output directory next to the data.
-The built-in defaults name every option and tolerance a kind reads;
-any other key, or a value of another type, is a usage error.
+through `config.resolve`: the kind's defaults, an optional --config
+JSON file, then dotted overrides, the flags --n, --sigma, --p and
+--epsilon before the --set ones; the resolved config and its hash are
+echoed into the output directory next to the data.  A config that
+resolve refuses is a usage error.
 
 Each subcommand yields its stdout lines, judged ones as Verdicts.  Exit
 codes: 2 if a Verdict failed, else 0; 1 on a usage or runtime error.
@@ -16,17 +16,13 @@ The ok/FAIL condition flags of `exponents` never give exit 2.
 from __future__ import annotations
 
 import argparse
-import copy
-import inspect
 import json
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .config import ExperimentConfig, apply_overrides, config_from_dict
+from .config import ExperimentConfig, resolve
 from .errors import ConditionViolated, SevolabError
 from .exponents import report
 from .harness import convergence_study, decay_experiment, lifespan_sweep
@@ -72,152 +68,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _keyword_defaults(fn, *names, **renamed) -> dict:
-    """Keyword defaults of fn under their config names (a keyword passed
-    as config_name="parameter" is renamed), so fn's signature stays the
-    only copy of each value.  Tuples become JSON lists."""
-    params = inspect.signature(fn).parameters
-    out = {}
-    for key, name in [(n, n) for n in names] + list(renamed.items()):
-        value = params[name].default
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
-_DEFAULTS = {
-    "exponents": {
-        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-    },
-    "kernels": {
-        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-        "tolerances": {"profile": 0.05},
-    },
-    "blowup": {
-        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-        "grid": {"N": 256, "L": 40.0},
-        "data": {"epsilon": 0.3, "components": [
-            {"amp0": 1.0, "amp1": 1.0}, {"amp0": 1.0, "amp1": 1.0}]},
-        "options": {"t_end": 200.0, "dt": 0.05, "dt_policy": "adaptive",
-                    **_keyword_defaults(run, "outputs", "linear_only")},
-    },
-    "decay": {
-        "params": {"n": 1, "sigma": 1.0, "p": [3.0, 4.0]},
-        # sized by the A6 slopes against N = 512 and 1024: bit-identical,
-        # as are the 18 steps, centred or off a node
-        "grid": {"N": 256, "L": 40.0},
-        "data": {"epsilon": 1e-3, "components": [
-            {"amp0": 1.0}, {"amp0": 1.0}]},
-        "options": _keyword_defaults(decay_experiment, "t_end", "dt",
-                                     "dt_policy", "outputs", "linear_only"),
-        "tolerances": _keyword_defaults(decay_experiment,
-                                        fit="fit_tolerance"),
-    },
-    "lifespan": {
-        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-        # sized by T's spatial error against N = 2048: 3e-8 relative for
-        # these centred bumps, up to 1.1e-5 with both centres half a cell
-        # off a node, against a step error of about 1.5e-4
-        "grid": {"N": 1024, "L": 160.0},
-        "data": {"epsilon": 0.4, "components": [
-            {"amp0": 0.25, "amp1": 0.25}, {"amp0": 0.25, "amp1": 0.25}]},
-        "options": {"epsilons": [0.05, 0.1, 0.2, 0.4],
-                    **_keyword_defaults(lifespan_sweep, "dt", "dt_policy",
-                                        "first_cap", "cap_factor")},
-        "tolerances": _keyword_defaults(lifespan_sweep,
-                                        lifespan="fit_tolerance"),
-    },
-    "testfunc": {
-        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
-        "options": {"nu_list": [0.5, 1.0, 1.5], "r_list": [2, 4, 8],
-                    "lam": 2.0,
-                    **_keyword_defaults(verify_eta_condition, "mu")},
-        "tolerances": {"scaling": 1e-3, "stability": 0.1},
-    },
-    "convergence": {
-        "params": {"n": 1, "sigma": 1.0, "p": [3.0, 4.0]},
-        "grid": {"N": 256, "L": 20.0},
-        "data": {"epsilon": 0.5, "components": [
-            {"amp0": 1.0, "amp1": 0.5}, {"amp0": 0.8, "amp1": -0.3}]},
-        "options": _keyword_defaults(convergence_study, "t_end",
-                                     "dt_ladder", "dt_reference",
-                                     "n_ladder", "linear_only"),
-        "tolerances": {"ratio_low": 3.0, "ratio_high": 5.0,
-                       "tail": 1e-10},
-    },
-}
-
-
-def _deep_update(base: dict, extra: dict) -> dict:
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
-def _fits(value, default) -> bool:
-    """Whether value may stand where default stands: ints pass for
-    floats, only bools pass for bools, lists are checked item by item."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(
-            _fits(v, default[0]) for v in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
-def _check_keys(doc: dict, kind: str):
-    for section in ("options", "tolerances"):
-        known = _DEFAULTS[kind].get(section, {})
-        given = doc.get(section, {})
-        if not isinstance(given, dict):
-            raise UsageError(f"{section} must be a JSON object")
-        for key, value in given.items():
-            if key not in known:
-                raise UsageError(
-                    f"unknown key {section}.{key}; {kind} knows "
-                    f"{', '.join(sorted(known)) or 'none'}")
-            if not _fits(value, known[key]):
-                raise UsageError(
-                    f"{section}.{key} = {value!r} does not match the "
-                    f"type of its default {known[key]!r}")
-            if section == "tolerances" and not np.isfinite(value):
-                raise UsageError(
-                    f"tolerances.{key} must be finite, got {value!r}")
+# each flag is a shorthand for one --set path, applied before --set
+_SHORTHANDS = {"n": "params.n", "sigma": "params.sigma", "p": "params.p",
+               "epsilon": "data.epsilon"}
 
 
 def _resolve_config(args, kind: str) -> ExperimentConfig:
-    doc = copy.deepcopy(_DEFAULTS[kind])
-    doc["kind"] = kind
+    doc = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
-        _deep_update(doc, json.loads(path.read_text()))
-        doc["kind"] = kind  # the subcommand, not the file, picks the kind
-    if getattr(args, "n", None) is not None:
-        doc["params"]["n"] = args.n
-    if getattr(args, "sigma", None) is not None:
-        doc["params"]["sigma"] = args.sigma
-    if getattr(args, "p", None) is not None:
-        doc["params"]["p"] = [float(x) for x in args.p.split(",")]
-    if getattr(args, "epsilon", None) is not None:
-        doc.setdefault("data", {})["epsilon"] = args.epsilon
-    if args.set:
-        try:
-            apply_overrides(doc, args.set)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if args.out:
-        doc["out"] = args.out
-    _check_keys(doc, kind)
+        doc = json.loads(path.read_text())
+    shorthands = [f"{key}={v if isinstance(v, str) else json.dumps(v)}"
+                  for flag, key in _SHORTHANDS.items()
+                  if (v := getattr(args, flag, None)) is not None]
     try:
-        return config_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad configuration: {exc}") from exc
+        return resolve(kind, doc, shorthands + args.set, args.out)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _emit(config: ExperimentConfig):
@@ -291,7 +160,7 @@ def _cmd_kernels(config: ExperimentConfig) -> Iterator[str | Verdict]:
         for regime, s, prof in rows:
             plot_loglog(
                 out_dir / f"profile_{regime}_s{s:g}.svg",
-                [(np.array(prof.t), np.array(prof.values), f"{regime} s={s:g}")],
+                [(prof.t, prof.values, f"{regime} s={s:g}")],
                 guide_slope=prof.expected,
                 title=f"multiplier decay {regime}, s={s:g}, n={n}, "
                       f"sigma={sigma:g}",
@@ -353,11 +222,9 @@ def _cmd_decay(config: ExperimentConfig) -> Iterator[str | Verdict]:
         f"window [{rep.window[0]:.6g}, {rep.window[1]:.6g}]  "
         f"xnorm ratios {tuple(round(r, 3) for r in rep.xnorm_ratios)}",
         rep.xnorm_passed)
-    times = rep.run.times
-    sel = times > 0
     plot_loglog(
         out_dir / "decay.svg",
-        [(times[sel], rep.run.l2[ell][sel], f"l2 comp {ell + 1}")
+        [(rep.run.times, rep.run.l2[ell], f"l2 comp {ell + 1}")
          for ell in range(config.params.k)],
         fit=rep.l2[-1], guide_slope=rep.l2[-1].expected,
         title="component L2 decay", ylabel="L2 norm")
@@ -381,12 +248,10 @@ def _cmd_lifespan(config: ExperimentConfig) -> Iterator[str | Verdict]:
                   f"{sweep.fit.expected:+.4f} +- {sweep.fit.tolerance:.2f} "
                   f"r2 {sweep.fit.r_squared:.5f} monotone {sweep.monotone}",
                   bool(sweep.fit.passed) and sweep.monotone)
-    pairs = [(e, t) for e, t in zip(sweep.epsilons, sweep.lifespans)
-             if t is not None]
+    # a capped run's T of None becomes a NaN, which the plot drops
     plot_loglog(
         out_dir / "lifespan.svg",
-        [(np.array([e for e, _ in pairs]), np.array([t for _, t in pairs]),
-          "T(epsilon)")],
+        [(sweep.epsilons, sweep.lifespans, "T(epsilon)")],
         fit=sweep.fit, guide_slope=sweep.fit.expected,
         title="lifespan scaling", xlabel="epsilon", ylabel="T")
     yield f"outputs: {out_dir}"

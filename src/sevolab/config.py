@@ -2,21 +2,101 @@
 
 The document fully determines a run (system, grid, data, knobs,
 tolerances), round-trips losslessly, and is hashed so every output
-directory can name the exact configuration that produced it.  Flags
-override fields by dotted path into the JSON structure.
+directory can name the exact configuration that produced it.  `resolve`
+merges a document and dotted overrides over a kind's DEFAULTS, which
+name every option and tolerance it reads and type each one.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass, field
 
-from .exponents import SystemParams
-from .solver import ComponentData, GridSpec, InitialData
+import numpy as np
 
-KINDS = ("exponents", "kernels", "decay", "blowup", "lifespan",
-         "testfunc", "convergence")
+from .exponents import SystemParams
+from .harness import convergence_study, decay_experiment, lifespan_sweep
+from .solver import ComponentData, GridSpec, InitialData, run
+from .testfunc import verify_eta_condition
+
+
+def _keyword_defaults(fn, *names, **renamed) -> dict:
+    """Keyword defaults of fn under their config names (a keyword passed
+    as config_name="parameter" is renamed), so fn's signature stays the
+    only copy of each value.  Tuples become JSON lists."""
+    params = inspect.signature(fn).parameters
+    out = {}
+    for key, name in [(n, n) for n in names] + list(renamed.items()):
+        value = params[name].default
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+DEFAULTS = {
+    "exponents": {
+        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
+    },
+    "kernels": {
+        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
+        "tolerances": {"profile": 0.05},
+    },
+    "decay": {
+        "params": {"n": 1, "sigma": 1.0, "p": [3.0, 4.0]},
+        # sized by the A6 slopes against N = 512 and 1024: bit-identical,
+        # as are the 18 steps, centred or off a node
+        "grid": {"N": 256, "L": 40.0},
+        "data": {"epsilon": 1e-3, "components": [
+            {"amp0": 1.0}, {"amp0": 1.0}]},
+        "options": _keyword_defaults(decay_experiment, "t_end", "dt",
+                                     "dt_policy", "outputs", "linear_only"),
+        "tolerances": _keyword_defaults(decay_experiment,
+                                        fit="fit_tolerance"),
+    },
+    "blowup": {
+        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
+        "grid": {"N": 256, "L": 40.0},
+        "data": {"epsilon": 0.3, "components": [
+            {"amp0": 1.0, "amp1": 1.0}, {"amp0": 1.0, "amp1": 1.0}]},
+        "options": {"t_end": 200.0, "dt": 0.05, "dt_policy": "adaptive",
+                    **_keyword_defaults(run, "outputs", "linear_only")},
+    },
+    "lifespan": {
+        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
+        # sized by T's spatial error against N = 2048: 3e-8 relative for
+        # these centred bumps, up to 1.1e-5 with both centres half a cell
+        # off a node, against a step error of about 1.5e-4
+        "grid": {"N": 1024, "L": 160.0},
+        "data": {"epsilon": 0.4, "components": [
+            {"amp0": 0.25, "amp1": 0.25}, {"amp0": 0.25, "amp1": 0.25}]},
+        "options": {"epsilons": [0.05, 0.1, 0.2, 0.4],
+                    **_keyword_defaults(lifespan_sweep, "dt", "dt_policy",
+                                        "first_cap", "cap_factor")},
+        "tolerances": _keyword_defaults(lifespan_sweep,
+                                        lifespan="fit_tolerance"),
+    },
+    "testfunc": {
+        "params": {"n": 1, "sigma": 1.0, "p": [2.0, 2.0]},
+        "options": {"nu_list": [0.5, 1.0, 1.5], "r_list": [2, 4, 8],
+                    "lam": 2.0,
+                    **_keyword_defaults(verify_eta_condition, "mu")},
+        "tolerances": {"scaling": 1e-3, "stability": 0.1},
+    },
+    "convergence": {
+        "params": {"n": 1, "sigma": 1.0, "p": [3.0, 4.0]},
+        "grid": {"N": 256, "L": 20.0},
+        "data": {"epsilon": 0.5, "components": [
+            {"amp0": 1.0, "amp1": 0.5}, {"amp0": 0.8, "amp1": -0.3}]},
+        "options": _keyword_defaults(convergence_study, "t_end",
+                                     "dt_ladder", "dt_reference",
+                                     "n_ladder", "linear_only"),
+        "tolerances": {"ratio_low": 3.0, "ratio_high": 5.0,
+                       "tail": 1e-10},
+    },
+}
+KINDS = tuple(DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -55,33 +135,23 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "kind": config.kind,
-        "params": {
-            "n": config.params.n,
-            "sigma": config.params.sigma,
-            "p": list(config.params.p),
-        },
-        "grid": None if config.grid is None else {
-            "N": config.grid.N,
-            "L": config.grid.L,
-        },
-        "data": None if config.data is None else {
-            "epsilon": config.data.epsilon,
-            "components": [asdict(c) | {"center": list(c.center)}
-                           for c in config.data.components],
-        },
-        "tolerances": dict(config.tolerances),
-        "options": dict(config.options),
-        "out": config.out,
-    }
+    """The config's fields as JSON, so tuples become the lists that
+    overrides index into, without the derived params.k and grid.n."""
+    doc = json.loads(json.dumps(asdict(config)))
+    del doc["params"]["k"]
+    if config.grid is not None:
+        del doc["grid"]["n"]
+    return doc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Inverse of config_to_dict.  Each section goes to its dataclass
     as it is, so an unknown key is a TypeError and the dataclasses
     check and convert the values."""
-    params = SystemParams(k=len(doc["params"]["p"]), **doc["params"])
+    p = doc["params"]["p"]
+    if not isinstance(p, (list, tuple)):
+        raise ValueError(f"p must be a list of exponents, got {p!r}")
+    params = SystemParams(k=len(p), **doc["params"])
     grid, data = doc.get("grid"), doc.get("data")
     if grid is not None:
         grid = GridSpec(n=params.n, **grid)
@@ -136,3 +206,64 @@ def apply_overrides(doc: dict, assignments) -> dict:
             raise ValueError(
                 f"override {assignment!r}: no such path") from None
     return doc
+
+
+def _deep_update(base: dict, extra: dict) -> dict:
+    for key, value in extra.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            _deep_update(base[key], value)
+        else:
+            base[key] = value
+    return base
+
+
+def _fits(value, default) -> bool:
+    """Whether value may stand where default stands: ints pass for
+    floats, only bools pass for bools, lists are checked item by item."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _fits(v, default[0]) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_keys(doc: dict, kind: str):
+    for section in ("options", "tolerances"):
+        known = DEFAULTS[kind].get(section, {})
+        given = doc.get(section, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"{section} must be a JSON object")
+        for key, value in given.items():
+            if key not in known:
+                raise ValueError(
+                    f"unknown key {section}.{key}; {kind} knows "
+                    f"{', '.join(sorted(known)) or 'none'}")
+            if not _fits(value, known[key]):
+                raise ValueError(
+                    f"{section}.{key} = {value!r} does not match the "
+                    f"type of its default {known[key]!r}")
+            if section == "tolerances" and not np.isfinite(value):
+                raise ValueError(
+                    f"tolerances.{key} must be finite, got {value!r}")
+
+
+def resolve(kind: str, doc: dict, overrides=(),
+            out: str | None = None) -> ExperimentConfig:
+    """kind's defaults, then doc, the dotted overrides and out, checked
+    against the defaults; kind wins over any kind they name.  Every
+    refusal is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a config document must be a JSON object")
+    merged = _deep_update(copy.deepcopy(DEFAULTS[kind]), doc)
+    apply_overrides(merged, overrides)
+    merged["kind"] = kind
+    if out:
+        merged["out"] = out
+    _check_keys(merged, kind)
+    try:
+        return config_from_dict(merged)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad configuration: {exc}") from exc

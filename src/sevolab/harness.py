@@ -127,16 +127,15 @@ def fit_power_law(t, y, window=None, *, expected: float | None = None,
     )
 
 
-def mean_mode_cutoff(grid: GridSpec, result: RunResult,
-                     fraction: float = FLOOR_FRACTION) -> float:
-    """First time the constant mode carries `fraction` of some
+def mean_mode_cutoff(grid: GridSpec, result: RunResult) -> float:
+    """First time the constant mode carries FLOOR_FRACTION of some
     component's L2 norm; end of history when it never does."""
     const_norm = (2.0 * grid.L) ** (grid.n / 2.0) * np.abs(result.mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(result.l2 > 0.0, const_norm / result.l2, 0.0)
     cut = float(result.times[-1])
     for ell in range(frac.shape[0]):
-        hits = np.nonzero(frac[ell] >= fraction)[0]
+        hits = np.nonzero(frac[ell] >= FLOOR_FRACTION)[0]
         if hits.size:
             cut = min(cut, float(result.times[hits[0]]))
     return cut
@@ -252,12 +251,14 @@ def lifespan_sweep(params: SystemParams, grid: GridSpec, components,
                              f"got {value}")
     # NotSubcritical before any epsilon is checked
     expected = lifespan_exponent(params)
+    # before set() and sorted(), which NaN breaks
+    if not all(0 < e < math.inf for e in epsilons):
+        raise ValueError(
+            f"epsilons must be positive and finite, got {epsilons}")
     eps_desc = tuple(sorted(set(float(e) for e in epsilons), reverse=True))
     if len(eps_desc) < 4:
         raise ValueError(
             f"need at least 4 epsilons, got {len(eps_desc)} distinct")
-    if not all(e > 0 for e in eps_desc):
-        raise ValueError(f"epsilons must be positive, got {epsilons}")
 
     _, report = make_initial_data(
         grid, InitialData(epsilon=eps_desc[0], components=tuple(components)),

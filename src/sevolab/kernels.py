@@ -152,7 +152,7 @@ def propagator_arrays(t, a):
     return k0, k1, dk0, dk1, i1, j1
 
 
-def ode_residual(t, a, h: float = 1e-4):
+def ode_residual(t, a):
     """Finite-difference residual |u'' + (1+a) u' + a u| of k0 and k1.
 
     Fourth-order centered stencils throughout.  The closed forms extend
@@ -163,6 +163,7 @@ def ode_residual(t, a, h: float = 1e-4):
     here).  Returns the elementwise max over the two fundamental
     solutions; scalar in, scalar out.
     """
+    h = 1e-4  # stencil spacing
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
     t, a = np.broadcast_arrays(t, a)

@@ -123,28 +123,29 @@ def check_weight_decay(grid: GridSpec, nu: float, q: float) -> float:
     return float(np.max(ratio[interior]))
 
 
-def check_scaling(nu: float, R: int, q: float | None = None,
-                  grid: GridSpec | None = None) -> float:
+def check_scaling(nu: float, R: int, grid: GridSpec | None = None) -> float:
     """Relative defect of the dilation identity
     (-Delta)^nu (psi(./R)) = R^(-2 nu) ((-Delta)^nu psi)(./R).
 
     Both sides are separate spectral evaluations on one grid; they are
     compared at the nodes x with x/R again a node, inside |x| <= L/4.
-    R must be a positive integer with 2R dividing N so that such nodes
-    exist; the default grid is L = 64 R, N = 1024 R for power-of-two R.
+    R must be a power of two with 2R dividing N so that such nodes
+    exist; the default grid is L = 64 R, N = 1024 R.
     """
     _check_nu(nu)
     if abs(R - round(R)) > INTEGER_TOL or round(R) < 1:
         raise ValueError(f"R must be a positive integer, got {R}")
     R = int(round(R))
+    # every N is a power of two, so 2R | N needs a power-of-two R
+    if R & (R - 1):
+        raise ValueError(f"need a power-of-two R for node alignment, got {R}")
     if grid is None:
         grid = GridSpec(n=1, N=1024 * R, L=64.0 * R)
     if grid.N % (2 * R):
         raise ValueError(f"need 2R | N for node alignment, got N={grid.N}, "
                          f"R={R}")
-    if q is None:
-        is_int, frac = _fractional_part(nu)
-        q = grid.n + 2.0 * (1.0 if is_int else frac)
+    is_int, frac = _fractional_part(nu)
+    q = grid.n + 2.0 * (1.0 if is_int else frac)
     r2 = grid.radius_sq()
     lhs = frac_laplacian_grid(grid, space_weight(r2 / R ** 2, q), nu,
                               tail_tol=None)

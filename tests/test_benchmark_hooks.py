@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sevolab import cli
+from sevolab.config import DEFAULTS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,6 +53,6 @@ def test_fixed_2d_workload_ends_on_its_dt_grid():
     sets = [argv[i + 1] for i, a in enumerate(argv) if a == "--set"]
     assert "options.dt_policy=fixed" in sets
     assert not any(s.startswith("options.dt=") for s in sets)
-    ratio = workloads.SIM2D_T_END / cli._DEFAULTS["blowup"]["options"]["dt"]
+    ratio = workloads.SIM2D_T_END / DEFAULTS["blowup"]["options"]["dt"]
     assert round(ratio) > 0
     assert math.isclose(ratio, round(ratio), rel_tol=1e-12)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sevolab import cli, outputs
 from sevolab.cli import cli_main
 from sevolab.config import (
+    DEFAULTS,
     KINDS as CONFIG_KINDS,
     ExperimentConfig,
     apply_overrides,
@@ -303,6 +304,24 @@ class TestCliExitCodes:
         assert "RuntimeWarning" not in proc.stderr
         assert json.loads((out / "run.json").read_text())["blown_up"] is True
 
+    def test_supercritical_exponents_print_and_write_decay(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "exp"
+        assert cli_main(["exponents", "--p", "3,4", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "decay L2: (" in printed and "decay Hsigma: (" in printed
+        doc = json.loads((out / "exponents.json").read_text())
+        assert len(doc["decay_l2"]) == len(doc["decay_hsigma"]) == 2
+
+    def test_flags_are_set_shorthands_applied_first(self):
+        args = cli.build_parser().parse_args([
+            "decay", "--n", "1", "--sigma", "1.5", "--p", "2.5,3",
+            "--epsilon", "0.002", "--set", "params.sigma=2"])
+        config = cli._resolve_config(args, "decay")
+        assert config.params == SystemParams(n=1, sigma=2.0, k=2,
+                                             p=(2.5, 3.0))
+        assert config.data.epsilon == 0.002
+
     def test_singular_system_is_usage_error(self, capsys):
         code = cli_main(["exponents", "--p", "1.0,2"])
         assert code == 1
@@ -327,6 +346,15 @@ class TestCliExitCodes:
         assert 5.0 < run_doc["blowup_time"] < 25.0
         assert (out / "norms.csv").exists()
         assert (out / "config.json").exists()
+
+    def test_simulate_short_of_blowup(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli_main(["simulate", "--epsilon", "0.25", "--set",
+                         "options.t_end=5", "--out", str(out)]) == 0
+        assert "completed to t = 5 (" in capsys.readouterr().out
+        assert json.loads((out / "run.json").read_text())["blown_up"] is False
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed["config"]["data"]["epsilon"] == 0.25
 
     def test_decay_short_run(self, tmp_path, capsys):
         out = tmp_path / "dec"
@@ -484,7 +512,7 @@ class TestLifespanGrid:
     box: T's spatial error must stay far below its step error (about
     1.5e-4 relative)."""
 
-    CONFIG = config_from_dict(dict(cli._DEFAULTS["lifespan"],
+    CONFIG = config_from_dict(dict(DEFAULTS["lifespan"],
                                    kind="lifespan"))
 
     def blowup(self, N, eps, center=0.0):
@@ -516,7 +544,7 @@ class TestDecayGrid:
     """The default `decay` grid against one of 2N points on the same box:
     the A6 slopes and the steps must not move."""
 
-    CONFIG = config_from_dict(dict(cli._DEFAULTS["decay"], kind="decay"))
+    CONFIG = config_from_dict(dict(DEFAULTS["decay"], kind="decay"))
 
     def decay(self, N, center):
         cfg = self.CONFIG
@@ -543,7 +571,7 @@ class TestDecayGrid:
 KINDS = {cmd: kind for cmd, (kind, *_) in cli.COMMANDS.items()}
 SETTABLE = [(cmd, section, key) for cmd, kind in KINDS.items()
             for section in ("options", "tolerances")
-            for key in cli._DEFAULTS[kind].get(section, {})]
+            for key in DEFAULTS[kind].get(section, {})]
 
 
 class _Reads(Mapping):
@@ -572,14 +600,14 @@ MISSPELT = [(cmd, section) for cmd in sorted(KINDS)
             for section in ("options", "tolerances", "params", "grid", "data",
                             "data.components.0", None)
             if section in (None, "options", "tolerances")
-            or section.split(".")[0] in cli._DEFAULTS[KINDS[cmd]]]
+            or section.split(".")[0] in DEFAULTS[KINDS[cmd]]]
 
 
 class TestCliKeys:
     def test_one_set_of_kinds(self):
-        # config validates the kinds, the CLI keys its defaults and its
-        # subcommands by them: the three copies must agree
-        assert (set(CONFIG_KINDS) == set(cli._DEFAULTS)
+        # config derives its kinds from its defaults, and every
+        # subcommand looks one of them up
+        assert (set(CONFIG_KINDS) == set(DEFAULTS)
                 == set(KINDS.values()))
         assert len(CONFIG_KINDS) == len(set(CONFIG_KINDS))
 
@@ -631,6 +659,12 @@ class TestCliKeys:
                      "cap_factor", id="cap_factor-inf"),
         pytest.param(["lifespan", "--set", "options.first_cap=NaN"],
                      "first_cap", id="first_cap-nan"),
+        pytest.param(["lifespan", "--set", "grid.N=256", "--set",
+                      "options.epsilons=[Infinity,0.1,0.2,0.4]"],
+                     "epsilons", id="epsilons-inf"),
+        pytest.param(["lifespan", "--set", "grid.N=256", "--set",
+                      "options.epsilons=[NaN,0.1,0.2,0.4]"],
+                     "epsilons", id="epsilons-nan"),
     ])
     def test_non_finite_input_is_refused(self, argv, name, tmp_path,
                                          capsys):
@@ -667,6 +701,18 @@ class TestCliKeys:
         cfg_file.write_text(json.dumps({"options": {"t_edn": 300.0}}))
         assert cli_main(["decay", "--config", str(cfg_file)]) == 1
         assert "options.t_edn" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"options": [300.0]}, "options must be a JSON object"),
+        ([{"options": {}}], "config document must be a JSON object"),
+    ], ids=["options-list", "top-level-list"])
+    def test_config_file_of_wrong_shape(self, doc, message, tmp_path,
+                                        capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        assert cli_main(["decay", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and message in err
 
     @pytest.mark.parametrize("cmd,section,key", SETTABLE)
     def test_wrong_type_is_usage_error(self, cmd, section, key, capsys):

@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sevolab import cli, harness, solver
-from sevolab.config import config_from_dict
+from sevolab import harness, solver
+from sevolab.config import DEFAULTS, config_from_dict
 from sevolab.errors import DataLeakage
 from sevolab.kernels import propagator_arrays
 from sevolab.outputs import read_norms_csv, write_norms_csv
@@ -2009,7 +2009,7 @@ class TestTableCache:
     def test_default_sweep_builds_each_step_size_once(self, monkeypatch):
         # the default lifespan sweep's four runs revisit ladder sizes
         # across runs; the cache holds them all on its grid
-        cfg = config_from_dict(dict(cli._DEFAULTS["lifespan"],
+        cfg = config_from_dict(dict(DEFAULTS["lifespan"],
                                     kind="lifespan"))
         opts = dict(cfg.options)
         results = []

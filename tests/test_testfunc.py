@@ -178,6 +178,9 @@ class TestScalingCheck:
             check_scaling(1.0, 2.7)
         with pytest.raises(ValueError, match="alignment"):
             check_scaling(1.0, 3, grid=GridSpec(n=1, N=1024, L=192.0))
+        # refused before the default grid of N = 1024 R is built
+        with pytest.raises(ValueError, match="alignment"):
+            check_scaling(1.0, 3)
 
 
 class TestEtaCondition:
