@@ -13,6 +13,7 @@ import copy
 import hashlib
 import inspect
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -250,6 +251,18 @@ def _check_keys(doc: dict, kind: str):
                     f"tolerances.{key} must be finite, got {value!r}")
 
 
+def _check_magnitudes(value, path: str = ""):
+    """Refuse an int too large for a float anywhere in value, naming its
+    dotted path.  The int is compared, not converted, so that the echo
+    and the hash keep every other int as it was given."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            _check_magnitudes(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{path} is an integer too large for a float")
+
+
 def resolve(kind: str, doc: dict, overrides=(),
             out: str | None = None) -> ExperimentConfig:
     """kind's defaults, then doc, the dotted overrides and out, checked
@@ -262,6 +275,7 @@ def resolve(kind: str, doc: dict, overrides=(),
     merged["kind"] = kind
     if out:
         merged["out"] = out
+    _check_magnitudes(merged)
     _check_keys(merged, kind)
     try:
         return config_from_dict(merged)

@@ -33,11 +33,7 @@ one, and makes one numpy call per operation for them.
 The corrector stays a spectrum; it is transformed at most once, the
 first time norms() reads its FieldState.u, and the step's error
 estimate and run()'s blow-up check read the predictor and the spectral
-predictor-corrector gap instead, and a finite estimate spares run() a
-scan of the spectra.
-The records strictly inside one step are read off its interpolant as
-one batch, a FieldState stacked over their times: one propagator
-table build, one irfftn and one norms() call serve them all.
+predictor-corrector gap instead.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -226,8 +222,7 @@ class FieldState:
         and the component axis, on N = 2 (h - 1) points per axis for h
         last-axis columns: one transform for a whole batch.  Computed
         on first read and kept, so u_half must not be changed after
-        that; run() reads it through norms() at each record and returns
-        the last record's as RunResult.u_final."""
+        that."""
         h, ndim = self.u_half.shape[-1], self.u_half.ndim
         first = np.ndim(self.t) + 1
         return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - first),
@@ -661,9 +656,41 @@ class RunResult:
         return self.blowup_time is not None
 
 
-def _ladder(x: float, dt: float) -> float:
-    """Largest dt * 2^(j/4), j integer, not above x (up to roundoff)."""
-    return dt * 2.0 ** (math.floor(4.0 * math.log2(x / dt) + 1e-9) / 4)
+def _near(x: float, y: float) -> bool:
+    """Whether x and y agree to 1e-9 relative, or absolute below 1."""
+    return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
+
+
+def _next_h(h: float, err: float, dt: float) -> float:
+    """The adaptive policy's step after one of size h with estimate err:
+    h * clip(0.9 (STEP_TOL / err)^(1/2), 1/4, 2), or 2h for err = 0,
+    rounded down to the ladder dt * 2^(j/4) (integer j) so that the
+    propagator tables are reused; no upper bound, and no lower than the
+    floor dt / 1024 (see RunResult.floor_steps)."""
+    fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / err)))
+           if err else 2.0)
+    j = math.floor(4.0 * math.log2(h * fac / dt) + 1e-9)
+    return max(dt / 1024.0, dt * 2.0 ** (j / 4))
+
+
+def _record_times(t_end: float, dt: float, outputs: int,
+                  adaptive: bool) -> list:
+    """run()'s record times after t = 0, ascending and ending at t_end:
+    outputs times spaced logarithmically from max(dt, t_end / 10^4), at
+    most t_end, to t_end.  Times within 1e-9 relative (_near) of 0 or
+    t_end count as those records.  The fixed policy rounds each time
+    other than t_end to the nearest multiple of dt, dropping duplicates
+    and times that round to 0 or past t_end, so that all its records
+    fall on step ends and none is interpolated."""
+    start = min(max(dt, t_end * 1e-4), t_end)
+    # t_end leaves the schedule before rounding, which could move it
+    # onto the dt grid short of t_end
+    sched = [float(x) for x in np.geomspace(start, t_end, outputs)
+             if x < t_end]
+    if not adaptive:
+        sched = [dt * round(x / dt) for x in sched]
+    return sorted({x for x in sched if x < t_end and not _near(x, t_end)
+                   and not _near(x, 0.0)}) + [float(t_end)]
 
 
 def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
@@ -703,77 +730,84 @@ def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
     return float(T), float(err)
 
 
+def _blowup_watch(params: SystemParams, data: InitialData):
+    """One run's decade fits: watch(t, peak, pred_sup), given an accepted
+    step's end time and its predictor's sups, returns (T, error) once
+    they place blow-up past t, else None.
+
+    Near blow-up the sup of the leading component (the argmax of
+    compute_gamma) follows the self-similar rate (T - t)^(-alpha) with
+    alpha = 2 gamma_lead.  Let s0 be the largest peak |epsilon amp0| or
+    |epsilon amp1| of the data: the linear flow carries u1 into u at
+    times of order one, so data with u0 << u1 first grow to the scale of
+    u1, a growth that is not the blow-up's.  Once peak reaches 10 s0,
+    lead and alpha are read off compute_gamma's solve, made then and not
+    up front, so that a run that never grows skips numpy's first linear
+    solve (about 0.5 MB RSS).  From then on every step adds (t,
+    sup_lead) to a history, and each time sup_lead first reaches 10^d s0
+    for d >= 4, _extrapolate_blowup tries T on the decades up to d.  So
+    zero data, and coarse fixed-dt runs whose decades hold too few
+    points (the tests' blow-up run at dt = 0.05 or 0.025, not at
+    0.0125), end on run()'s threshold alone.
+    """
+    s0 = abs(data.epsilon) * max(max(abs(c.amp0), abs(c.amp1))
+                                 for c in data.components)
+    history, decade, lead, alpha = [], 4, None, None
+
+    def watch(t: float, peak: float, pred_sup: np.ndarray):
+        nonlocal decade, lead, alpha
+        if not (s0 > 0 and peak >= 10.0 * s0):
+            return None
+        if lead is None:
+            gamma = compute_gamma(params)
+            lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
+        sup = float(pred_sup[lead])
+        history.append((t, sup))
+        fit = None
+        while fit is None and sup >= 10.0 ** decade * s0:
+            fit = _extrapolate_blowup(history, s0, alpha, decade)
+            decade += 1
+        return fit
+
+    return watch
+
+
 def run(params: SystemParams, grid: GridSpec, data: InitialData,
         t_end: float, dt: float, *, dt_policy: str = "fixed",
         outputs: int = 64, linear_only: bool = False) -> RunResult:
-    """Integrate to t_end or blow-up, recording norms on a logarithmic
-    output schedule (plus t = 0 and t_end themselves), and keep the
-    physical field of the last record as u_final.
+    """Integrate to t_end or blow-up, recording norms at t = 0 and at
+    _record_times, and keep the physical field of the last record as
+    u_final.
 
-    Steps are sized by dt_policy alone and end at t_end; the output
-    times size none of them.  "fixed" steps with dt.
-    "adaptive" controls the local error: every step carries the
-    estimate err of step(), a step with err > STEP_TOL is rejected and
-    retried from the same state, and the next step is h * clip(0.9
-    (STEP_TOL / err)^(1/2), 1/4, 2), rounded down to the ladder dt *
-    2^(j/4) (integer j) so that the propagator tables are reused, and
-    never below dt / 1024, where steps are accepted whatever their
-    estimate.  There is no upper bound.  So dt also sets the floor: an
-    adaptive run with a large dt accepts uncontrolled steps there, and
-    floor_steps counts those.  Only a step that would pass t_end is
-    shortened to end there; one that reaches t_end up to roundoff keeps
-    its size, so no table is built for a size that differs in its last
-    bits.  steps counts accepted steps, rejected_steps the rejected
-    ones, floor_steps the accepted ones over STEP_TOL, and
-    dt_min/dt_max span the accepted step sizes.
+    Steps are sized by dt_policy alone and end at t_end; the record
+    times size none of them.  "fixed" steps with dt.  "adaptive" starts
+    at dt, sizes each next step by _next_h, and retries from the same
+    state a step whose estimate exceeds STEP_TOL, unless _next_h gives
+    no smaller one.  Only a step that would pass t_end is shortened to
+    end there; one that reaches t_end up to roundoff keeps its size, so
+    no table is built for a size that differs in its last bits.
 
-    Schedule times within 1e-9 relative of 0 or t_end count as those
-    records.  An accepted step records the times strictly inside it
-    from its Duhamel interpolant (_interpolate), all at once in batches
-    whose tables take at most BATCH_BYTES, so the schedule does
-    not change the trajectory; a step without such times builds no
-    interpolant.  A step that ends at a time up to roundoff records its
-    end state with that time exactly.  The fixed policy rounds each
-    log-schedule time other than t_end to the nearest multiple of dt,
-    dropping duplicates and times that round to 0 or past t_end, so
-    that all its records fall on step ends and none is interpolated.
+    An accepted step records the times strictly inside it from its
+    Duhamel interpolant (_interpolate), all at once in batches whose
+    tables take at most BATCH_BYTES, so the schedule does not change
+    the trajectory; a step without such times builds no interpolant.  A
+    step that ends at a record time up to roundoff records its end state
+    with that time exactly.
 
-    Blow-up is a verdict in the result, not an exception, reached in one
-    of two ways.  Near blow-up the sup of the leading component (the
-    argmax of compute_gamma) follows the self-similar rate
-    (T - t)^(-alpha) with alpha = 2 gamma_lead.  Let s0 be the largest peak
-    |epsilon amp0| or |epsilon amp1| of the data: the linear flow
-    carries u1 into u at times of order one, so data with u0 << u1 first
-    grow to the scale of u1, a growth that is not the blow-up's.  Once
-    the largest sup reaches 10 s0, lead and alpha are read off
-    compute_gamma's solve, once per run (a run that never grows never
-    solves for gamma), and every accepted step adds (t, sup_lead) of its
-    predictor to a history; each time sup_lead first reaches 10^d s0
-    for d >= 4, _extrapolate_blowup fits T on the decades d - 2, d - 1
-    and d of that history and extrapolates the three fits by Aitken's
-    Delta^2.  When that gives a time past the
-    state's, the run stops there: blowup_time is the extrapolated T,
-    blowup_error the distance of the last decade fit from it, and the
-    last accepted state is the final record.  A decade with fewer than
-    FIT_POINTS points gives no fit, so zero data and coarse fixed-dt
-    runs (the tests' blow-up run at dt = 0.05 or 0.025, not at 0.0125)
-    end on the threshold alone.
-
-    That threshold is the safety net: the run stops at the first step
-    h from a state at time t whose predictor (the one physical field a
-    step holds) has a sup that is not at most BLOWUP_THRESHOLD (NaN
-    and inf included), or whose corrector or carried forcing spectrum
-    is not finite, as when a finite predictor's |u|^p overflows.  A
-    finite err vouches for those spectra: it sums |w_new_u (N_new -
-    N_old)|, which a non-finite forcing or corrector makes non-finite.
-    Only a step whose err is not finite has them scanned, since finite
-    spectra can still overflow a bound over the sup of a zero or tiny
-    component.  The check comes before the step's accept/reject, and
-    numpy's overflow and invalid-value warnings are silenced over the
-    whole stepping loop, entered once per run, since the check judges
-    what they report.  blowup_time is then t + h/2, the midpoint of the
-    bracket [t, t + h], with blowup_error h/2, and the last good state
-    at t is the final record.
+    Blow-up is a verdict in the result, not an exception.  The run stops
+    after the step whose _blowup_watch fit gives T or, the safety net,
+    at the first step h from a state at time t whose predictor (the one
+    physical field a step holds) has a sup that is not at most
+    BLOWUP_THRESHOLD (NaN and inf included), or whose corrector or
+    carried forcing spectrum is not finite, as when a finite
+    predictor's |u|^p overflows.  A finite err vouches for those
+    spectra, as the gap it sums is not finite where they are not; only
+    a step whose err is not finite, as finite spectra can give against
+    a zero or tiny component, has them scanned.  The check comes before
+    the step's accept/reject, and numpy's overflow and invalid-value
+    warnings are silenced over the whole stepping loop, entered once
+    per run, since the check judges what they report.  blowup_time is
+    then t + h/2, the midpoint of the bracket [t, t + h].
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -783,30 +817,15 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if outputs < 0:
         raise ValueError(f"outputs must be nonnegative, got {outputs}")
-    k = params.k
-    if len(data.components) != k:
-        raise ValueError(
-            f"data has {len(data.components)} components, system has {k}"
-        )
+    if len(data.components) != params.k:
+        raise ValueError(f"data has {len(data.components)} components, "
+                         f"system has {params.k}")
     state, _ = make_initial_data(grid, data, params.sigma)
-
-    def near(x, y):
-        return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
-
     adaptive = dt_policy == "adaptive"
-    start = min(max(dt, t_end * 1e-4), t_end)
-    # t_end leaves the schedule before rounding, which could move it
-    # onto the dt grid short of t_end
-    sched = [float(x) for x in np.geomspace(start, t_end, outputs)
-             if x < t_end]
-    if not adaptive:
-        sched = [dt * round(x / dt) for x in sched]
-    events = sorted({x for x in sched if x < t_end and not near(x, t_end)
-                     and not near(x, 0.0)}) + [float(t_end)]
+    events = _record_times(t_end, dt, outputs, adaptive)
 
     times, rows = [], []
-    # records per interpolant batch; 32 bytes per half-spectrum point
-    # hold its four float64 tables
+    # records per interpolant batch: 32 bytes per half-spectrum point
     per_batch = max(1, BATCH_BYTES
                     // (32 * grid.N ** (grid.n - 1) * (grid.N // 2 + 1)))
 
@@ -816,21 +835,15 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         rows.append(norms(grid, st, params.sigma))
 
     record(state)
-
-    s0 = abs(data.epsilon) * max(max(abs(c.amp0), abs(c.amp1))
-                                 for c in data.components)
-    history, decade, lead = [], 4, None
+    watch = _blowup_watch(params, data)
 
     dt_now = float(dt)
-    dt_floor = dt / 1024.0
     t_blow = t_err = None
-    steps = rejected = floor = 0
-    h_min, h_max = math.inf, 0.0
-    ev_idx = 0
+    hs, rejected, floor, ev_idx = [], 0, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while state.t < t_end and not near(state.t, t_end):
+        while state.t < t_end and not _near(state.t, t_end):
             h = min(dt_now, t_end - state.t)
-            if near(h, dt_now):
+            if _near(h, dt_now):
                 h = dt_now
             new = step(state, h, params, grid, linear_only=linear_only)
             peak = new.pred_sup.max()
@@ -842,18 +855,16 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
                 t_blow, t_err = state.t + 0.5 * h, 0.5 * h
                 break
             if adaptive:
-                fac = (min(2.0, max(0.25, 0.9 * math.sqrt(STEP_TOL / new.err)))
-                       if new.err else 2.0)
-                dt_now = max(dt_floor, _ladder(h * fac, dt))
+                dt_now = _next_h(h, new.err, dt)
                 if new.err > STEP_TOL:
-                    if h > dt_floor:
+                    # _next_h shrinks every such step above its floor
+                    if dt_now < h:
                         rejected += 1
                         continue
                     floor += 1
-            steps += 1
-            h_min, h_max = min(h_min, h), max(h_max, h)
+            hs.append(h)
             end = ev_idx
-            while events[end] < new.t and not near(events[end], new.t):
+            while events[end] < new.t and not _near(events[end], new.t):
                 end += 1
             # the batches live only inside record(), so they are gone
             # before the next step
@@ -865,25 +876,14 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             # the step-end record comes after the old state is dropped, so
             # that its field is not transformed while that state is alive
             state = new
-            if near(events[ev_idx], state.t):
+            if _near(events[ev_idx], state.t):
                 state = replace(state, t=events[ev_idx])
                 record(state)
                 ev_idx += 1
-            if s0 > 0 and peak >= 10.0 * s0:
-                if lead is None:
-                    # solved here, not up front: runs that never grow
-                    # skip numpy's first linear solve (about 0.5 MB RSS)
-                    gamma = compute_gamma(params)
-                    lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
-                sup = float(state.pred_sup[lead])
-                history.append((state.t, sup))
-                fit = None
-                while fit is None and sup >= 10.0 ** decade * s0:
-                    fit = _extrapolate_blowup(history, s0, alpha, decade)
-                    decade += 1
-                if fit is not None:
-                    t_blow, t_err = fit
-                    break
+            fit = watch(state.t, peak, state.pred_sup)
+            if fit is not None:
+                t_blow, t_err = fit
+                break
     # after blow-up, the last good state
     if times[-1] != state.t:
         record(state)
@@ -893,10 +893,10 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
         **{key: np.vstack([r[key] for r in rows]).T for key in rows[0]},
         blowup_time=t_blow,
         u_final=state.u,
-        steps=steps,
+        steps=len(hs),
         rejected_steps=rejected,
         floor_steps=floor,
-        dt_min=h_min if steps else None,
-        dt_max=h_max if steps else None,
+        dt_min=min(hs, default=None),
+        dt_max=max(hs, default=None),
         blowup_error=t_err,
     )

@@ -603,6 +603,10 @@ MISSPELT = [(cmd, section) for cmd in sorted(KINDS)
             or section.split(".")[0] in DEFAULTS[KINDS[cmd]]]
 
 
+# 10^400, an integer past the largest float (about 1.8e308)
+BIG = "1" + "0" * 400
+
+
 class TestCliKeys:
     def test_one_set_of_kinds(self):
         # config derives its kinds from its defaults, and every
@@ -674,6 +678,42 @@ class TestCliKeys:
         assert f"{name} must be" in captured.err
         assert "finite" in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv,path", [
+        (["decay", "--set", f"tolerances.fit={BIG}"], "tolerances.fit"),
+        (["simulate", "--set", f"options.t_end={BIG}"], "options.t_end"),
+        (["simulate", "--set", f"data.epsilon={BIG}"], "data.epsilon"),
+        (["simulate", "--set", f"params.sigma={BIG}"], "params.sigma"),
+        (["simulate", "--set", f"grid.L={BIG}"], "grid.L"),
+        (["lifespan", "--set", f"options.epsilons=[0.1,0.2,0.3,{BIG}]"],
+         "options.epsilons.3"),
+    ], ids=["fit", "t_end", "epsilon", "sigma", "L", "epsilons"])
+    def test_integer_too_large_for_a_float_is_refused(self, argv, path,
+                                                      tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"usage error: {path} is an integer too large" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_integer_too_large_for_a_float_in_config_file(self, tmp_path,
+                                                          capsys):
+        cfg_file, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg_file.write_text(json.dumps({"data": {"epsilon": int(BIG)}}))
+        assert cli_main(["simulate", "--config", str(cfg_file),
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "usage error: data.epsilon is an integer" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_ordinary_integers_are_echoed_as_given(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--set", "options.t_end=5",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "config.json").read_text())
+        assert doc["config"]["options"]["t_end"] == 5
+        assert type(doc["config"]["options"]["t_end"]) is int
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--set", "options.outputs=-1"],

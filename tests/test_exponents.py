@@ -37,7 +37,7 @@ from sevolab.exponents import (
     decay_slack,
 )
 from sevolab.harness import lifespan_sweep
-from sevolab.solver import ComponentData, GridSpec
+from sevolab.solver import ComponentData, GridSpec, InitialData, run
 
 
 def gamma_exact(p):
@@ -471,4 +471,25 @@ class TestGammaSolvedOnce:
                                GridSpec(n=1, N=256, L=40.0), comps,
                                (0.5, 1.0, 2.0, 4.0))
         assert not any(sweep.capped)
+        assert len(solves) == 1
+
+    @staticmethod
+    def simulate(p, epsilon, amp1):
+        comps = (ComponentData(amp0=1.0, amp1=amp1),) * 2
+        return run(sys_(1, 1.0, p), GridSpec(n=1, N=256, L=40.0),
+                   InitialData(epsilon, comps), t_end=100.0, dt=0.05,
+                   dt_policy="adaptive")
+
+    def test_run_that_never_grows(self, solves):
+        # the blow-up watch solves for gamma once the predictor's sup
+        # reaches 10 s0, and this one decays from s0 = 0.1
+        res = self.simulate((3, 4), 0.1, 0.0)
+        assert not res.blown_up and res.steps > 10
+        assert res.sup.max() <= 0.1
+        assert solves == []
+
+    def test_blowup_run(self, solves):
+        # one solve serves every decade fit of the run
+        res = self.simulate((2, 2), 0.3, 1.0)
+        assert res.blown_up and res.blowup_error < 0.01
         assert len(solves) == 1

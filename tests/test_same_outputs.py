@@ -1,0 +1,41 @@
+"""The byte-identical run check of tools/same_outputs.py: its argvs, and
+one run compared under the same tree and under a changed one."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location(
+    "same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+
+def test_argvs_are_readme_and_the_2d_and_threshold_runs():
+    readme = [line.split()[1:] for line in
+              (ROOT / "README.md").read_text().splitlines()
+              if line.startswith("sevolab ")]
+    argvs = same_outputs.argvs()
+    assert len(readme) == 7 and argvs[:7] == readme
+    fixed, adaptive, threshold = argvs[7:]
+    assert fixed[:2] == ["simulate", "--n"]
+    assert fixed[-2:] == ["--set", "options.dt_policy=fixed"]
+    assert adaptive == fixed[:-2]
+    assert threshold == ["simulate", "--set", "options.dt_policy=fixed"]
+
+
+def test_a_run_compares_equal_only_under_the_same_code(tmp_path):
+    argv = ["exponents", "--p", "2,2", "--out", "exp"]
+    src = ROOT / "src"
+    first = same_outputs.outcome(src, argv, tmp_path / "work")
+    assert first[0] == 0 and b"gamma" in first[1]
+    assert set(first[3]) == {"exp/config.json", "exp/exponents.json"}
+    assert same_outputs.outcome(src, argv, tmp_path / "work") == first
+    changed = tmp_path / "changed"
+    shutil.copytree(src, changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "sevolab" / "__init__.py", "a") as fh:
+        fh.write("print('changed')\n")
+    other = same_outputs.outcome(changed, argv, tmp_path / "work")
+    assert other[1] != first[1] and other[3] == first[3]

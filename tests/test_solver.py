@@ -1029,6 +1029,54 @@ def on_ladder(h, dt):
     return abs(j - round(j)) <= 1e-9
 
 
+class TestNextH:
+    """The adaptive controller on its own: dt = 0.05, h on the ladder,
+    between its rungs, and below the floor dt / 1024, as a last step
+    clipped to t_end can be."""
+
+    DT = 0.05
+    FLOOR = DT / 1024
+    HS = ((DT * 2.0 ** (np.arange(-40, 41, 3) / 4)).tolist()
+          + [0.0123, 0.3, 7.1, 1.5 * FLOOR, 1e-7])
+    ERRS = (0.0, 1e-12, 0.25 * solver.STEP_TOL, solver.STEP_TOL,
+            10.0 * solver.STEP_TOL, 1e3, math.inf)
+
+    def below(self, x):
+        """The largest rung dt * 2^(j/4) not above x, up to roundoff."""
+        return max(self.DT * 2.0 ** (j / 4) for j in range(-120, 60)
+                   if self.DT * 2.0 ** (j / 4) <= x * (1.0 + 1e-12))
+
+    def test_zero_estimate_gives_the_rung_at_or_below_2h(self):
+        for h in self.HS:
+            want = max(self.FLOOR, self.below(2.0 * h))
+            assert solver._next_h(h, 0.0, self.DT) == want
+
+    def test_infinite_estimate_gives_the_rung_at_or_below_h_over_4(self):
+        for h in self.HS:
+            want = max(self.FLOOR, self.below(0.25 * h))
+            assert solver._next_h(h, math.inf, self.DT) == want
+
+    def test_estimate_over_tolerance_shrinks_every_step_above_the_floor(self):
+        # run() rejects such a step exactly when it is shrunk
+        for h in self.HS + [self.FLOOR]:
+            for err in (1.0001 * solver.STEP_TOL, 1e3, math.inf):
+                shrunk = solver._next_h(h, err, self.DT) < h
+                assert shrunk == (h > self.FLOOR)
+
+    def test_never_below_the_floor(self):
+        for h in self.HS:
+            for err in self.ERRS:
+                assert solver._next_h(h, err, self.DT) >= self.FLOOR
+        assert solver._next_h(self.FLOOR, math.inf, self.DT) == self.FLOOR
+
+    def test_every_size_is_a_rung_bit_for_bit(self):
+        for h in self.HS:
+            for err in self.ERRS:
+                got = solver._next_h(h, err, self.DT)
+                j = round(4.0 * math.log2(got / self.DT))
+                assert got == self.DT * 2.0 ** (j / 4)
+
+
 class TestStepControl:
     def test_every_step_carries_its_estimate(self):
         grid = GridSpec(n=1, N=64, L=10.0)

@@ -1,0 +1,98 @@
+"""Check that two source trees give byte-identical command-line runs.
+
+Usage, from the root of a checkout:
+
+    python3 tools/same_outputs.py PARENT_SRC [CHANGE_SRC]
+
+PARENT_SRC and CHANGE_SRC are sevolab `src/` directories; CHANGE_SRC
+defaults to this checkout's `src/`.  The argvs are README's `sevolab`
+command lines (the ones CI runs), the benchmark's simulate-2d workload
+(fixed dt), that workload under the adaptive policy, and a fixed-dt
+blow-up that ends on the threshold path.
+
+Each argv runs as `python -m sevolab.cli ARGV` under each tree, with
+`SEVOLAB_OUT` unset, so that its outputs land in its working
+directory.  Both trees are copied to the same temporary path and run
+from the same working directory there, one after the other: the
+numbers of a run can move with the length of the paths it is run
+from.  Stdout, stderr, the exit code and every file the run leaves in
+its working directory are compared byte for byte.  One line is printed
+per argv; the exit code is 1 if any argv differs, else 0.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def argvs() -> list:
+    """The argvs in the order of the module docstring.  The blow-up
+    stops on the threshold, with blowup_error dt / 2, since its decades
+    hold too few steps of dt = 0.05 for a fit."""
+    readme = (ROOT / "README.md").read_text().splitlines()
+    out = [shlex.split(line)[1:] for line in readme
+           if line.startswith("sevolab ")]
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up while building a class
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    fixed = list(workloads.WORKLOADS["simulate-2d"].argv_for(0))
+    i = fixed.index("options.dt_policy=fixed")
+    out += [fixed, fixed[: i - 1] + fixed[i + 1:],
+            ["simulate", "--set", "options.dt_policy=fixed"]]
+    return out
+
+
+def outcome(src: Path, argv: list, tmp: Path) -> tuple:
+    """(exit code, stdout, stderr, {path: bytes} of the files written)
+    of one run of argv under the tree src."""
+    tree, cwd = tmp / "src", tmp / "run"
+    for path in (tree, cwd):
+        shutil.rmtree(path, ignore_errors=True)
+    shutil.copytree(src, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    cwd.mkdir()
+    env = {k: v for k, v in os.environ.items() if k != "SEVOLAB_OUT"}
+    env.update(PYTHONPATH=str(tree), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "sevolab.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True)
+    files = {str(p.relative_to(cwd)): p.read_bytes()
+             for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def main(args: list) -> int:
+    if len(args) not in (1, 2):
+        print("usage: python3 tools/same_outputs.py PARENT_SRC [CHANGE_SRC]",
+              file=sys.stderr)
+        return 2
+    parent = Path(args[0]).resolve()
+    change = Path(args[1]).resolve() if len(args) == 2 else ROOT / "src"
+    differs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in argvs():
+            a = outcome(parent, argv, Path(tmp))
+            b = outcome(change, argv, Path(tmp))
+            parts = [name for name, x, y in zip(
+                ("exit code", "stdout", "stderr"), a, b) if x != y]
+            parts += [name for name in sorted(a[3].keys() | b[3].keys())
+                      if a[3].get(name) != b[3].get(name)]
+            differs += bool(parts)
+            verdict = "DIFFERS in " + ", ".join(parts) if parts else "same"
+            print(f"{verdict}: exit {a[0]}, {len(a[3])} files: "
+                  f"sevolab {shlex.join(argv)}", flush=True)
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
