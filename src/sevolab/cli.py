@@ -376,7 +376,7 @@ def cli_main(argv=None) -> int:
     except SevolabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except KeyboardInterrupt:

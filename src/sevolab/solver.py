@@ -1,7 +1,8 @@
 """Pseudo-spectral exponential integrator for the coupled system.
 
-The linear flow is applied exactly mode by mode with the closed-form
-propagator from kernels; the nonlinearity |u_{l-1}|^{p_l} (component 1
+The linear flow is applied exactly per mode on u and z = u_t + a u,
+a = |xi|^(2 sigma), as u' = -a u + z and z' = -z + f, whose weights in
+z are scalars; the nonlinearity f = |u_{l-1}|^{p_l} (component 1
 is forced by component k) is evaluated pointwise in physical space
 and injected through the Duhamel moment weights with one
 predictor-corrector sweep, so the stepper is second order in dt while
@@ -65,7 +66,7 @@ TINY = 1e-300
 FIT_POINTS = 8
 # the bytes batched scratch may take, past which it goes one item at a
 # time: a step's pass of all components (_workspace) and a batch of the
-# records inside one step (four float64 tables k0, k1, i1, w_new_u each)
+# records inside one step (four float64 tables ea, k1, i1, w_new_u each)
 BATCH_BYTES = 2 ** 20
 # the bytes of the step tables one grid keeps (see _workspace)
 TABLE_BYTES = 2 ** 23
@@ -182,15 +183,16 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """rfftn half spectra (u_half, v_half) of the real fields u and u_t
-    of all k components at one time, complex of shape (k,) +
-    grid.shape[:-1] + (N/2 + 1,).  u_hat and v_hat build the full fftn
-    layout on each read, for callers; the solver never reads them.
+    """rfftn half spectra (u_half, z_half) of the real fields u and
+    z = u_t + a u of all k components at one time, complex of shape
+    (k,) + grid.shape[:-1] + (N/2 + 1,), and a_half, the half symbol a.
+    u_hat and v_hat build the full fftn layout of u and u_t = z - a u
+    on each read, for callers; the solver never reads them.
 
     The records that run() reads off one step's interpolant between
     step ends (_interpolate) come as one batch: t holds their m times,
     shape (m,), u_half is stacked to shape (m, k) + grid.shape[:-1] +
-    (N/2 + 1,), and v_half is None.  The other fields are set when the
+    (N/2 + 1,), and z_half is None.  The other fields are set when the
     state came out of step(), else None.  nl_half is the spectrum of the
     forcing |u_{l-1}|^{p_l} at the step's predictor u_pred on the kept
     block of the 2/3 rule only, shape (k,) + grid.block_shape (see
@@ -208,13 +210,14 @@ class FieldState:
 
     t: float
     u_half: np.ndarray
-    v_half: np.ndarray | None
+    z_half: np.ndarray | None
+    a_half: np.ndarray
     nl_half: np.ndarray | None = None
     pred_sup: np.ndarray | None = None
     err: float | None = None
 
-    u_hat = property(lambda self: _full(self.u_half))
-    v_hat = property(lambda self: _full(self.v_half))
+    u_hat = property(lambda s: _full(s.u_half))
+    v_hat = property(lambda s: _full(s.z_half - s.a_half * s.u_half))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -273,14 +276,12 @@ def make_initial_data(grid: GridSpec, data: InitialData,
     """Build the spectral state at t = 0 plus a data report.
 
     Returns (state, report); report carries the discrete means of u0
-    and u1 per component.  sigma is not read; it stays in the signature
-    for the callers that pass it.  Raises DataLeakage when a Gaussian
-    tail at the box edge exceeds 1e-8 of its peak (the bump would see
-    its periodic images).
+    and u1 per component; the state's z is u1 + a u0 for a of sigma.
+    Raises DataLeakage when a Gaussian tail at the box edge exceeds
+    1e-8 of its peak (the bump would see its periodic images).
     """
     k = len(data.components)
-    u0 = np.zeros((k,) + grid.shape)
-    u1 = np.zeros((k,) + grid.shape)
+    u0, u1 = fields = np.zeros((2, k) + grid.shape)
     for ell, comp in enumerate(data.components):
         g = np.exp(-grid.radius_sq(comp.center) / comp.width ** 2)
         u0[ell] = data.epsilon * comp.amp0 * g
@@ -294,9 +295,9 @@ def make_initial_data(grid: GridSpec, data: InitialData,
                     f"component {ell + 1} tail at the box edge is "
                     f"{ratio:.2e} of peak; enlarge L or shrink width"
                 )
-    axes = grid.spatial_axes
-    state = FieldState(0.0, np.fft.rfftn(u0, axes=axes),
-                       np.fft.rfftn(u1, axes=axes))
+    u_half, z_half = np.fft.rfftn(fields, axes=tuple(range(2, grid.n + 2)))
+    z_half += _half_symbol(grid, sigma) * u_half
+    state = FieldState(0.0, u_half, z_half, _half_symbol(grid, sigma))
     report = {
         "means_u0": tuple(float(np.mean(u0[ell])) for ell in range(k)),
         "means_u1": tuple(float(np.mean(u1[ell])) for ell in range(k)),
@@ -365,31 +366,26 @@ def _add_block(half: np.ndarray, block: np.ndarray, grid: GridSpec):
         half[at_half] += block[at_block]
 
 
+def _flow(t, a) -> tuple:
+    """e^(-a t), k1, i1 and j1 of u's flow over the times t (kernels)."""
+    _, k1, _, _, i1, j1 = propagator_arrays(t, a)
+    return np.exp(-a * t), k1, i1, j1
+
+
 def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
-    """Propagator tables k0, k1, dk0, dk1 on the half spectrum and
-    Duhamel weights i1, w_new_u, w_old_v, w_new_v on its kept block
-    (see _block).  The weights multiply a forcing spectrum, which holds
-    only that block; the propagator tables act on the state.  u's
-    old-forcing weight j1 / dt is i1 - w_new_u, which step() uses in
-    that form."""
-    a = _half_symbol(grid, sigma)
-    k0, k1, dk0, dk1, i1, j1 = propagator_arrays(dt, a)
-    # one block per kind of table, so that on a 2D grid they come from
-    # the heap like the step's arrays (prop is twice a two-component
-    # state spectrum).  One 8-row block is mmapped instead: before the
-    # workspace it left the heap tight enough to be trimmed and refaulted
-    # every other step of simulate-2d; now it adds 1,200 of 24,400 faults
-    prop = np.stack((k0, k1, dk0, dk1), dtype=complex)
-    # Duhamel weights of the linear-in-time nonlinearity model, in the
-    # rows i1, w_new_u = i1 - j1 / dt, w_old_v = k1 - w_new_v and
-    # w_new_v = i1 / dt
-    i1, j1, k1 = (_block(x, grid) for x in (i1, j1, k1))
-    w = np.empty((4,) + grid.block_shape, complex)
-    w[0] = i1
-    np.subtract(i1, j1 / dt, out=w[1])
-    np.divide(i1, dt, out=w[3])
-    np.subtract(k1, w[3], out=w[2])
-    return (*prop, *w)
+    """Propagator tables ea = e^(-a dt) and k1 on the half spectrum,
+    Duhamel weights i1 and w_new_u = i1 - j1 / dt on its kept block
+    (see _block), which a forcing spectrum holds, and z's scalars
+    e^(-dt), c_old = (1 - e^(-dt)) - c_new and c_new = 1 - phi1(dt),
+    phi1(x) = (1 - e^(-x)) / x.  u's old-forcing weight j1 / dt is
+    i1 - w_new_u, which step() uses in that form."""
+    ea, k1, i1, j1 = _flow(dt, _half_symbol(grid, sigma))
+    i1, j1 = _block(i1, grid), _block(j1, grid)
+    prop = np.stack((ea, k1), dtype=complex)
+    w = np.stack((i1, i1 - j1 / dt), dtype=complex)
+    em1 = -math.expm1(-dt)
+    c_new = 1.0 - em1 / dt
+    return (*prop, *w, math.exp(-dt), em1 - c_new, c_new)
 
 
 # one grid's buffers, which every step and forcing evaluation on it
@@ -428,12 +424,12 @@ def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
     # step tables only: a fixed-dt run needs its dt table plus at most
     # one for a last step clipped to an off-grid t_end, and an adaptive
     # run one per ladder size it steps with (records inside a step build
-    # theirs outside the cache, see _interpolate).  An entry holds 4
-    # half-spectrum tables and 4 on the kept block, real but held as
+    # theirs outside the cache, see _interpolate).  An entry holds 2
+    # half-spectrum tables and 2 on the kept block, real but held as
     # complex128, to which numpy would cast float64 tables in each
     # product with a spectrum; as many entries as fit TABLE_BYTES, at
-    # least 1 (153 of 55 KB on 1D N = 1024, 2 of 3.05 MB on 2D N = 256)
-    entry = 4 * (ws.half[0].nbytes + ws.block[0].nbytes)
+    # least 1 (306 of 27 KB on 1D N = 1024, 5 of 1.53 MB on 2D N = 256)
+    entry = 2 * (ws.half[0].nbytes + ws.block[0].nbytes)
     ws.tables = lru_cache(max(1, TABLE_BYTES // entry))(
         partial(_tables, grid))
     return ws
@@ -497,10 +493,11 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """Advance one step of size dt.
 
     Linear part exact per mode; nonlinearity handled by an exponential
-    predictor-corrector (second order).  The old forcing is the state's
-    nl_half when set, else it is evaluated at the state's field (its
-    irfftn, kept as FieldState.u, and one more forward transform per
-    pass).  The forcing terms are formed on the kept block and added
+    predictor-corrector (second order): u_new = ea u + k1 z and z_new =
+    e^(-dt) z plus forcing terms (_tables).  The old forcing is the
+    state's nl_half when set, else it is evaluated at the state's field
+    (its irfftn, kept as FieldState.u, and one more forward transform
+    per pass).  The forcing terms are formed on the kept block and added
     into the spectra there.  With w_old_u + w_new_u = i1 the corrector
     is the predictor's spectrum plus the gap w_new_u (N_new - N_old), so
     the corrected field is never transformed here.  The components go
@@ -515,23 +512,25 @@ def step(state: FieldState, dt: float, params: SystemParams,
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    uh, vh = state.u_half, state.v_half
+    uh, zh = state.u_half, state.z_half
     k = len(uh)
     ws = _workspace(grid, k)
-    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = ws.tables(params.sigma, dt)
-    u_half, v_half = np.empty_like(uh), np.empty_like(vh)
+    ea, k1, i1, w_nu, e, c_old, c_new = ws.tables(params.sigma, dt)
+    # u, z and forcing of the new state in one allocation: on a 2D grid
+    # the largest a run frees, which keeps a record's spectra on the heap
+    buf = np.empty(2 * uh.size + k * math.prod(grid.block_shape), complex)
+    u_half, z_half = buf[: 2 * uh.size].reshape((2,) + uh.shape)
+    np.multiply(zh, e, out=z_half)
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
             Nh_old = _nonlinearity_hat(state.u, params, grid)
-        Nh_new = np.empty_like(Nh_old)
+        Nh_new = buf[2 * uh.size:].reshape(Nh_old.shape)
     sup = np.empty(k)
     for src, dst in ws.passes:
-        u, v = u_half[src], v_half[src]
-        np.multiply(k0, uh[src], out=u)
-        u += np.multiply(k1, vh[src], out=ws.half)
-        np.multiply(dk0, uh[src], out=v)
-        v += np.multiply(dk1, vh[src], out=ws.half)
+        u = u_half[src]
+        np.multiply(ea, uh[src], out=u)
+        u += np.multiply(k1, zh[src], out=ws.half)
         if not linear_only:
             _add_block(u, np.multiply(i1, Nh_old[src], out=ws.block), grid)
         # the predictors, or for linear_only the exact new fields
@@ -540,20 +539,20 @@ def step(state: FieldState, dt: float, params: SystemParams,
         if not linear_only:
             _forcing(mag, params.p[dst], Nh_new[dst], grid, ws)
     if linear_only:
-        return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
-                          err=0.0)
+        return FieldState(state.t + dt, u_half, z_half, state.a_half,
+                          pred_sup=sup, err=0.0)
     bounds = np.empty(k)
     for src, _ in ws.passes:
-        u, v, new, old = u_half[src], v_half[src], Nh_new[src], Nh_old[src]
+        u, z, new, old = u_half[src], z_half[src], Nh_new[src], Nh_old[src]
         gap = np.subtract(new, old, out=ws.block)
         np.multiply(w_nu, gap, out=gap)
         _add_block(u, gap, grid)
         l1 = np.multiply(ws.weights, np.abs(gap, out=ws.l1), out=ws.l1)
         np.add.reduce(l1, axis=grid.spatial_axes, out=bounds[src])
-        _add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
-        _add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
-    return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
-                      pred_sup=sup, err=_relative_max(
+        _add_block(z, np.multiply(old, c_old, out=ws.block), grid)
+        _add_block(z, np.multiply(new, c_new, out=ws.block), grid)
+    return FieldState(state.t + dt, u_half, z_half, state.a_half,
+                      nl_half=Nh_new, pred_sup=sup, err=_relative_max(
                           bounds.tolist(), sup.tolist(), grid.N ** grid.n))
 
 
@@ -569,14 +568,14 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     """The batch of states at the m times ts in (old.t, old.t + h] on
     the Duhamel interpolant of the step of size h from old to new.
 
-    With tau = t - old.t, u(t) = k0 u + k1 v + i1 N_old + (tau / h)
+    With tau = t - old.t, u(t) = ea u + k1 z + i1 N_old + (tau / h)
     w_new_u (N_new - N_old), with w_new_u = i1 - j1 / tau and the
     forcing terms on the kept block as in _tables: the exact flow of
     the forcing that is linear in time from N_old, the forcing step()
     started from, to N_new, the one at the predictor that new carries.
     At tau = h it is step()'s corrector, and it is second order like
-    the step.  One propagator_arrays call on tau of shape (m, 1, ...)
-    builds the tables for all m times, outside the _tables cache.  N_old is
+    the step.  One _flow call on tau of shape (m, 1, ...) builds the
+    tables for all m times, outside the _tables cache.  N_old is
     old.nl_half, or evaluated at old.u when unset, as step() does; a
     linear_only step (new.nl_half None) has no forcing.  The batch has
     t = ts as an array and carries u_half only.
@@ -584,8 +583,8 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     ts = np.asarray(ts, dtype=float)
     a = _half_symbol(grid, params.sigma)
     tau = (ts - old.t).reshape((-1,) + (1,) * (a.ndim + 1))
-    k0, k1, _, _, i1, j1 = propagator_arrays(tau, a)
-    u_half = k0 * old.u_half + k1 * old.v_half
+    ea, k1, i1, j1 = _flow(tau, a)
+    u_half = ea * old.u_half + k1 * old.z_half
     if new.nl_half is not None:
         Nh_old = old.nl_half
         if Nh_old is None:
@@ -594,7 +593,7 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
         _add_block(u_half, i1 * Nh_old, grid)
         _add_block(u_half, (tau / h) * (i1 - j1 / tau)
                    * (new.nl_half - Nh_old), grid)
-    return FieldState(ts, u_half, None)
+    return FieldState(ts, u_half, None, a)
 
 
 def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -303,6 +304,24 @@ class TestCliExitCodes:
         assert proc.returncode == 0
         assert "RuntimeWarning" not in proc.stderr
         assert json.loads((out / "run.json").read_text())["blown_up"] is True
+
+    def test_unallocatable_schedule_is_an_error_line(self, tmp_path):
+        # 1e11 record times do not fit an address space of 3 GB: numpy's
+        # MemoryError is reported like the other runtime errors; one BLAS
+        # thread keeps numpy's own reservations far below the limit
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30,) * 2)
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, SEVOLAB_OUT=str(tmp_path),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sevolab.cli", "simulate", "--set",
+             "options.outputs=100000000000"], preexec_fn=limit,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_supercritical_exponents_print_and_write_decay(self, tmp_path,
                                                            capsys):

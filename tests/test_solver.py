@@ -48,7 +48,13 @@ def gaussian_data(eps, amps=((1.0, 0.0), (1.0, 0.0)), width=1.0):
     )
 
 
-def random_state(grid, k, seed, modes=20):
+def uv_state(grid, u_half, v_half, sigma=1.0, t=0.0):
+    """The FieldState of the half spectra of u and u_t: z = u_t + a u."""
+    a = solver._half_symbol(grid, sigma)
+    return FieldState(t, u_half, v_half + a * u_half, a)
+
+
+def random_state(grid, k, seed, modes=20, sigma=1.0):
     """Real band-limited random fields with nonzero velocity part."""
     rng = np.random.default_rng(seed)
     shape = (k,) + grid.shape
@@ -64,10 +70,8 @@ def random_state(grid, k, seed, modes=20):
             v[ell] += cv * np.cos(phase) + sv * np.sin(phase)
         u[ell] += rng.normal() * 0.1
     axes = grid.spatial_axes
-    return FieldState(
-        t=0.0, u_half=np.fft.rfftn(u, axes=axes),
-        v_half=np.fft.rfftn(v, axes=axes)
-    )
+    return uv_state(grid, np.fft.rfftn(u, axes=axes),
+                    np.fft.rfftn(v, axes=axes), sigma)
 
 
 class TestGridSpec:
@@ -198,6 +202,28 @@ class TestInitialData:
         with pytest.raises(DataLeakage, match="component 2 tail"):
             make_initial_data(grid, wide, sigma=1.0)
 
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_u_hat_and_v_hat_are_the_data_spectra(self, n, sigma):
+        # the state holds z = u1 + a u0; v_hat = z - a u recovers u1 up
+        # to roundoff of the a u0 term, so the tolerance is 1e-14 of
+        # max|fftn(u1)| + max(a) max|fftn(u0)|
+        grid = GridSpec(n=n, N=64, L=20.0)
+        data = gaussian_data(0.3, ((1.0, 0.5), (0.7, -0.2)), width=2.0)
+        state, _ = make_initial_data(grid, data, sigma)
+        u0 = np.zeros((2,) + grid.shape)
+        u1 = np.zeros((2,) + grid.shape)
+        for ell, comp in enumerate(data.components):
+            g = np.exp(-grid.radius_sq() / comp.width ** 2)
+            u0[ell], u1[ell] = 0.3 * comp.amp0 * g, 0.3 * comp.amp1 * g
+        want_u = np.fft.fftn(u0, axes=grid.spatial_axes)
+        want_v = np.fft.fftn(u1, axes=grid.spatial_axes)
+        tol = 1e-14 * (np.abs(want_v).max()
+                       + grid.symbol(sigma).max() * np.abs(want_u).max())
+        assert np.abs(state.u_hat - want_u).max() <= 1e-14 * np.abs(
+            want_u).max()
+        assert np.abs(state.v_hat - want_v).max() <= tol
+
     def test_zero_data_of_a_leaking_width(self):
         grid = GridSpec(n=1, N=256, L=40.0)
         for data in (gaussian_data(0.0, width=15.0),
@@ -231,7 +257,7 @@ class TestLinearExactness:
     def test_sigma_fractional(self):
         grid = GridSpec(n=1, N=128, L=5.0)
         params = SystemParams(n=1, sigma=1.5, k=2, p=(2.0, 2.0))
-        state = random_state(grid, k=2, seed=11)
+        state = random_state(grid, k=2, seed=11, sigma=1.5)
         a = grid.symbol(1.5)
         k0, k1, _, _, _, _ = propagator_arrays(0.7, a)
         exact_u = k0 * state.u_hat + k1 * state.v_hat
@@ -240,6 +266,17 @@ class TestLinearExactness:
         den = math.sqrt(float(np.sum(np.abs(exact_u) ** 2)))
         assert num / den <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_linear_only_z_decays_by_exp_of_minus_h(self, n):
+        # z' = -z without forcing, so z_new = e^(-h) z bit for bit
+        grid = GridSpec(n=n, N=32, L=10.0)
+        data = gaussian_data(0.3, ((1.0, 0.5), (0.8, -0.3)))
+        state, _ = make_initial_data(grid, data, 1.0)
+        for h in (0.1, 0.7):
+            new = step(state, h, PARAMS_34, grid, linear_only=True)
+            assert new.z_half.tobytes() == (
+                math.exp(-h) * state.z_half).tobytes()
+
     def test_mass_mode_ode(self):
         # At xi = 0 the linear equation is u'' + u' = 0, so the mean
         # follows m(t) = m0 + (1 - e^(-t)) m1.
@@ -247,8 +284,8 @@ class TestLinearExactness:
         m0, m1 = 0.4, -0.7
         u = np.full((2,) + grid.shape, m0)
         v = np.full((2,) + grid.shape, m1)
-        state = FieldState(t=0.0, u_half=np.fft.rfftn(u, axes=(1,)),
-                           v_half=np.fft.rfftn(v, axes=(1,)))
+        state = uv_state(grid, np.fft.rfftn(u, axes=(1,)),
+                         np.fft.rfftn(v, axes=(1,)))
         for t in (0.3, 1.0, 4.0):
             new = step(state, t, PARAMS_34, grid, linear_only=True)
             got = norms(grid, new, 1.0)["mean"][0]
@@ -264,11 +301,8 @@ class TestNonlinearStep:
         u0 = np.array([0.3, 0.2])
         v0 = np.array([0.1, -0.05])
         ones = np.ones(grid.shape)
-        state = FieldState(
-            t=0.0,
-            u_half=np.fft.rfftn(u0[:, None] * ones, axes=(1,)),
-            v_half=np.fft.rfftn(v0[:, None] * ones, axes=(1,)),
-        )
+        state = uv_state(grid, np.fft.rfftn(u0[:, None] * ones, axes=(1,)),
+                         np.fft.rfftn(v0[:, None] * ones, axes=(1,)))
         T, nsteps = 1.0, 200
         for _ in range(nsteps):
             state = step(state, T / nsteps, params, grid)
@@ -335,11 +369,8 @@ class TestNonlinearStep:
         u[0] = 1e-3 * np.cos(m0 * math.pi / grid.L * x)
         u[1] = 1e-3 * np.cos(m0 * math.pi / grid.L * x)
         axes = grid.spatial_axes
-        state = FieldState(
-            t=0.0,
-            u_half=np.fft.rfftn(u, axes=axes),
-            v_half=np.zeros_like(np.fft.rfftn(u, axes=axes)),
-        )
+        state = uv_state(grid, np.fft.rfftn(u, axes=axes),
+                         np.zeros_like(np.fft.rfftn(u, axes=axes)))
         new = step(state, 0.1, params, grid)
         spec = np.abs(new.u_hat[0])
         # an unmasked |u|^2 product would deposit ~1e-9 here; all that
@@ -675,14 +706,14 @@ class TestTransformBudget:
                   outputs=8)
         assert res.steps >= 20 and not res.blown_up
         records = len(res.times)
-        # setup: rfftn of u0 and u1; the first step evaluates its old
+        # setup: one rfftn of u0 and u1; the first step evaluates its old
         # forcing from the field the t = 0 record transformed; each step
         # makes one inverse (ifft, irfft) and one pruned forward (rfft,
         # fft) transform in each of its two passes, one component each,
         # and each record one irfftn
         assert passes_of(grid, 2) == 2
         forward = 2 * (1 + res.steps)
-        assert fft_calls == {"rfftn": 2, "rfft": forward, "fft": forward,
+        assert fft_calls == {"rfftn": 1, "rfft": forward, "fft": forward,
                              "ifft": 2 * res.steps, "irfft": 2 * res.steps,
                              "irfftn": records}
 
@@ -692,7 +723,7 @@ class TestTransformBudget:
         rng = np.random.default_rng(23)
         half = np.fft.rfftn(rng.normal(size=(2,) + grid.shape),
                             axes=grid.spatial_axes)
-        state = FieldState(0.0, half, np.zeros_like(half))
+        state = uv_state(grid, half, np.zeros_like(half))
         fft_calls.clear()
         first = state.u
         norms(grid, state, 1.0)
@@ -746,11 +777,8 @@ class TestNorms:
         x = grid.axes()[0]
         u = np.zeros((1,) + grid.shape)
         u[0] = np.cos(xi0 * x)
-        state = FieldState(
-            t=0.0,
-            u_half=np.fft.rfftn(u, axes=(1,)),
-            v_half=np.zeros_like(np.fft.rfftn(u, axes=(1,))),
-        )
+        state = uv_state(grid, np.fft.rfftn(u, axes=(1,)),
+                         np.zeros_like(np.fft.rfftn(u, axes=(1,))))
         out = norms(grid, state, 1.5)
         assert out["hsigma"][0] == pytest.approx(
             xi0 ** 1.5 * out["l2"][0], rel=1e-12
@@ -761,11 +789,8 @@ class TestNorms:
         grid = GridSpec(n=2, N=32, L=3.0)
         rng = np.random.default_rng(9)
         u = rng.normal(size=(1,) + grid.shape)
-        state = FieldState(
-            t=0.0,
-            u_half=np.fft.rfftn(u, axes=(1, 2)),
-            v_half=np.zeros_like(np.fft.rfftn(u, axes=(1, 2))),
-        )
+        state = uv_state(grid, np.fft.rfftn(u, axes=(1, 2)),
+                         np.zeros_like(np.fft.rfftn(u, axes=(1, 2))))
         direct = math.sqrt(float(np.sum(u ** 2)) * grid.cell_volume)
         assert norms(grid, state, 1.0)["l2"][0] == pytest.approx(
             direct, rel=1e-12
@@ -779,7 +804,7 @@ class TestNorms:
         rng = np.random.default_rng(21 + n)
         half = np.fft.rfftn(rng.normal(size=(2,) + grid.shape),
                             axes=grid.spatial_axes)
-        state = FieldState(t=0.0, u_half=half, v_half=np.zeros_like(half))
+        state = uv_state(grid, half, np.zeros_like(half))
         assert np.min(np.abs(state.u_half[..., -1])) > 0.0
         vol = (2.0 * grid.L) ** n / grid.N ** (2 * n)
         sq = np.abs(state.u_hat) ** 2
@@ -1433,8 +1458,8 @@ def per_time_interpolant(old, new, h, t, params, grid):
     """One record's u_half on the interpolant, evaluated on the cached
     step tables _tables(grid, sigma, tau) of that record alone."""
     tau = t - old.t
-    k0, k1, _, _, i1, w_nu = solver._tables(grid, params.sigma, tau)[:6]
-    u_half = k0 * old.u_half + k1 * old.v_half
+    ea, k1, i1, w_nu = solver._tables(grid, params.sigma, tau)[:4]
+    u_half = ea * old.u_half + k1 * old.z_half
     if new.nl_half is not None:
         Nh_old = old.nl_half
         if Nh_old is None:
@@ -1506,10 +1531,11 @@ class TestDenseOutput:
         assert len(inside) > 8
         start, _ = make_initial_data(grid, data, 1.0)
         a = solver._half(grid.symbol(1.0))
+        v_half = start.z_half - a * start.u_half
         for i, t in enumerate(res.times):
             k0, k1 = propagator_arrays(t, a)[:2] if t else (1.0, 0.0)
             want = norms(grid, FieldState(
-                t, k0 * start.u_half + k1 * start.v_half, None), 1.0)
+                t, k0 * start.u_half + k1 * v_half, None, a), 1.0)
             for key in ("l2", "sup"):
                 got = getattr(res, key)[:, i]
                 np.testing.assert_allclose(got, want[key], rtol=1e-12,
@@ -1522,7 +1548,7 @@ class TestDenseOutput:
         for state, new in pairs:
             got = solver._interpolate(state, new, 0.1, [new.t], params,
                                       grid)
-            assert got.t.tolist() == [new.t] and got.v_half is None
+            assert got.t.tolist() == [new.t] and got.z_half is None
             assert got.u_half.shape == (1,) + new.u_half.shape
             assert rel_err(got.u_half[0], new.u_half) <= 1e-14
 
@@ -1542,7 +1568,7 @@ class TestInterpolantBatch:
         for old, new in pairs:
             ts = [old.t + f * h for f in (0.05, 0.3, 0.5, 0.77, 1.0)]
             batch = solver._interpolate(old, new, h, ts, params, grid)
-            assert batch.t.tolist() == ts and batch.v_half is None
+            assert batch.t.tolist() == ts and batch.z_half is None
             assert batch.u_half.shape == (len(ts),) + new.u_half.shape
             for got, t in zip(batch.u_half, ts):
                 want = per_time_interpolant(old, new, h, t, params, grid)
@@ -1571,8 +1597,8 @@ class TestInterpolantBatch:
         got = norms(grid, batch, 1.5)
         assert fft_calls == {"irfftn": 1}
         for j, t in enumerate(ts):
-            want = norms(grid, FieldState(t, batch.u_half[j].copy(), None),
-                         1.5)
+            want = norms(grid, FieldState(t, batch.u_half[j].copy(), None,
+                                          batch.a_half), 1.5)
             for key in want:
                 assert tuple(got[key][j]) == want[key], key
 
@@ -1675,23 +1701,29 @@ class TestMaskedWeights:
         dt = 0.1
         mask = solver._half(grid.dealias_mask)
         assert mask.any() and not mask.all()
-        k0, k1, dk0, dk1, i1, j1 = propagator_arrays(
-            dt, solver._half(grid.symbol(1.0)))
+        a = solver._half(grid.symbol(1.0))
+        _, k1, _, _, i1, j1 = propagator_arrays(dt, a)
         tables = solver._tables(grid, 1.0, dt)
         # the propagator tables act on the state and stay full and
         # unmasked
-        for got, want in zip(tables[:4], (k0, k1, dk0, dk1)):
+        for got, want in zip(tables[:2], (np.exp(-a * dt), k1)):
             assert got.shape == mask.shape
             assert np.array_equal(got, want)
-        # i1, w_new_u, w_old_v, w_new_v multiply a forcing spectrum and
-        # live on the mask's support only, where they are the unmasked
-        # formulas
-        weights = (i1, i1 - j1 / dt, k1 - i1 / dt, i1 / dt)
-        assert len(tables) == 4 + len(weights)
-        for got, want in zip(tables[4:], weights):
+        # i1 and w_new_u multiply a forcing spectrum and live on the
+        # mask's support only, where they are the unmasked formulas
+        weights = (i1, i1 - j1 / dt)
+        for got, want in zip(tables[2:4], weights):
             assert got.shape == grid.block_shape
             assert np.array_equal(got.ravel(), want[mask])
             assert np.all(want[~mask] != 0.0)
+        # z's propagator and forcing weights are scalars: e^(-dt),
+        # c_old = (1 - e^(-dt)) - c_new and c_new = 1 - phi1(dt)
+        c_new = 1.0 - (1.0 - math.exp(-dt)) / dt
+        assert len(tables) == 7
+        assert tables[4] == math.exp(-dt)
+        assert tables[5] == pytest.approx(1.0 - math.exp(-dt) - c_new,
+                                          rel=1e-12)
+        assert tables[6] == pytest.approx(c_new, rel=1e-12)
 
 
 class TestKeptBlock:
@@ -1757,11 +1789,11 @@ class TestKeptBlock:
         assert shapes == [(1, 256, 86)] * 2
 
     def test_table_entry_bytes(self):
-        # 4 propagator tables on 256 x 129 points and 4 weights on the
-        # 171 x 86 block, real values held as complex128
+        # 2 propagator tables on 256 x 129 points and 2 weights on the
+        # 171 x 86 block, real values held as complex128, then 3 scalars
         grid = GridSpec(n=2, N=256, L=10.0)
-        tables = solver._tables(grid, 1.0, 0.1)
-        assert sum(t.nbytes for t in tables) == 3_054_720
+        tables = solver._tables(grid, 1.0, 0.1)[:4]
+        assert sum(t.nbytes for t in tables) == 1_527_360
         assert all(t.dtype == complex and not t.imag.any() for t in tables)
 
 
@@ -1777,7 +1809,7 @@ def warm_step_transient(grid, params):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - sum(x.nbytes for x in (new.u_half, new.v_half,
+    return peak - sum(x.nbytes for x in (new.u_half, new.z_half,
                                          new.nl_half, new.pred_sup))
 
 
@@ -1838,7 +1870,7 @@ class TestWorkspace:
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 2.5))
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
         state = step(state, 0.1, params, grid)
-        fields = ("u_half", "v_half", "pred_sup") + (
+        fields = ("u_half", "z_half", "pred_sup") + (
             () if linear_only else ("nl_half",))
         first = step(state, 0.1, params, grid, linear_only=linear_only)
         kept = {f: getattr(first, f).copy() for f in fields}
@@ -1915,17 +1947,16 @@ def per_component_step(state, dt, params, grid, *, linear_only=False):
     """Reference: step() as it ran one component at a time, every
     operation one numpy call per component, into the row of component
     l + 1 for the forcing that component l drives."""
-    k0, k1, dk0, dk1, i1, w_nu, w_ov, w_nv = solver._tables(
+    ea, k1, i1, w_nu, e, c_old, c_new = solver._tables(
         grid, params.sigma, dt)
     ws = one_component_buffers(grid)
-    uh, vh = state.u_half, state.v_half
+    uh, zh = state.u_half, state.z_half
     k = len(uh)
-    u_half, v_half = np.empty_like(uh), np.empty_like(vh)
-    for u, v, a, b in zip(u_half, v_half, uh, vh):
-        np.multiply(k0, a, out=u)
+    u_half, z_half = np.empty_like(uh), np.empty_like(zh)
+    for u, z, a, b in zip(u_half, z_half, uh, zh):
+        np.multiply(ea, a, out=u)
         u += np.multiply(k1, b, out=ws.half)
-        np.multiply(dk0, a, out=v)
-        v += np.multiply(dk1, b, out=ws.half)
+        np.multiply(b, e, out=z)
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
@@ -1942,25 +1973,25 @@ def per_component_step(state, dt, params, grid, *, linear_only=False):
             nxt = (ell + 1) % k
             forcing_one(mag, params.p[nxt], Nh_new[nxt], grid, ws)
     if linear_only:
-        return FieldState(state.t + dt, u_half, v_half, pred_sup=sup,
-                          err=0.0)
+        return FieldState(state.t + dt, u_half, z_half, state.a_half,
+                          pred_sup=sup, err=0.0)
     bounds = []
     weights = grid.parseval_weights[: grid.block_shape[-1]]
-    for u, v, new, old in zip(u_half, v_half, Nh_new, Nh_old):
+    for u, z, new, old in zip(u_half, z_half, Nh_new, Nh_old):
         gap = np.subtract(new, old, out=ws.block)
         np.multiply(w_nu, gap, out=gap)
         solver._add_block(u, gap, grid)
         bounds.append((weights * np.abs(gap)).sum())
-        solver._add_block(v, np.multiply(w_ov, old, out=ws.block), grid)
-        solver._add_block(v, np.multiply(w_nv, new, out=ws.block), grid)
+        solver._add_block(z, np.multiply(old, c_old, out=ws.block), grid)
+        solver._add_block(z, np.multiply(new, c_new, out=ws.block), grid)
     bound = np.array(bounds) / grid.N ** grid.n
     err = float(np.max(bound / np.maximum(sup, TINY)))
-    return FieldState(state.t + dt, u_half, v_half, nl_half=Nh_new,
-                      pred_sup=sup, err=err)
+    return FieldState(state.t + dt, u_half, z_half, state.a_half,
+                      nl_half=Nh_new, pred_sup=sup, err=err)
 
 
 def assert_same_state(got, want):
-    for name in ("u_half", "v_half", "nl_half", "pred_sup"):
+    for name in ("u_half", "z_half", "nl_half", "pred_sup"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
@@ -1983,8 +2014,8 @@ class TestPasses:
         rng = np.random.default_rng(29)
         u, v = 0.5 * rng.normal(size=(2, k) + grid.shape)
         axes = grid.spatial_axes
-        start = FieldState(0.0, np.fft.rfftn(u, axes=axes),
-                           np.fft.rfftn(v, axes=axes))
+        start = uv_state(grid, np.fft.rfftn(u, axes=axes),
+                         np.fft.rfftn(v, axes=axes))
         h, ts = 0.1, [0.02, 0.05, 0.1]
         real_nonlinearity_hat = solver._nonlinearity_hat
         # 2D grids step one component at a time under any budget
@@ -2026,15 +2057,15 @@ class TestTableCache:
         assert builds == [0.3, pytest.approx(0.2)]
         assert table_cache(grid).currsize == 2
 
-    @pytest.mark.parametrize("n, N, entries", [(1, 1024, 153),
-                                               (1, 2048, 76), (2, 256, 2),
+    @pytest.mark.parametrize("n, N, entries", [(1, 1024, 306),
+                                               (1, 2048, 153), (2, 256, 5),
                                                (2, 512, 1)])
     def test_entries_are_bounded_by_bytes(self, n, N, entries):
-        # max(1, TABLE_BYTES // entry) for an entry of 4 tables on the
-        # half spectrum and 4 weights on the kept block
+        # max(1, TABLE_BYTES // entry) for an entry of 2 tables on the
+        # half spectrum and 2 weights on the kept block
         grid = GridSpec(n=n, N=N, L=40.0)
         half = (N,) * (n - 1) + (N // 2 + 1,)
-        entry = 4 * 16 * (math.prod(half) + math.prod(grid.block_shape))
+        entry = 2 * 16 * (math.prod(half) + math.prod(grid.block_shape))
         assert max(1, solver.TABLE_BYTES // entry) == entries
         assert table_cache(grid).maxsize == entries
         solver._workspace.cache_clear()
