@@ -56,11 +56,14 @@ from .kernels import propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
 # adaptive runs accept a step when, in every component, the l1 bound on
-# max|u_corr - u_pred| is at most STEP_TOL times max|u_pred|
+# max|u_corr - u_pred| is at most STEP_TOL times its scale (_relative_max)
 STEP_TOL = 1e-4
+# scales are max|u_pred| floored at SCALE_FLOOR times the largest, so a
+# vanishing component's estimate stays finite (default runs never reach it)
+SCALE_FLOOR = 1e-8
 # physical magnitudes up to this are flushed to zero before |u|^p for a
 # non-integer p, whose power of them can be subnormal; integer powers of
-# them underflow to +0.0 unflushed (see _power)
+# them underflow to +0.0 unflushed (see _power); the estimate's least scale
 TINY = 1e-300
 # a sup decade needs this many points for a fit of the blow-up time
 FIT_POINTS = 8
@@ -203,9 +206,8 @@ class FieldState:
     sup of the field itself).  err is the local error estimate of the
     step, the largest over components l of the l1 bound sum |g_l| / N^n
     on max |u_corr_l - u_pred_l|, with g the spectral gap between the
-    corrector u_corr and u_pred, over max(pred_sup_l, TINY), so a
-    component far smaller than the others still has its relative error
-    bounded (0.0 for linear_only; NaN when any component's ratio is).
+    corrector u_corr and u_pred, over its scale (_relative_max): 0.0 for
+    linear_only and zero data, NaN when any component's bound or sup is.
     """
 
     t: float
@@ -557,9 +559,12 @@ def step(state: FieldState, dt: float, params: SystemParams,
 
 
 def _relative_max(bounds: list, sups: list, scale: int) -> float:
-    """float(np.max(bounds / scale / np.maximum(sups, TINY))) bit for bit,
-    or NaN with it, in a fraction of its time for a few floats."""
-    ratios = [b / scale / max(s, TINY) for b, s in zip(bounds, sups)]
+    """The mixed-scale estimate (Atol + Rtol |y|; Hairer, Norsett & Wanner,
+    II.4) float(np.max(bounds / scale / np.maximum(sups, floor))) bit for
+    bit, or NaN with it, in a fraction of its time for a few floats."""
+    # TINY first, as max keeps its first argument against a NaN
+    floor = max(TINY, SCALE_FLOOR * max(sups))
+    ratios = [b / scale / max(s, floor) for b, s in zip(bounds, sups)]
     return math.nan if math.isnan(sum(ratios)) else max(ratios)
 
 
@@ -797,16 +802,13 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
     after the step whose _blowup_watch fit gives T or, the safety net,
     at the first step h from a state at time t whose predictor (the one
     physical field a step holds) has a sup that is not at most
-    BLOWUP_THRESHOLD (NaN and inf included), or whose corrector or
-    carried forcing spectrum is not finite, as when a finite
-    predictor's |u|^p overflows.  A finite err vouches for those
-    spectra, as the gap it sums is not finite where they are not; only
-    a step whose err is not finite, as finite spectra can give against
-    a zero or tiny component, has them scanned.  The check comes before
-    the step's accept/reject, and numpy's overflow and invalid-value
-    warnings are silenced over the whole stepping loop, entered once
-    per run, since the check judges what they report.  blowup_time is
-    then t + h/2, the midpoint of the bracket [t, t + h].
+    BLOWUP_THRESHOLD (NaN and inf included), or whose estimate err is
+    not finite, as when a finite predictor's |u|^p overflows (err sums
+    the gap over nonzero scales, so it is finite where the spectra are).
+    The check comes before the step's accept/reject, and numpy's
+    overflow and invalid-value warnings are silenced over the stepping
+    loop, entered once per run, since the check judges what they
+    report.  blowup_time is then t + h/2, the midpoint of [t, t + h].
     """
     if dt_policy not in ("fixed", "adaptive"):
         raise ValueError(f"unknown dt policy {dt_policy!r}")
@@ -847,10 +849,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
             new = step(state, h, params, grid, linear_only=linear_only)
             peak = new.pred_sup.max()
             # NaN and inf fail the comparison too
-            if not (peak <= BLOWUP_THRESHOLD
-                    and (math.isfinite(new.err)
-                         or np.isfinite(new.u_half).all()
-                         and np.isfinite(new.nl_half).all())):
+            if not (peak <= BLOWUP_THRESHOLD and math.isfinite(new.err)):
                 t_blow, t_err = state.t + 0.5 * h, 0.5 * h
                 break
             if adaptive:

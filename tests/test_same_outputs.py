@@ -12,17 +12,20 @@ same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
 
 
-def test_argvs_are_readme_and_the_2d_and_threshold_runs():
+def test_argvs_are_readme_the_2d_threshold_and_zero_component_runs():
     readme = [line.split()[1:] for line in
               (ROOT / "README.md").read_text().splitlines()
               if line.startswith("sevolab ")]
     argvs = same_outputs.argvs()
     assert len(readme) == 7 and argvs[:7] == readme
-    fixed, adaptive, threshold = argvs[7:]
+    fixed, adaptive, threshold, zero = argvs[7:]
     assert fixed[:2] == ["simulate", "--n"]
     assert fixed[-2:] == ["--set", "options.dt_policy=fixed"]
     assert adaptive == fixed[:-2]
     assert threshold == ["simulate", "--set", "options.dt_policy=fixed"]
+    assert zero[0] == "simulate" and zero[1::2] == ["--set"] * 8
+    assert "data.components.1.amp1=0" in zero
+    assert "options.dt_policy=fixed" not in zero
 
 
 def test_a_run_compares_equal_only_under_the_same_code(tmp_path):

@@ -837,6 +837,7 @@ class TestNorms:
 
 # component 2 starts at zero, and its predictor on the first step is zero
 ZERO_PREDICTOR_DATA = gaussian_data(1.0, ((0.0, 1e8), (0.0, 0.0)))
+ZERO_GRID = GridSpec(n=1, N=64, L=10.0)
 
 
 class TestRun:
@@ -929,46 +930,63 @@ class TestRun:
         table = read_norms_csv(write_norms_csv(tmp_path / "norms.csv", res))
         assert all(np.all(np.isfinite(col)) for col in table.values())
 
-    def test_infinite_estimate_of_finite_spectra_is_no_blowup(
-            self, monkeypatch):
-        # component 2's predictor is zero, so its bound over max(0, TINY)
-        # overflows: the estimate is inf while every spectrum is finite,
-        # and the run must scan the spectra rather than stop on the err
+    def test_zero_component_estimate_is_finite(self, monkeypatch):
+        # component 2's predictor is zero, so its scale is SCALE_FLOOR
+        # times component 1's sup and the estimate stays finite; at this
+        # dt the floor dt / 1024 is too coarse for a blow-up at T ~ 0.0081,
+        # so the run still ends in floor steps
         calls = recording_every_step(monkeypatch)
-        grid = GridSpec(n=1, N=64, L=10.0)
-        res = run(PARAMS_22, grid, ZERO_PREDICTOR_DATA, t_end=1.0, dt=0.05,
-                  dt_policy="adaptive")
+        res = run(PARAMS_22, ZERO_GRID, ZERO_PREDICTOR_DATA, t_end=1.0,
+                  dt=0.05, dt_policy="adaptive")
         _, _, first = calls[0]
-        assert first.err == math.inf
-        assert np.isfinite(first.u_half).all()
-        assert np.isfinite(first.nl_half).all()
+        assert first.pred_sup[1] == 0.0 and first.pred_sup[0] > 0.0
+        assert solver.STEP_TOL < first.err < math.inf
         assert res.blown_up
         assert res.blowup_time == 0.008141251178062803
         assert (res.steps, res.rejected_steps, res.floor_steps) == (136, 6,
                                                                     62)
 
-    def test_finite_estimate_spares_the_spectrum_scan(self, monkeypatch):
-        # an accepted step whose err is finite has no np.isfinite pass
-        # over its spectra; one whose err is infinite has
+    def test_zero_component_is_stepped_under_control(self):
+        # with a floor below the steps the blow-up needs, no step is taken
+        # uncontrolled; the purely relative scale, whose estimate was inf
+        # while component 2 was zero, took (504, 16, 36) here
+        res = run(PARAMS_22, ZERO_GRID, ZERO_PREDICTOR_DATA, t_end=1.0,
+                  dt=0.05 / 4096, dt_policy="adaptive")
+        assert res.blown_up
+        assert (res.steps, res.rejected_steps, res.floor_steps) == (381, 7,
+                                                                    0)
+        # fixed dt = 0.05 / 2^14 ... 2^16 extrapolate to T = 0.0081237793
+        assert res.blowup_time == pytest.approx(0.0081237793,
+                                                abs=res.blowup_error)
+
+    def test_run_never_scans_a_spectrum(self, monkeypatch):
+        # blow-up is judged by the peak and the estimate alone: no run
+        # passes a complex spectrum to np.isfinite, whether its estimate
+        # stays small, starts far above STEP_TOL against a zero component
+        # or overflows with a finite predictor's |u|^70
         scanned = []
         real = np.isfinite
 
         def counting(x, *args, **kwargs):
-            if np.iscomplexobj(x) and np.ndim(x) > 1:
-                scanned.append(x.shape)
+            if np.iscomplexobj(x):
+                scanned.append(np.shape(x))
             return real(x, *args, **kwargs)
 
-        calls = recording_every_step(monkeypatch)
         monkeypatch.setattr(np, "isfinite", counting)
         grid = GridSpec(n=1, N=64, L=10.0)
-        res = run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.0, dt=0.05,
-                  dt_policy="adaptive", outputs=4)
-        assert res.steps > 10 and all(math.isfinite(new.err)
-                                      for _, _, new in calls)
+        p70 = SystemParams(n=1, sigma=1.0, k=2, p=(70.0, 70.0))
+        runs = [
+            run(PARAMS_34, grid, gaussian_data(0.3), t_end=2.0, dt=0.05,
+                dt_policy="adaptive", outputs=4),
+            run(PARAMS_22, grid, ZERO_PREDICTOR_DATA, t_end=1.0, dt=0.05,
+                dt_policy="adaptive", outputs=0),
+            run(p70, grid, gaussian_data(1.0, ((0.1, 1e6), (0.1, 1e6))),
+                t_end=1.0, dt=0.1, dt_policy="adaptive"),
+        ]
+        assert runs[0].steps > 10
+        assert [r.blown_up for r in runs] == [False, True, True]
+        assert runs[2].blowup_time == 0.05
         assert scanned == []
-        run(PARAMS_22, grid, ZERO_PREDICTOR_DATA, t_end=1.0, dt=0.05,
-            dt_policy="adaptive", outputs=0)
-        assert scanned[:2] == [(2, 33), (2, 22)]
 
     def test_adaptive_matches_fixed(self):
         grid = GridSpec(n=1, N=256, L=40.0)
@@ -1114,9 +1132,11 @@ class TestStepControl:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_scalar_estimate_is_the_numpy_reduction(self, k):
-        # bit for bit float(np.max(bounds / scale / np.maximum(sups,
-        # TINY))), and NaN wherever that is, with zero, TINY and
-        # subnormal sups, ratios overflowing to inf and NaN anywhere
+        # bit for bit the mixed-scale float(np.max(bounds / scale /
+        # np.maximum(sups, floor))), floor = max(SCALE_FLOOR max(sups),
+        # TINY), and NaN wherever that is, with zero, TINY and subnormal
+        # sups, ratios overflowing to inf and NaN anywhere; "floored"
+        # rows are those where the floor moves the purely relative ratio
         bounds = (0.0, 3e-7, 0.25, 1e300, math.inf, math.nan)
         sups = (0.0, TINY, 1e-310, 0.5, 1e8, math.inf, math.nan)
         pairs = [(b, s) for b in bounds for s in sups]
@@ -1129,8 +1149,11 @@ class TestStepControl:
             for row in picks:
                 b, s = (list(x) for x in zip(*(pairs[i] for i in row)))
                 with np.errstate(over="ignore", invalid="ignore"):
+                    floor = np.maximum(solver.SCALE_FLOOR * np.max(s), TINY)
                     want = float(np.max(np.array(b) / scale
-                                        / np.maximum(s, TINY)))
+                                        / np.maximum(s, floor)))
+                    relative = float(np.max(np.array(b) / scale
+                                            / np.maximum(s, TINY)))
                 got = solver._relative_max(b, s, scale)
                 assert type(got) is float
                 if math.isnan(want):
@@ -1139,8 +1162,10 @@ class TestStepControl:
                     assert np.array(got).tobytes() == \
                         np.array(want).tobytes()
                 seen.add("nan" if math.isnan(want) else
-                         "inf" if want == math.inf else "finite")
-        assert seen == {"nan", "inf", "finite"}
+                         "inf" if want == math.inf else
+                         "floored" if want != relative else "finite")
+        assert seen == {"nan", "inf", "floored", "finite"}
+        assert solver._relative_max([0.0] * k, [0.0] * k, 64) == 0.0
 
     # amp2 = 1e-4: component 2's gap is small against sup|u_1| but not
     # against its own sup, which is what err must measure it by

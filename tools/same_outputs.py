@@ -7,8 +7,10 @@ Usage, from the root of a checkout:
 PARENT_SRC and CHANGE_SRC are sevolab `src/` directories; CHANGE_SRC
 defaults to this checkout's `src/`.  The argvs are README's `sevolab`
 command lines (the ones CI runs), the benchmark's simulate-2d workload
-(fixed dt), that workload under the adaptive policy, and a fixed-dt
-blow-up that ends on the threshold path.
+(fixed dt), that workload under the adaptive policy, a fixed-dt
+blow-up that ends on the threshold path, and an adaptive blow-up whose
+second component is zero, so that its steps depend on the error
+estimate's scale floor.
 
 Each argv runs as `python -m sevolab.cli ARGV` under each tree, with
 `SEVOLAB_OUT` unset, so that its outputs land in its working
@@ -35,9 +37,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def argvs() -> list:
-    """The argvs in the order of the module docstring.  The blow-up
-    stops on the threshold, with blowup_error dt / 2, since its decades
-    hold too few steps of dt = 0.05 for a fit."""
+    """The argvs in the order of the module docstring.  The first
+    blow-up stops on the threshold, with blowup_error dt / 2, since its
+    decades hold too few steps of dt = 0.05 for a fit; the second is
+    simulate's system with u0 = 0 and u1 = (1e8 g, 0) on a small box."""
     readme = (ROOT / "README.md").read_text().splitlines()
     out = [shlex.split(line)[1:] for line in readme
            if line.startswith("sevolab ")]
@@ -49,8 +52,13 @@ def argvs() -> list:
     spec.loader.exec_module(workloads)
     fixed = list(workloads.WORKLOADS["simulate-2d"].argv_for(0))
     i = fixed.index("options.dt_policy=fixed")
+    zero = ["grid.N=64", "grid.L=10", "data.epsilon=1",
+            "data.components.0.amp0=0", "data.components.0.amp1=1e8",
+            "data.components.1.amp0=0", "data.components.1.amp1=0",
+            "options.t_end=1"]
     out += [fixed, fixed[: i - 1] + fixed[i + 1:],
-            ["simulate", "--set", "options.dt_policy=fixed"]]
+            ["simulate", "--set", "options.dt_policy=fixed"],
+            ["simulate"] + [x for s in zero for x in ("--set", s)]]
     return out
 
 
