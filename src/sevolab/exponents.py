@@ -133,33 +133,33 @@ def compute_gamma(params: SystemParams) -> GammaVector:
     )
 
 
-def _chain(p: tuple) -> tuple:
-    """Chain sums and products (S, Q, R), each indexed l = 1..k from 0:
+def _sums_and_products(p: tuple) -> list:
+    """(S_l, Q_l) for l = 1..k, run as S_l = 1 + p_l S_{l-1} and
+    Q_l = p_l Q_{l-1} from S_1 = 1, Q_1 = p_1:
 
-        S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l = 1 + p_l S_{l-1}
+        S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
         Q_l = p_1 p_2 ... p_l
-        R_l = p_2 p_3 ... p_l   (R_1 = 1)
     """
-    S, Q, R = [1.0], [p[0]], [1.0]
+    s, q = 1.0, p[0]
+    out = [(s, q)]
     for x in p[1:]:
-        S.append(1.0 + x * S[-1])
-        Q.append(Q[-1] * x)
-        R.append(R[-1] * x)
-    return S, Q, R
+        s, q = 1.0 + x * s, q * x
+        out.append((s, q))
+    return out
 
 
 def gamma_max_closed_form(params: SystemParams) -> float:
-    """Closed form for the last gamma component:
+    """Closed form for the last gamma component, S_k / (Q_k - 1):
 
         (1 + p_k + p_{k-1} p_k + ... + p_2 p_3 ... p_k) / (p_1 ... p_k - 1)
 
     Equals max(gamma) whenever component k attains the max.
     """
-    S, Q, _ = _chain(params.p)
-    denom = Q[-1] - 1.0
+    s, q = _sums_and_products(params.p)[-1]
+    denom = q - 1.0
     if abs(denom) < 1e-14:
         raise SingularSystem("product of exponents equals 1; gamma undefined")
-    return S[-1] / denom
+    return s / denom
 
 
 def classify(params: SystemParams) -> str:
@@ -185,7 +185,9 @@ def check_global_conditions(params: SystemParams) -> dict:
     Keys:
       fujita_p1          p_1 <= 1 + 2 sigma / n
       chain_products     (p_1...p_l - 1)/(1 + p_l + ... + p_2...p_l) <= 2 sigma / n
-                         for l = 2..k-1 (vacuous for k = 2)
+                         for l = 2..k-1 (vacuous for k = 2): eps-free
+                         loss-of-decay entry l is >= 0, in a form whose
+                         2 sigma / n is exact when sigma is and n is 1, 2, 4
       low_dim            n <= 2 sigma
       p_min_two          every p_l >= 2
       gamma_supercritical  classify(params) == SUPERCRITICAL
@@ -197,12 +199,12 @@ def check_global_conditions(params: SystemParams) -> dict:
     """
     p = params.p
     ratio = 2.0 * params.sigma / params.n  # = 1 / fujita_ratio
-    S, Q, _ = _chain(p)
     cls = classify(params)
     flags = {}
     flags["fujita_p1"] = p[0] <= 1.0 + ratio
     flags["chain_products"] = all(
-        (Q[ell] - 1.0) / S[ell] <= ratio for ell in range(1, params.k - 1))
+        (q - 1.0) / s <= ratio
+        for s, q in _sums_and_products(p)[1:params.k - 1])
     flags["low_dim"] = params.n <= 2.0 * params.sigma
     flags["p_min_two"] = min(p) >= 2.0
     flags["gamma_supercritical"] = cls == SUPERCRITICAL
@@ -211,50 +213,44 @@ def check_global_conditions(params: SystemParams) -> dict:
     return flags
 
 
-def loss_of_decay_sequence(params: SystemParams, eps: float) -> tuple:
-    """Loss-of-decay sequence (eps_1, ..., eps_k), eps_k = 0.
+def _sequence(params: SystemParams, eps: float) -> tuple:
+    """The paper's recursion for eps >= 0, the one evaluation of the
+    loss-of-decay sequence:
 
-    Recursion: eps_1 = 1 - (n/2sigma)(p_1 - 1) + eps and
-    eps_l = 1 - (n/2sigma)(p_l - 1) + p_l eps_{l-1} for l = 2..k-1.
-    The closed form, in the chain sums of `_chain`,
-
-        eps_l = S_l - (n/2sigma)(Q_l - 1) + R_l * eps
-
-    is evaluated independently and both are required to agree to 1e-12.
-    Its eps-free part is `decay_slack`.
+        eps_1 = 1 - (n/2sigma)(p_1 - 1) + eps
+        eps_l = 1 - (n/2sigma)(p_l - 1) + p_l eps_{l-1},  l = 2..k-1
+        eps_k = 0
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     p = params.p
     r = params.fujita_ratio
     seq = [1.0 - r * (p[0] - 1.0) + eps]
-    for ell in range(1, params.k - 1):
-        seq.append(1.0 - r * (p[ell] - 1.0) + p[ell] * seq[-1])
-    seq.append(0.0)
+    for x in p[1:-1]:
+        seq.append(1.0 - r * (x - 1.0) + x * seq[-1])
+    return tuple(seq) + (0.0,)
 
-    S, Q, R = _chain(p)
-    closed = [S[ell] - r * (Q[ell] - 1.0) + R[ell] * eps
-              for ell in range(params.k - 1)] + [0.0]
-    scale = max(1.0, max(abs(x) for x in seq))
-    mismatch = max(abs(a - b) for a, b in zip(seq, closed)) / scale
-    if mismatch > 1e-12:
-        raise AssertionError(
-            f"loss-of-decay recursion and closed form disagree by {mismatch:.3e}"
-        )
-    return tuple(seq)
+
+def loss_of_decay_sequence(params: SystemParams, eps: float) -> tuple:
+    """Loss-of-decay sequence (eps_1, ..., eps_k) of an auxiliary
+    eps > 0, by the recursion of `_sequence`.
+
+    Unrolled, eps_l = S_l - (n/2sigma)(Q_l - 1) + R_l * eps with the
+    chain sum S_l = 1 + p_l + ... + p_2...p_l and the products
+    Q_l = p_1...p_l, R_l = p_2...p_l; its eps-free part is `decay_slack`.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return _sequence(params, eps)
 
 
 def decay_slack(params: SystemParams) -> tuple:
     """The loss-of-decay sequence as eps -> 0, clipped at zero:
     max(0, S_l - (n/2sigma)(Q_l - 1)) for l < k, and 0 for l = k.
+    The sequence is affine in eps, so this is `_sequence` at eps = 0.
 
     This is the width of the interval [-n/4s, -n/4s + slack_l] the
     theory leaves a component's L2 decay exponent in.
     """
-    S, Q, _ = _chain(params.p)
-    r = params.fujita_ratio
-    return tuple(max(0.0, S[ell] - r * (Q[ell] - 1.0))
-                 for ell in range(params.k - 1)) + (0.0,)
+    return tuple(max(0.0, x) for x in _sequence(params, 0.0))
 
 
 def predicted_decay(params: SystemParams) -> tuple:

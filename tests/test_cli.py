@@ -280,6 +280,19 @@ class TestCliExitCodes:
         assert "Subcritical" in out
         assert "lifespan exponent: -2" in out
 
+    def test_seven_component_exponents(self, tmp_path):
+        # valid, with chain terms 1e4 times its loss-of-decay entries
+        p = ("4.485382925887668,2.0681185844721064,5.519067938946438,"
+             "4.463737070884823,8.336778171722319,8.394226269946335,"
+             "4.717215590912812")
+        code = cli_main(["exponents", "--n", "2", "--sigma",
+                         "2.797593651072492", "--p", p,
+                         "--out", str(tmp_path / "exp")])
+        assert code == 0
+        doc = json.loads((tmp_path / "exp" / "exponents.json").read_text())
+        assert doc["classification"] == "Subcritical"
+        assert len(doc["epsilon_seq"]) == 7
+
     def test_module_entry_point_warns_nothing(self):
         # importing the package must not import sevolab.cli first, or
         # runpy warns that the module it is about to run is loaded

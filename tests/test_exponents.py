@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sevolab import (
     SystemParams,
@@ -33,7 +33,6 @@ from sevolab.exponents import (
     CRITICAL,
     SUBCRITICAL,
     SUPERCRITICAL,
-    _chain,
     decay_slack,
 )
 from sevolab.harness import lifespan_sweep
@@ -66,6 +65,50 @@ def gamma_exact(p):
 
 def sys_(n, sigma, p):
     return SystemParams(n=n, sigma=sigma, k=len(p), p=tuple(p))
+
+
+ULP = 2.0 ** -52
+
+
+def sequence_exact(n, sigma, p, eps):
+    """The loss-of-decay entries l < k by their closed form
+    S_l - r (Q_l - 1) + R_l eps, r = n/(2 sigma), in exact arithmetic,
+    each paired with the largest of the terms that cancel in it,
+    max(S_l, r Q_l, R_l eps)."""
+    r = Fraction(n) / (2 * Fraction(sigma))
+    eps = Fraction(eps)
+    p = [Fraction(x) for x in p]
+    S, Q, R = Fraction(1), p[0], Fraction(1)
+    out = []
+    for ell in range(len(p) - 1):
+        if ell:
+            S, Q, R = 1 + p[ell] * S, Q * p[ell], R * p[ell]
+        out.append((S - r * (Q - 1) + R * eps, max(S, r * Q, R * eps)))
+    return out
+
+
+def ulps_of_terms(got, exact):
+    """Largest error of the float entries against the exact ones, in
+    ulps of the terms that cancel in each."""
+    return max(float(abs(Fraction(a) - v) / terms) / ULP
+               for a, (v, terms) in zip(got, exact))
+
+
+def recursion_bound(k):
+    """Error bound of the recursion in ulps of the terms.  Each of its
+    k - 1 steps rounds six times, each by half an ulp of a number at
+    most three times the terms, and carries the earlier error scaled by
+    p_l, as the terms are; so 6 ulps per step bound it.  Random systems
+    with k <= 7 stay within 2.3."""
+    return 6.0 * (k - 1)
+
+
+# A valid system whose terms reach 5.7e3 against entries below 0.73.
+SEVEN_COMPONENTS = (2, 2.797593651072492,
+                    (4.485382925887668, 2.0681185844721064,
+                     5.519067938946438, 4.463737070884823,
+                     8.336778171722319, 8.394226269946335,
+                     4.717215590912812))
 
 
 class TestGamma:
@@ -156,6 +199,29 @@ class TestClassification:
         assert check_global_conditions(
             sys_(1, 1.0, (3.55, 2, 2))
         )["chain_products"] is False
+        # l = 2: (21 - 1)/8 = 2.5 = 2 sigma / n for n = 1, sigma = 1.25,
+        # where n / (2 sigma) = 0.4 rounds
+        assert check_global_conditions(
+            sys_(1, 1.25, (3, 7, 6))
+        )["chain_products"] is True
+
+    @given(
+        n=st.integers(1, 4),
+        sigma=st.floats(1.0, 3.0),
+        p=st.lists(st.floats(1.05, 8.0), min_size=3, max_size=6),
+    )
+    @example(n=1, sigma=1.0, p=[3.5, 2.0, 2.0])
+    @example(n=1, sigma=1.0, p=[3.55, 2.0, 2.0])
+    @settings(max_examples=150, deadline=None)
+    def test_chain_flag_is_the_ratio_form(self, n, sigma, p):
+        # (Q_l - 1)/S_l <= 2 sigma/n for l = 2..k-1, with the running
+        # S_l = 1 + p_l S_{l-1} and Q_l = p_l Q_{l-1}
+        flag = check_global_conditions(sys_(n, sigma, p))["chain_products"]
+        s, q, ratio_form = 1.0, p[0], True
+        for x in p[1:-1]:
+            s, q = 1.0 + x * s, q * x
+            ratio_form = ratio_form and (q - 1.0) / s <= 2.0 * sigma / n
+        assert flag == ratio_form
 
     def test_fujita_flag_boundary(self):
         assert check_global_conditions(sys_(1, 1.0, (3, 4)))["fujita_p1"]
@@ -224,31 +290,7 @@ class TestCriticalBorderline:
         assert flags["gamma_subcritical"] == (cls == SUBCRITICAL)
 
 
-def slack_two_evaluations(params):
-    """The eps -> 0 limit of the loss-of-decay sequence extrapolated
-    from eps = 1e-6 and 2e-6, clipped at zero."""
-    e = 1e-6
-    a = loss_of_decay_sequence(params, e)
-    b = loss_of_decay_sequence(params, 2.0 * e)
-    return tuple(max(0.0, 2.0 * x - y) for x, y in zip(a, b))
-
-
 class TestChainSums:
-    @given(p=st.lists(st.floats(1.05, 8.0), min_size=2, max_size=6))
-    @settings(max_examples=150, deadline=None)
-    def test_brute_force(self, p):
-        S, Q, R = _chain(tuple(p))
-        assert len(S) == len(Q) == len(R) == len(p)
-        for ell in range(len(p)):
-            # S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
-            s = 1.0 + sum(float(np.prod(p[j:ell + 1]))
-                          for j in range(1, ell + 1))
-            assert S[ell] == pytest.approx(s, rel=1e-13)
-            assert Q[ell] == pytest.approx(float(np.prod(p[:ell + 1])),
-                                           rel=1e-13)
-            assert R[ell] == pytest.approx(float(np.prod(p[1:ell + 1])),
-                                           rel=1e-13)
-
     def test_slack_frozen(self):
         assert decay_slack(sys_(1, 1.0, (3, 4))) == (0.0, 0.0)
 
@@ -257,6 +299,10 @@ class TestChainSums:
         sigma=st.floats(1.0, 3.0),
         p=st.lists(st.floats(1.05, 8.0), min_size=2, max_size=5),
     )
+    # entries of 0.23 and below, from terms up to 3.3e2
+    @example(n=1, sigma=2.94140625,
+             p=[6.8203125, 7.3458824991264455, 6.8203125,
+                5.750022012031441, 2.0])
     @settings(max_examples=150, deadline=None)
     def test_slack_is_the_eps_free_limit(self, n, sigma, p):
         params = sys_(n, sigma, p)
@@ -264,12 +310,10 @@ class TestChainSums:
         assert len(slack) == params.k
         assert min(slack) >= 0.0
         assert slack[-1] == 0.0
-        # the extrapolation cancels two entries of the sequence's size,
-        # so it is good to a few ulps of that size, not absolutely
-        want = slack_two_evaluations(params)
-        scale = max(1.0, max(abs(x) for x in
-                             loss_of_decay_sequence(params, 1e-6)))
-        assert max(abs(a - b) for a, b in zip(slack, want)) <= 1e-13 * scale
+        # clipping at zero moves no entry further from the exact one
+        exact = [(max(v, Fraction(0)), terms)
+                 for v, terms in sequence_exact(n, sigma, p, 0)]
+        assert ulps_of_terms(slack, exact) <= recursion_bound(params.k)
 
 
 class TestLossOfDecay:
@@ -294,17 +338,20 @@ class TestLossOfDecay:
     )
     @settings(max_examples=150, deadline=None)
     def test_recursion_oracle(self, n, sigma, p, eps):
+        seq = loss_of_decay_sequence(sys_(n, sigma, p), eps)
+        assert len(seq) == len(p) and seq[-1] == 0.0
+        assert ulps_of_terms(seq, sequence_exact(n, sigma, p, eps)) \
+            <= recursion_bound(len(p))
+
+    def test_seven_components(self):
+        n, sigma, p = SEVEN_COMPONENTS
         params = sys_(n, sigma, p)
-        seq = loss_of_decay_sequence(params, eps)
-        r = n / (2.0 * sigma)
-        want = [1.0 - r * (p[0] - 1.0) + eps]
-        for ell in range(1, len(p) - 1):
-            want.append(1.0 - r * (p[ell] - 1.0) + p[ell] * want[-1])
-        want.append(0.0)
-        scale = max(1.0, max(abs(x) for x in want))
-        assert max(
-            abs(a - b) for a, b in zip(seq, want)
-        ) <= 1e-12 * scale
+        seq = loss_of_decay_sequence(params, AUX_EPS)
+        assert ulps_of_terms(seq, sequence_exact(n, sigma, p, AUX_EPS)) \
+            <= recursion_bound(len(p))
+        rep = report(params)
+        assert rep.epsilon_seq == seq
+        assert rep.classification == SUBCRITICAL
 
 
 class TestAlphaBeta:

@@ -12,13 +12,13 @@ same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
 
 
-def test_argvs_are_readme_the_2d_threshold_and_zero_component_runs():
+def test_argvs_are_readme_the_2d_threshold_zero_component_and_chain_runs():
     readme = [line.split()[1:] for line in
               (ROOT / "README.md").read_text().splitlines()
               if line.startswith("sevolab ")]
     argvs = same_outputs.argvs()
     assert len(readme) == 7 and argvs[:7] == readme
-    fixed, adaptive, threshold, zero = argvs[7:]
+    fixed, adaptive, threshold, zero, boundary, chain = argvs[7:]
     assert fixed[:2] == ["simulate", "--n"]
     assert fixed[-2:] == ["--set", "options.dt_policy=fixed"]
     assert adaptive == fixed[:-2]
@@ -26,6 +26,8 @@ def test_argvs_are_readme_the_2d_threshold_and_zero_component_runs():
     assert zero[0] == "simulate" and zero[1::2] == ["--set"] * 8
     assert "data.components.1.amp1=0" in zero
     assert "options.dt_policy=fixed" not in zero
+    assert boundary == ["exponents", "--p", "3.5,2,2"]
+    assert chain == ["exponents", "--p", "2.5,2.2,2.1,2"]
 
 
 def test_a_run_compares_equal_only_under_the_same_code(tmp_path):

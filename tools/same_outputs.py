@@ -8,9 +8,10 @@ PARENT_SRC and CHANGE_SRC are sevolab `src/` directories; CHANGE_SRC
 defaults to this checkout's `src/`.  The argvs are README's `sevolab`
 command lines (the ones CI runs), the benchmark's simulate-2d workload
 (fixed dt), that workload under the adaptive policy, a fixed-dt
-blow-up that ends on the threshold path, and an adaptive blow-up whose
+blow-up that ends on the threshold path, an adaptive blow-up whose
 second component is zero, so that its steps depend on the error
-estimate's scale floor.
+estimate's scale floor, and two `exponents` runs with k >= 3, whose
+chain condition is not vacuous: the first sits on its boundary.
 
 Each argv runs as `python -m sevolab.cli ARGV` under each tree, with
 `SEVOLAB_OUT` unset, so that its outputs land in its working
@@ -58,7 +59,9 @@ def argvs() -> list:
             "options.t_end=1"]
     out += [fixed, fixed[: i - 1] + fixed[i + 1:],
             ["simulate", "--set", "options.dt_policy=fixed"],
-            ["simulate"] + [x for s in zero for x in ("--set", s)]]
+            ["simulate"] + [x for s in zero for x in ("--set", s)],
+            ["exponents", "--p", "3.5,2,2"],
+            ["exponents", "--p", "2.5,2.2,2.1,2"]]
     return out
 
 
