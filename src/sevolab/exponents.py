@@ -1,8 +1,8 @@
 """Exponent calculus for the coupled damped sigma-evolution system.
 
 Everything here is closed-form arithmetic on the chain of power
-nonlinearities p = (p_1, ..., p_k): the cyclic coupling matrix, its
-resolvent vector gamma, the classification of the system against the
+nonlinearities p = (p_1, ..., p_k): the vector gamma of the cyclic
+coupling, the classification of the system against the
 threshold n/(2*sigma), the loss-of-decay sequence, and the
 Gagliardo-Nirenberg interpolation exponent.  No grids and no
 transforms; this module is the ground truth that every experiment in
@@ -10,7 +10,8 @@ the harness is fitted against.
 
 Component ell is forced by |u_{ell-1}|^{p_ell}, component 1 by
 |u_k|^{p_1}, so the coupling matrix P has p_1 in the top-right corner
-and p_ell on the subdiagonal.  gamma solves (P - I) gamma = (1, ..., 1).
+and p_ell on the subdiagonal.  gamma solves (P - I) gamma = (1, ..., 1),
+which has a closed form (`compute_gamma`), so no matrix is built.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import ConditionsUnmet, DomainError, NotSubcritical, SingularSystem
 
@@ -90,62 +89,52 @@ class GammaVector:
         return self.gamma[self.argmax_index - 1]
 
 
-def coupling_matrix(params: SystemParams) -> np.ndarray:
-    """Cyclic coupling matrix P: row 1 holds p_1 in column k, row ell
-    holds p_ell in column ell-1."""
-    k = params.k
-    P = np.zeros((k, k))
-    P[0, k - 1] = params.p[0]
-    for ell in range(1, k):
-        P[ell, ell - 1] = params.p[ell]
-    return P
+def _gamma_last(p: tuple) -> float:
+    """The gamma entry of the chain's last exponent, from
+    gamma_l = p_l gamma_(l-1) - 1 run once round the cycle:
+
+        S_k / (Q_k - 1) = (1/Q_1 + ... + 1/Q_k) / (1 - 1/Q_k)
+
+    with S_k = 1 + p_k + p_{k-1} p_k + ... + p_2...p_k and
+    Q_l = p_1...p_l.  The second form, S_k and Q_k divided through by
+    Q_k, stays finite where Q_k overflows.
+    """
+    r, q = 0.0, 1.0
+    for x in p:
+        q *= x
+        r += 1.0 / q
+    if 1.0 - 1.0 / q < 1e-14:
+        raise SingularSystem("product of exponents equals 1; P - I singular")
+    return r / (1.0 - 1.0 / q)
 
 
 @lru_cache(maxsize=64)
 def compute_gamma(params: SystemParams) -> GammaVector:
-    """Solve (P - I) gamma = (1, ..., 1) by dense LU.
+    """Solve (P - I) gamma = (1, ..., 1) in closed form.
 
-    k stays tiny (<= 64 supported), so a dense solve with partial
-    pivoting is the whole story.  The residual of the solve is checked
-    against 1e-12 and reported.  Cached per SystemParams (frozen and
-    hashable), so every caller of one system shares one solve.
+    gamma_l is S/(Q - 1) of p rotated so that p_l comes last
+    (`_gamma_last`).  The residual of the rows p_l gamma_(l-1) - gamma_l
+    = 1, relative to max(1, max |gamma|), is checked against 1e-12 and
+    reported.  Cached per SystemParams (frozen and hashable), so every
+    caller of one system shares one evaluation.
     """
-    if params.k > 64:
+    k, p = params.k, params.p
+    if k > 64:
         raise ValueError("component counts above 64 are not supported")
-    A = coupling_matrix(params) - np.eye(params.k)
-    rhs = np.ones(params.k)
-    prod = float(np.prod(params.p))
-    if abs(prod - 1.0) < 1e-14:
-        raise SingularSystem("product of exponents equals 1; P - I singular")
-    gamma = np.linalg.solve(A, rhs)
-    residual = float(
-        np.max(np.abs(A @ gamma - rhs)) / max(1.0, float(np.max(np.abs(gamma))))
-    )
-    if residual > 1e-12:
-        raise SingularSystem(f"linear solve residual {residual:.3e} too large")
+    gamma = [_gamma_last(p[ell + 1:] + p[:ell + 1]) for ell in range(k)]
+    residual = (max(abs(p[ell] * gamma[ell - 1] - gamma[ell] - 1.0)
+                    for ell in range(k))
+                / max(1.0, max(abs(g) for g in gamma)))
+    if not residual <= 1e-12:
+        raise SingularSystem(f"gamma residual {residual:.3e} too large")
     # Ties broken by the smallest index; argmax reported 1-based.
-    imax = int(np.argmax(gamma))
+    imax = max(range(k), key=gamma.__getitem__)
     return GammaVector(
-        gamma=tuple(float(g) for g in gamma),
+        gamma=tuple(gamma),
         argmax_index=imax + 1,
         residual=residual,
-        rotation=(imax + 1) % params.k,
+        rotation=(imax + 1) % k,
     )
-
-
-def _sums_and_products(p: tuple) -> list:
-    """(S_l, Q_l) for l = 1..k, run as S_l = 1 + p_l S_{l-1} and
-    Q_l = p_l Q_{l-1} from S_1 = 1, Q_1 = p_1:
-
-        S_l = 1 + p_l + p_{l-1} p_l + ... + p_2...p_l
-        Q_l = p_1 p_2 ... p_l
-    """
-    s, q = 1.0, p[0]
-    out = [(s, q)]
-    for x in p[1:]:
-        s, q = 1.0 + x * s, q * x
-        out.append((s, q))
-    return out
 
 
 def gamma_max_closed_form(params: SystemParams) -> float:
@@ -155,11 +144,7 @@ def gamma_max_closed_form(params: SystemParams) -> float:
 
     Equals max(gamma) whenever component k attains the max.
     """
-    s, q = _sums_and_products(params.p)[-1]
-    denom = q - 1.0
-    if abs(denom) < 1e-14:
-        raise SingularSystem("product of exponents equals 1; gamma undefined")
-    return s / denom
+    return _gamma_last(params.p)
 
 
 def classify(params: SystemParams) -> str:
@@ -187,7 +172,9 @@ def check_global_conditions(params: SystemParams) -> dict:
       chain_products     (p_1...p_l - 1)/(1 + p_l + ... + p_2...p_l) <= 2 sigma / n
                          for l = 2..k-1 (vacuous for k = 2): eps-free
                          loss-of-decay entry l is >= 0, in a form whose
-                         2 sigma / n is exact when sigma is and n is 1, 2, 4
+                         2 sigma / n is exact when sigma is and n is 1, 2, 4;
+                         the bound is non-strict, so an entry within
+                         CRITICAL_TOL above it reads as held
       low_dim            n <= 2 sigma
       p_min_two          every p_l >= 2
       gamma_supercritical  classify(params) == SUPERCRITICAL
@@ -202,9 +189,12 @@ def check_global_conditions(params: SystemParams) -> dict:
     cls = classify(params)
     flags = {}
     flags["fujita_p1"] = p[0] <= 1.0 + ratio
-    flags["chain_products"] = all(
-        (q - 1.0) / s <= ratio
-        for s, q in _sums_and_products(p)[1:params.k - 1])
+    # S_l = 1 + p_l S_(l-1) and Q_l = p_l Q_(l-1) from S_1 = 1, Q_1 = p_1
+    s, q, chain = 1.0, p[0], True
+    for x in p[1:-1]:
+        s, q = 1.0 + x * s, q * x
+        chain = chain and (q - 1.0) / s <= ratio + CRITICAL_TOL
+    flags["chain_products"] = chain
     flags["low_dim"] = params.n <= 2.0 * params.sigma
     flags["p_min_two"] = min(p) >= 2.0
     flags["gamma_supercritical"] = cls == SUPERCRITICAL

@@ -199,9 +199,19 @@ class ProfileFit:
     values: tuple
 
 
+def line_fit(x, y) -> tuple:
+    """(slope, intercept) of the least-squares line through the points
+    of the float arrays x and y, from the sums of the centred samples,
+    with no linear-algebra library call."""
+    xm, ym = x.mean(), y.mean()
+    dx = x - xm
+    slope = float(np.sum(dx * (y - ym)) / np.sum(dx * dx))
+    return slope, float(ym - slope * xm)
+
+
 def loglog_fit(t, y) -> tuple:
-    """(slope, intercept, R^2) of the least-squares line through
-    (log t, log y), for positive y.
+    """(slope, intercept, R^2) of the least-squares line (`line_fit`)
+    through (log t, log y), for positive y.
 
     A series whose log varies by less than 1e-3 (a constant one
     included) has no decay content; the near-zero slope explains it to
@@ -209,7 +219,7 @@ def loglog_fit(t, y) -> tuple:
     fit of the experiments is that flat.
     """
     lt, ly = np.log(t), np.log(y)
-    slope, intercept = map(float, np.polyfit(lt, ly, 1))
+    slope, intercept = line_fit(lt, ly)
     if float(np.ptp(ly)) < 1e-3:
         return slope, intercept, 1.0
     fitted = slope * lt + intercept

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import DataLeakage
 from .exponents import SystemParams, compute_gamma
-from .kernels import propagator_arrays
+from .kernels import line_fit, propagator_arrays
 
 BLOWUP_THRESHOLD = 1e8
 # adaptive runs accept a step when, in every component, the l1 bound on
@@ -717,7 +717,7 @@ def _extrapolate_blowup(history, s0: float, alpha: float, d: int):
         sel = (sup >= 10.0 ** (j - 1) * s0) & (sup <= 10.0 ** j * s0)
         if np.count_nonzero(sel) < FIT_POINTS:
             return None
-        b, a = np.polyfit(t[sel], sup[sel] ** (-1.0 / alpha), 1)
+        b, a = line_fit(t[sel], sup[sel] ** (-1.0 / alpha))
         roots.append(-a / b)
     d1, d2 = roots[1] - roots[0], roots[2] - roots[1]
     if abs(d2) <= 1e-12 * abs(roots[2]):
@@ -745,26 +745,22 @@ def _blowup_watch(params: SystemParams, data: InitialData):
     |epsilon amp1| of the data: the linear flow carries u1 into u at
     times of order one, so data with u0 << u1 first grow to the scale of
     u1, a growth that is not the blow-up's.  Once peak reaches 10 s0,
-    lead and alpha are read off compute_gamma's solve, made then and not
-    up front, so that a run that never grows skips numpy's first linear
-    solve (about 0.5 MB RSS).  From then on every step adds (t,
-    sup_lead) to a history, and each time sup_lead first reaches 10^d s0
-    for d >= 4, _extrapolate_blowup tries T on the decades up to d.  So
-    zero data, and coarse fixed-dt runs whose decades hold too few
-    points (the tests' blow-up run at dt = 0.05 or 0.025, not at
-    0.0125), end on run()'s threshold alone.
+    every step adds (t, sup_lead) to a history, and each time sup_lead
+    first reaches 10^d s0 for d >= 4, _extrapolate_blowup tries T on the
+    decades up to d.  So zero data, and coarse fixed-dt runs whose
+    decades hold too few points (the tests' blow-up run at dt = 0.05 or
+    0.025, not at 0.0125), end on run()'s threshold alone.
     """
     s0 = abs(data.epsilon) * max(max(abs(c.amp0), abs(c.amp1))
                                  for c in data.components)
-    history, decade, lead, alpha = [], 4, None, None
+    gamma = compute_gamma(params)
+    lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
+    history, decade = [], 4
 
     def watch(t: float, peak: float, pred_sup: np.ndarray):
-        nonlocal decade, lead, alpha
+        nonlocal decade
         if not (s0 > 0 and peak >= 10.0 * s0):
             return None
-        if lead is None:
-            gamma = compute_gamma(params)
-            lead, alpha = gamma.argmax_index - 1, 2.0 * gamma.max
         sup = float(pred_sup[lead])
         history.append((t, sup))
         fit = None

@@ -14,7 +14,6 @@ import pytest
 from sevolab.errors import ConditionViolated
 from sevolab.exponents import (
     SystemParams,
-    compute_gamma,
     gamma_max_closed_form,
     gn_theta,
 )
@@ -61,7 +60,10 @@ def test_01_gamma_oracle_equivalence():
         k = int(rng.integers(2, 7))
         p = tuple(rng.uniform(1.1, 5.0, size=k))
         params = SystemParams(n=1, sigma=1.0, k=k, p=p)
-        solved = compute_gamma(params).gamma[-1]
+        # P holds p_1 in the top-right corner and p_l on the subdiagonal
+        P = np.diag(p[1:], -1)
+        P[0, -1] = p[0]
+        solved = np.linalg.solve(P - np.eye(k), np.ones(k))[-1]
         closed = gamma_max_closed_form(params)
         worst = max(worst, abs(solved - closed) / abs(solved))
     _verdict(1, "closed-form gamma_k equals dense solve on 1000 systems",

@@ -7,6 +7,7 @@ of k1 itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sevolab.kernels import (
     T_CAP,
     _phi1,
     decay_profile,
+    line_fit,
     ode_residual,
     propagator_arrays,
 )
@@ -217,6 +219,34 @@ class TestDecayProfile:
     def test_unknown_regime(self):
         with pytest.raises(ValueError):
             decay_profile(0.0, "L2Linf", 1, 1.0)
+
+
+class TestLineFit:
+    def test_exact_on_a_line(self):
+        # dyadic samples of a dyadic line: every sum is exact
+        x = np.arange(-8.0, 9.0) / 4 + 3.0
+        assert line_fit(x, 0.75 * x - 2.5) == (0.75, -2.5)
+
+    # a decay window in log t and the lifespan sweep's log epsilons
+    @pytest.mark.parametrize("x", [np.log(np.geomspace(20.0, 3000.0, 40)),
+                                   np.log([0.05, 0.1, 0.2, 0.4])])
+    def test_polyfit_on_noisy_data(self, x):
+        rng = np.random.default_rng(35)
+        for _ in range(100):
+            y = -0.7 * x + 3.0 + rng.normal(0.0, 0.05, x.size)
+            want = np.polyfit(x, y, 1)  # the oracle, not the program's path
+            assert np.allclose(line_fit(x, y), want, rtol=1e-12, atol=0.0)
+
+    def test_exact_slope_on_a_blowup_window(self):
+        # a decade fit's times sit far from t = 0, where the slope of
+        # the centred sums stays within roundoff of the exact one
+        x = np.linspace(2400.0, 2466.0, 30)
+        y = -0.7 * x + 3.0 + np.random.default_rng(35).normal(0.0, 0.05, 30)
+        xf, yf = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        xm, ym = sum(xf) / 30, sum(yf) / 30
+        slope = (sum((a - xm) * (b - ym) for a, b in zip(xf, yf))
+                 / sum((a - xm) ** 2 for a in xf))
+        assert abs(Fraction(line_fit(x, y)[0]) - slope) <= 1e-14 * abs(slope)
 
 
 def _psi2_where(x):

@@ -44,3 +44,22 @@ def test_a_run_compares_equal_only_under_the_same_code(tmp_path):
         fh.write("print('changed')\n")
     other = same_outputs.outcome(changed, argv, tmp_path / "work")
     assert other[1] != first[1] and other[3] == first[3]
+
+
+def test_numbers_of_a_same_shaped_file_give_the_largest_difference():
+    diff = same_outputs.largest_relative_difference
+    old = b'{"T": [54.1, 174.6], "blown_up": true, "note": "ok", "n": 4}'
+    new = b'{"T": [54.1, 174.60000000000002], "blown_up": true, ' \
+          b'"note": "ok", "n": 4}'
+    assert diff("run/lifespan.json", old, new) == \
+        abs(174.60000000000002 - 174.6) / 174.60000000000002
+    assert diff("run/lifespan.json", old, old.replace(b"4}", b"4.0}")) == 0.0
+    assert diff("norms.csv", b"t,l2_1\n0,1.5\n1,0.5\n",
+                b"t,l2_1\n0,1.5\n1,0.75\n") == 0.25 / 0.75
+    # other text, structure or rows, a missing file or another format
+    # is no shape the numbers can be compared in
+    assert diff("run/lifespan.json", old, old.replace(b"ok", b"no")) is None
+    assert diff("run/lifespan.json", old, b'{"T": [54.1]}') is None
+    assert diff("norms.csv", b"t\n0\n", b"t\n0\n1\n") is None
+    assert diff("norms.csv", b"t\n0\n", None) is None
+    assert diff("lifespan.svg", b"<svg>1</svg>", b"<svg>2</svg>") is None

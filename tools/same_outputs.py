@@ -20,12 +20,18 @@ from the same working directory there, one after the other: the
 numbers of a run can move with the length of the paths it is run
 from.  Stdout, stderr, the exit code and every file the run leaves in
 its working directory are compared byte for byte.  One line is printed
-per argv; the exit code is 1 if any argv differs, else 0.
+per argv; the exit code is 1 if any argv differs, else 0.  A differing
+JSON or CSV file whose two versions parse to the same shape (the same
+text and structure, numbers aside) is named with the largest relative
+difference among its numbers, so that a roundoff move reads as one.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib.util
+import json
+import math
 import os
 import shlex
 import shutil
@@ -82,6 +88,60 @@ def outcome(src: Path, argv: list, tmp: Path) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, files
 
 
+def _shape(value, numbers: list):
+    """value with each number replaced by None, the numbers appended to
+    numbers in document order."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(float(value))
+        return None
+    if isinstance(value, list):
+        return [_shape(v, numbers) for v in value]
+    if isinstance(value, dict):
+        return {k: _shape(v, numbers) for k, v in value.items()}
+    return value
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _parse(suffix: str, data: bytes):
+    """A JSON document, or a CSV file as rows of cells, each cell a
+    float where it reads as one."""
+    if suffix == ".json":
+        return json.loads(data)
+    return [[_cell(c) for c in row]
+            for row in csv.reader(data.decode().splitlines())]
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    d = abs(a - b) / max(abs(a), abs(b))
+    return d if math.isfinite(d) else math.inf
+
+
+def largest_relative_difference(name: str, a: bytes, b: bytes):
+    """The largest relative difference between the numbers of two
+    versions of a JSON or CSV file, or None when the file is neither,
+    one version is missing (None) or they do not parse to the same
+    shape."""
+    suffix = Path(name).suffix
+    if suffix not in (".json", ".csv") or a is None or b is None:
+        return None
+    try:
+        doc_a, doc_b = _parse(suffix, a), _parse(suffix, b)
+    except ValueError:
+        return None
+    na, nb = [], []
+    if _shape(doc_a, na) != _shape(doc_b, nb):
+        return None
+    return max(map(_relative, na, nb), default=0.0)
+
+
 def main(args: list) -> int:
     if len(args) not in (1, 2):
         print("usage: python3 tools/same_outputs.py PARENT_SRC [CHANGE_SRC]",
@@ -96,8 +156,12 @@ def main(args: list) -> int:
             b = outcome(change, argv, Path(tmp))
             parts = [name for name, x, y in zip(
                 ("exit code", "stdout", "stderr"), a, b) if x != y]
-            parts += [name for name in sorted(a[3].keys() | b[3].keys())
-                      if a[3].get(name) != b[3].get(name)]
+            for name in sorted(a[3].keys() | b[3].keys()):
+                x, y = a[3].get(name), b[3].get(name)
+                if x != y:
+                    d = largest_relative_difference(name, x, y)
+                    parts.append(name if d is None else f"{name} (largest "
+                                 f"relative difference {d:.2g})")
             differs += bool(parts)
             verdict = "DIFFERS in " + ", ".join(parts) if parts else "same"
             print(f"{verdict}: exit {a[0]}, {len(a[3])} files: "
