@@ -82,11 +82,14 @@ class GammaVector:
     gamma: tuple
     argmax_index: int
     residual: float
-    rotation: int
 
     @property
     def max(self) -> float:
         return self.gamma[self.argmax_index - 1]
+
+    @property
+    def rotation(self) -> int:
+        return self.argmax_index % len(self.gamma)
 
 
 def _gamma_last(p: tuple) -> float:
@@ -133,7 +136,6 @@ def compute_gamma(params: SystemParams) -> GammaVector:
         gamma=tuple(gamma),
         argmax_index=imax + 1,
         residual=residual,
-        rotation=(imax + 1) % k,
     )
 
 

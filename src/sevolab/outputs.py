@@ -110,9 +110,9 @@ def plot_loglog(path, curves, *, fit=None, guide_slope: float | None = None,
     curves: (x, y, label) triples; points with nonpositive coordinates
     are dropped (they cannot be drawn on log axes), and a curve left
     without points is not drawn, while the others keep the colour of
-    their place in curves.  fit: a FitResult
-    whose line is drawn over its own window.  guide_slope: a reference
-    line at the expected slope, offset above the data.
+    their place in curves.  fit: a FitResult whose line is drawn over
+    its own window.  guide_slope: a reference line at the expected
+    slope, offset above the data, both lines with a legend entry.
     """
     W, H = 720.0, 480.0
     ML, MR, MT, MB = 70.0, 22.0, 42.0, 52.0
@@ -150,25 +150,26 @@ def plot_loglog(path, curves, *, fit=None, guide_slope: float | None = None,
         f'<text x="{W / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{title}</text>',
     ]
+
+    def line(x1, y1, x2, y2, stroke, style=""):
+        svg.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
+                   f'y2="{y2:.1f}" stroke="{stroke}"{style}/>')
+
+    def text(x, y, body, size=11, anchor=None, fill=None):
+        lead = f' text-anchor="{anchor}"' if anchor else ""
+        tail = f' fill="{fill}"' if fill else ""
+        svg.append(f'<text x="{x:.1f}" y="{y:.1f}"{lead} font-family='
+                   f'"sans-serif" font-size="{size}"{tail}>{body}</text>')
+
     for d in _ticks(lx0, lx1):
-        x = X(d)
-        svg.append(f'<line x1="{x:.1f}" y1="{MT:.1f}" x2="{x:.1f}" '
-                   f'y2="{H - MB:.1f}" stroke="#dddddd"/>')
-        svg.append(f'<text x="{x:.1f}" y="{H - MB + 18:.1f}" '
-                   f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="11">1e{d}</text>')
+        line(X(d), MT, X(d), H - MB, "#dddddd")
+        text(X(d), H - MB + 18, f"1e{d}", anchor="middle")
     for d in _ticks(ly0, ly1):
-        y = Y(d)
-        svg.append(f'<line x1="{ML:.1f}" y1="{y:.1f}" x2="{W - MR:.1f}" '
-                   f'y2="{y:.1f}" stroke="#dddddd"/>')
-        svg.append(f'<text x="{ML - 6:.1f}" y="{y + 4:.1f}" '
-                   f'text-anchor="end" font-family="sans-serif" '
-                   f'font-size="11">1e{d}</text>')
+        line(ML, Y(d), W - MR, Y(d), "#dddddd")
+        text(ML - 6, Y(d) + 4, f"1e{d}", anchor="end")
     svg.append(f'<rect x="{ML:.1f}" y="{MT:.1f}" width="{W - ML - MR:.1f}" '
                f'height="{H - MT - MB:.1f}" fill="none" stroke="#333333"/>')
-    svg.append(f'<text x="{(ML + W - MR) / 2:.1f}" y="{H - 12:.1f}" '
-               f'text-anchor="middle" font-family="sans-serif" '
-               f'font-size="13">{xlabel}</text>')
+    text((ML + W - MR) / 2, H - 12, xlabel, 13, anchor="middle")
     svg.append(f'<text x="18" y="{(MT + H - MB) / 2:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" '
                f'font-size="13" transform="rotate(-90 18 '
@@ -180,43 +181,35 @@ def plot_loglog(path, curves, *, fit=None, guide_slope: float | None = None,
         svg.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.6"/>')
         if label:
-            svg.append(f'<line x1="{W - MR - 150:.1f}" y1="{legend_y - 4:.1f}" '
-                       f'x2="{W - MR - 130:.1f}" y2="{legend_y - 4:.1f}" '
-                       f'stroke="{color}" stroke-width="2"/>')
-            svg.append(f'<text x="{W - MR - 124:.1f}" y="{legend_y:.1f}" '
-                       f'font-family="sans-serif" font-size="11">'
-                       f'{label}</text>')
+            line(W - MR - 150, legend_y - 4, W - MR - 130, legend_y - 4,
+                 color, ' stroke-width="2"')
+            text(W - MR - 124, legend_y, label)
             legend_y += 15.0
 
     def line_through(slope, log10_anchor_x, log10_anchor_y, a, b,
-                     color, dash):
+                     color, dash, label, fill=None):
+        nonlocal legend_y
         la = lx0 + 0.05 * (lx1 - lx0) if a is None else math.log10(a)
         lb = lx1 - 0.05 * (lx1 - lx0) if b is None else math.log10(b)
         ya = log10_anchor_y + slope * (la - log10_anchor_x)
         yb = log10_anchor_y + slope * (lb - log10_anchor_x)
-        svg.append(f'<line x1="{X(la):.1f}" y1="{Y(ya):.1f}" '
-                   f'x2="{X(lb):.1f}" y2="{Y(yb):.1f}" stroke="{color}" '
-                   f'stroke-width="1.4" stroke-dasharray="{dash}"/>')
+        line(X(la), Y(ya), X(lb), Y(yb), color,
+             f' stroke-width="1.4" stroke-dasharray="{dash}"')
+        text(W - MR - 150, legend_y, label, fill=fill)
+        legend_y += 15.0
 
     if fit is not None:
         # log10 y = (intercept + slope ln x) / ln 10
         anchor_x = (math.log10(fit.window[0]) + math.log10(fit.window[1])) / 2
         anchor_y = (fit.intercept + fit.slope * anchor_x * math.log(10.0)) \
             / math.log(10.0)
-        line_through(fit.slope, anchor_x, anchor_y,
-                     fit.window[0], fit.window[1], "#111111", "6 3")
-        svg.append(f'<text x="{W - MR - 150:.1f}" y="{legend_y:.1f}" '
-                   f'font-family="sans-serif" font-size="11">'
-                   f'fit {fit.slope:+.3f}</text>')
-        legend_y += 15.0
+        line_through(fit.slope, anchor_x, anchor_y, fit.window[0],
+                     fit.window[1], "#111111", "6 3", f"fit {fit.slope:+.3f}")
     if guide_slope is not None:
-        mid = pts[0]
-        j = mid[0].size // 2
-        line_through(guide_slope, mid[0][j], mid[1][j] + 0.22, None, None,
-                     "#888888", "2 3")
-        svg.append(f'<text x="{W - MR - 150:.1f}" y="{legend_y:.1f}" '
-                   f'font-family="sans-serif" font-size="11" fill="#666666">'
-                   f'guide {guide_slope:+.3f}</text>')
+        lx, ly = pts[0][:2]
+        j = lx.size // 2
+        line_through(guide_slope, lx[j], ly[j] + 0.22, None, None,
+                     "#888888", "2 3", f"guide {guide_slope:+.3f}", "#666666")
 
     path = Path(path)
     path.write_text("\n".join(svg) + "\n</svg>\n")

@@ -298,8 +298,9 @@ def make_initial_data(grid: GridSpec, data: InitialData,
                     f"{ratio:.2e} of peak; enlarge L or shrink width"
                 )
     u_half, z_half = np.fft.rfftn(fields, axes=tuple(range(2, grid.n + 2)))
-    z_half += _half_symbol(grid, sigma) * u_half
-    state = FieldState(0.0, u_half, z_half, _half_symbol(grid, sigma))
+    a = _half_symbol(grid, sigma)
+    z_half += a * u_half
+    state = FieldState(0.0, u_half, z_half, a)
     report = {
         "means_u0": tuple(float(np.mean(u0[ell])) for ell in range(k)),
         "means_u1": tuple(float(np.mean(u1[ell])) for ell in range(k)),

@@ -11,18 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sevolab import (
-    SystemParams,
-    check_global_conditions,
-    classify,
-    compute_gamma,
-    gamma_max_closed_form,
-    gn_theta,
-    lifespan_exponent,
-    loss_of_decay_sequence,
-    predicted_decay,
-    report,
-)
 from sevolab.errors import (
     ConditionsUnmet,
     DomainError,
@@ -35,7 +23,17 @@ from sevolab.exponents import (
     CRITICAL_TOL,
     SUBCRITICAL,
     SUPERCRITICAL,
+    SystemParams,
+    check_global_conditions,
+    classify,
+    compute_gamma,
     decay_slack,
+    gamma_max_closed_form,
+    gn_theta,
+    lifespan_exponent,
+    loss_of_decay_sequence,
+    predicted_decay,
+    report,
 )
 from sevolab.harness import lifespan_sweep
 from sevolab.solver import ComponentData, GridSpec, InitialData, run

@@ -12,13 +12,17 @@ same_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(same_outputs)
 
 
-def test_argvs_are_readme_the_2d_threshold_zero_component_and_chain_runs():
+def test_argvs_are_readme_its_out_only_kinds_with_out_then_2d_and_edge_runs():
     readme = [line.split()[1:] for line in
               (ROOT / "README.md").read_text().splitlines()
               if line.startswith("sevolab ")]
     argvs = same_outputs.argvs()
     assert len(readme) == 7 and argvs[:7] == readme
-    fixed, adaptive, threshold, zero, boundary, chain = argvs[7:]
+    # every kind that writes only with --out runs once more with it
+    assert argvs[7:11] == [argv + ["--out", argv[0]] for argv in readme
+                           if argv[0] in ("exponents", "kernels",
+                                          "testfunc", "convergence")]
+    fixed, adaptive, threshold, zero, boundary, chain = argvs[11:]
     assert fixed[:2] == ["simulate", "--n"]
     assert fixed[-2:] == ["--set", "options.dt_policy=fixed"]
     assert adaptive == fixed[:-2]

@@ -6,12 +6,16 @@ Usage, from the root of a checkout:
 
 PARENT_SRC and CHANGE_SRC are sevolab `src/` directories; CHANGE_SRC
 defaults to this checkout's `src/`.  The argvs are README's `sevolab`
-command lines (the ones CI runs), the benchmark's simulate-2d workload
-(fixed dt), that workload under the adaptive policy, a fixed-dt
-blow-up that ends on the threshold path, an adaptive blow-up whose
-second component is zero, so that its steps depend on the error
-estimate's scale floor, and two `exponents` runs with k >= 3, whose
-chain condition is not vacuous: the first sits on its boundary.
+command lines (the ones CI runs); README's `exponents`, `kernels`,
+`testfunc` and `convergence` lines again with `--out KIND`, since those
+kinds write their files (the SVGs of `kernels` among them) only when
+given an output directory, so that every file writer is compared; the
+benchmark's simulate-2d workload (fixed dt); that workload under the
+adaptive policy; a fixed-dt blow-up that ends on the threshold path;
+an adaptive blow-up whose second component is zero, so that its steps
+depend on the error estimate's scale floor; and two `exponents` runs
+with k >= 3, whose chain condition is not vacuous: the first sits on
+its boundary.
 
 Each argv runs as `python -m sevolab.cli ARGV` under each tree, with
 `SEVOLAB_OUT` unset, so that its outputs land in its working
@@ -42,6 +46,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the kinds that write files only when given --out
+OUT_ONLY = ("exponents", "kernels", "testfunc", "convergence")
+
 
 def argvs() -> list:
     """The argvs in the order of the module docstring.  The first
@@ -51,6 +58,8 @@ def argvs() -> list:
     readme = (ROOT / "README.md").read_text().splitlines()
     out = [shlex.split(line)[1:] for line in readme
            if line.startswith("sevolab ")]
+    out += [argv + ["--out", argv[0]] for argv in out
+            if argv[0] in OUT_ONLY]
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
