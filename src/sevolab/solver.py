@@ -31,10 +31,12 @@ scratch workspace that every step on the grid reuses (_workspace), so
 a step allocates little beyond the state it returns.  A pass takes all
 k components of a 1D grid where their buffers fit BATCH_BYTES, else
 one, and makes one numpy call per operation for them.
-The corrector stays a spectrum; it is transformed at most once, the
-first time norms() reads its FieldState.u, and the step's error
-estimate and run()'s blow-up check read the predictor and the spectral
-predictor-corrector gap instead.
+The corrector stays a spectrum, and no state keeps a physical field:
+the step's error estimate and run()'s blow-up check read the predictor
+and the spectral predictor-corrector gap, a record's sup is read off
+its field in the same workspace passes, and so is the forcing at the
+initial data, which no step has evaluated.  Only FieldState.u, which
+run() reads once for u_final, allocates a field.
 
 The box [-L, L]^n is periodic.  Free-space decay experiments are
 meaningful only while the solution mass stays away from its periodic
@@ -130,7 +132,7 @@ class GridSpec:
             r2 = r2 + ((x - center[i]) ** 2).reshape(shape)
         return r2
 
-    @cached_property
+    @property
     def xi_squared(self) -> np.ndarray:
         m = np.fft.fftfreq(self.N, d=1.0 / self.N)
         xi = (math.pi / self.L) * m
@@ -221,13 +223,12 @@ class FieldState:
     u_hat = property(lambda s: _full(s.u_half))
     v_hat = property(lambda s: _full(s.z_half - s.a_half * s.u_half))
 
-    @cached_property
+    @property
     def u(self) -> np.ndarray:
         """The physical field, irfftn of u_half over the axes after t's
         and the component axis, on N = 2 (h - 1) points per axis for h
-        last-axis columns: one transform for a whole batch.  Computed
-        on first read and kept, so u_half must not be changed after
-        that."""
+        last-axis columns: one transform for a whole batch.  A new array
+        on each read; nothing is kept."""
         h, ndim = self.u_half.shape[-1], self.u_half.ndim
         first = np.ndim(self.t) + 1
         return np.fft.irfftn(self.u_half, s=(2 * (h - 1),) * (ndim - first),
@@ -391,14 +392,14 @@ def _tables(grid: GridSpec, sigma: float, dt: float) -> tuple:
     return (*prop, *w, math.exp(-dt), em1 - c_new, c_new)
 
 
-# one grid's buffers, which every step and forcing evaluation on it
-# reuses, so that the 2D step loop frees and refaults no scratch memory
-# (164 KB for k = 2 on a 1D grid of N = 2048, 2.40 MB on a 2D grid of
+# one grid's buffers, which every step, forcing evaluation and record's
+# sup on it reuses, so that the 2D step loop frees and refaults no
+# scratch memory (164 KB for k = 2 on a 1D grid of N = 2048, 2.40 MB on a 2D grid of
 # N = 256).  2D grids go one component at a time: numpy buffers a block
 # add through 2D strided views, the pass's block size per operand, past
 # one field for two components.  maxsize=1: a command that steps on
 # several grids holds only the last one's buffers and step tables.  No
-# buffer leaves step()
+# buffer leaves step() or norms()
 @lru_cache(maxsize=1)
 def _workspace(grid: GridSpec, k: int) -> SimpleNamespace:
     """Buffers of (g,) physical fields, magnitudes, half spectra, their
@@ -478,17 +479,29 @@ def _forcing(mag: np.ndarray, p: tuple, out: np.ndarray, grid: GridSpec,
     _block(spec, grid, out=out)
 
 
-def _nonlinearity_hat(u_phys, params, grid):
-    """The forcing spectrum |u_{l-1}|^{p_l} of the fields u_phys, shape
-    (k,) + grid.block_shape, in passes through the workspace (_forcing);
-    u_phys is only read."""
-    k = len(u_phys)
+def _nonlinearity_hat(u_half, params, grid):
+    """The forcing spectrum |u_{l-1}|^{p_l} of the fields of the half
+    spectra u_half, shape (k,) + grid.block_shape, in passes through the
+    workspace: their fields (_irfftn), magnitudes and forcing
+    (_forcing); u_half is only read."""
+    k = len(u_half)
     ws = _workspace(grid, k)
     out = np.empty((k,) + grid.block_shape, complex)
     for src, dst in ws.passes:
-        _forcing(np.abs(u_phys[src], out=ws.mag), params.p[dst], out[dst],
-                 grid, ws)
+        mag = np.abs(_irfftn(u_half[src], grid, ws), out=ws.mag)
+        _forcing(mag, params.p[dst], out[dst], grid, ws)
     return out
+
+
+def _field_sup(u_half, grid):
+    """max |u_l| per component of the fields of the half spectra u_half,
+    shape (k,), in passes through the workspace (_irfftn)."""
+    ws = _workspace(grid, len(u_half))
+    sup = np.empty(len(u_half))
+    for src, _ in ws.passes:
+        mag = np.abs(_irfftn(u_half[src], grid, ws), out=ws.mag)
+        np.maximum.reduce(mag, axis=grid.spatial_axes, out=sup[src])
+    return sup
 
 
 def step(state: FieldState, dt: float, params: SystemParams,
@@ -498,8 +511,8 @@ def step(state: FieldState, dt: float, params: SystemParams,
     Linear part exact per mode; nonlinearity handled by an exponential
     predictor-corrector (second order): u_new = ea u + k1 z and z_new =
     e^(-dt) z plus forcing terms (_tables).  The old forcing is the
-    state's nl_half when set, else it is evaluated at the state's field
-    (its irfftn, kept as FieldState.u, and one more forward transform
+    state's nl_half when set, else it is evaluated from the state's
+    spectra (_nonlinearity_hat: one more inverse and forward transform
     per pass).  The forcing terms are formed on the kept block and added
     into the spectra there.  With w_old_u + w_new_u = i1 the corrector
     is the predictor's spectrum plus the gap w_new_u (N_new - N_old), so
@@ -527,7 +540,7 @@ def step(state: FieldState, dt: float, params: SystemParams,
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
-            Nh_old = _nonlinearity_hat(state.u, params, grid)
+            Nh_old = _nonlinearity_hat(uh, params, grid)
         Nh_new = buf[2 * uh.size:].reshape(Nh_old.shape)
     sup = np.empty(k)
     for src, dst in ws.passes:
@@ -582,9 +595,9 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     At tau = h it is step()'s corrector, and it is second order like
     the step.  One _flow call on tau of shape (m, 1, ...) builds the
     tables for all m times, outside the _tables cache.  N_old is
-    old.nl_half, or evaluated at old.u when unset, as step() does; a
-    linear_only step (new.nl_half None) has no forcing.  The batch has
-    t = ts as an array and carries u_half only.
+    old.nl_half, or evaluated from old.u_half when unset, as step()
+    does; a linear_only step (new.nl_half None) has no forcing.  The
+    batch has t = ts as an array and carries u_half only.
     """
     ts = np.asarray(ts, dtype=float)
     a = _half_symbol(grid, params.sigma)
@@ -594,7 +607,7 @@ def _interpolate(old: FieldState, new: FieldState, h: float, ts,
     if new.nl_half is not None:
         Nh_old = old.nl_half
         if Nh_old is None:
-            Nh_old = _nonlinearity_hat(old.u, params, grid)
+            Nh_old = _nonlinearity_hat(old.u_half, params, grid)
         i1, j1 = _block(i1, grid), _block(j1, grid)
         _add_block(u_half, i1 * Nh_old, grid)
         _add_block(u_half, (tau / h) * (i1 - j1 / tau)
@@ -606,19 +619,27 @@ def norms(grid: GridSpec, state: FieldState, sigma: float) -> dict:
     """Per-component L2, homogeneous H^sigma, sup and mean.
 
     L2 and |D|^sigma L2 by Parseval on the half spectrum, mean from its
-    zero mode, sup in physical space from the state's field u, so it is
+    zero mode, sup in physical space from the state's field, so it is
     the corrected field's sup.  Each reduces over the last n axes, so a
     batch (see FieldState) gets one value per record and component:
-    tuples of k floats for one state, of m lists of k for a batch.
+    tuples of k floats for one state, of m lists of k for a batch.  The
+    field of one record goes through the workspace passes (_field_sup)
+    and is not kept; a batch of several takes one irfftn (FieldState.u)
+    for all of them, whose magnitudes are taken in place.
     """
-    a = _half_symbol(grid, sigma)
+    a, uh = _half_symbol(grid, sigma), state.u_half
     vol_factor = (2.0 * grid.L) ** grid.n / grid.N ** (2 * grid.n)
-    sq = grid.parseval_weights * np.abs(state.u_half) ** 2
+    sq = grid.parseval_weights * np.abs(uh) ** 2
     sum_axes = tuple(range(-grid.n, 0))
     l2 = np.sqrt(vol_factor * np.sum(sq, axis=sum_axes))
     hs = np.sqrt(vol_factor * np.sum(a * sq, axis=sum_axes))
-    sup = np.max(np.abs(state.u), axis=sum_axes)
-    mean = state.u_half[(...,) + (0,) * grid.n].real / grid.N ** grid.n
+    if uh.ndim == grid.n + 1 or len(uh) == 1:
+        sup = _field_sup(uh.reshape(uh.shape[-grid.n - 1:]), grid)
+        sup = sup.reshape(uh.shape[: -grid.n])
+    else:
+        u = state.u
+        sup = np.max(np.abs(u, out=u), axis=sum_axes)
+    mean = uh[(...,) + (0,) * grid.n].real / grid.N ** grid.n
     return {key: tuple(x.tolist()) for key, x in
             (("l2", l2), ("hsigma", hs), ("sup", sup), ("mean", mean))}
 
@@ -629,12 +650,13 @@ class RunResult:
 
     Series arrays have shape (k, len(times)).  u_final is the physical
     field FieldState.u of the last record, at t_end or, after blow-up,
-    at the last good state; blown_up says whether blowup_time is set.
-    steps counts the accepted steps and rejected_steps the ones the
-    adaptive policy retried; floor_steps counts the accepted steps
-    whose estimate exceeded STEP_TOL, which the adaptive policy takes
-    at its floor dt / 1024 without control; dt_min and dt_max span the
-    accepted step sizes (None without any).  blowup_error is the error
+    at the last good state, transformed once when the run ends;
+    blown_up says whether blowup_time is set.  steps counts the
+    accepted steps and rejected_steps the ones the adaptive policy
+    retried; floor_steps counts the accepted steps whose estimate
+    exceeded STEP_TOL, which the adaptive policy takes at its floor
+    dt / 1024 without control; dt_min and dt_max span the accepted step
+    sizes (None without any).  blowup_error is the error
     bar of blowup_time (None without blow-up): half the crossing step,
     or the distance of the last decade fit from the extrapolated time
     (see run()).  It covers that bracket or extrapolation only, not
@@ -869,7 +891,7 @@ def run(params: SystemParams, grid: GridSpec, data: InitialData,
                                     params, grid))
             ev_idx = end
             # the step-end record comes after the old state is dropped, so
-            # that its field is not transformed while that state is alive
+            # that norms()' temporaries are not allocated while it is alive
             state = new
             if _near(events[ev_idx], state.t):
                 state = replace(state, t=events[ev_idx])

@@ -479,11 +479,16 @@ class TestPower:
         assert np.array_equal(_power(np.abs(u), 2.5), np.abs(u) ** 2.5)
         grid = GridSpec(n=1, N=32, L=10.0)
         field = np.random.default_rng(3).normal(size=(2,) + grid.shape)
+        half = np.fft.rfftn(field, axes=grid.spatial_axes)
         for p in ((3.0, 5.0), (2.5, 3.5)):
             params = SystemParams(n=1, sigma=1.0, k=2, p=p)
             assert np.array_equal(
-                solver._nonlinearity_hat(field, params, grid),
-                solver._nonlinearity_hat(np.abs(field), params, grid))
+                forcing_of_fields(field, params, grid),
+                forcing_of_fields(np.abs(field), params, grid))
+            # -half's field is the field of half negated, exactly
+            assert np.array_equal(
+                solver._nonlinearity_hat(half, params, grid),
+                solver._nonlinearity_hat(-half, params, grid))
 
     @pytest.mark.parametrize("p", [1.01, 2.0, 3.0, 4.0])
     def test_tiny_flushed_to_zero(self, p):
@@ -512,9 +517,9 @@ class TestPower:
         small = rng.random(u.shape) < 0.3
         u[small] = rng.choice([TINY, -TINY, 0.5 * TINY, -1e-310, 5e-324,
                                0.0, -0.0], np.count_nonzero(small))
-        got = solver._nonlinearity_hat(u, params, grid)
+        got = forcing_of_fields(u, params, grid)
         monkeypatch.setattr(solver, "_power", flushing_power(_power))
-        want = solver._nonlinearity_hat(u, params, grid)
+        want = forcing_of_fields(u, params, grid)
         assert got.tobytes() == want.tobytes()
 
     def test_nan_predictor_gets_the_flushed_verdict(self, monkeypatch):
@@ -529,8 +534,10 @@ class TestPower:
             def poisoned(*args):
                 out = real_irfftn(*args)
                 calls.append(None)
-                # step 4's pass, which holds both components
-                if len(calls) == 4:
+                # step 4's pass, which holds both components: before
+                # it come the t = 0 record, step 1's old forcing, the
+                # predictors of steps 1-3 and the records after them
+                if len(calls) == 9:
                     out[0, 5] = np.nan  # component 1
                 return out
 
@@ -544,6 +551,18 @@ class TestPower:
             assert np.array_equal(getattr(got, key), getattr(want, key))
         assert ((got.blowup_time, got.blowup_error, got.steps)
                 == (want.blowup_time, want.blowup_error, want.steps))
+
+
+def forcing_of_fields(u, params, grid):
+    """The forcing spectrum of the physical fields u (not of a state's
+    spectra, as _nonlinearity_hat takes them), in its passes through the
+    workspace (_forcing)."""
+    ws = solver._workspace(grid, len(u))
+    out = np.empty((len(u),) + grid.block_shape, complex)
+    for src, dst in ws.passes:
+        solver._forcing(np.abs(u[src], out=ws.mag), params.p[dst],
+                        out[dst], grid, ws)
+    return out
 
 
 def flushing_power(power):
@@ -681,11 +700,10 @@ class TestTransformBudget:
             state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
             fft_calls.clear()
             step(state, 0.1, params, grid)
-            # the state's field (one irfftn, kept as state.u) and the old
-            # forcing's forward transforms, then the predictors' inverse
-            # and the new forcing's forward transforms
-            want = per_pass(n, passes, inverse=1, forward=2)
-            assert fft_calls == {"irfftn": 1, **want}
+            # the state's fields and the old forcing they drive, then the
+            # predictors and the new forcing: two inverse and two forward
+            # transforms per pass, and no field is kept
+            assert fft_calls == per_pass(n, passes, inverse=2, forward=2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_recorded_output_transforms_the_corrector(self, n, fft_calls):
@@ -695,7 +713,8 @@ class TestTransformBudget:
         state = step(state, 0.1, params, grid)
         fft_calls.clear()
         norms(grid, state, 1.0)
-        assert fft_calls == {"irfftn": 1}
+        # one inverse transform per pass of the workspace
+        assert fft_calls == per_pass(n, passes_of(grid, 2), inverse=1)
 
     def test_fixed_2d_run_budget(self, fft_calls):
         # the count perfbench reports as fft.per_step, exactly: a step
@@ -706,19 +725,21 @@ class TestTransformBudget:
                   outputs=8)
         assert res.steps >= 20 and not res.blown_up
         records = len(res.times)
-        # setup: one rfftn of u0 and u1; the first step evaluates its old
-        # forcing from the field the t = 0 record transformed; each step
-        # makes one inverse (ifft, irfft) and one pruned forward (rfft,
-        # fft) transform in each of its two passes, one component each,
-        # and each record one irfftn
+        # setup: one rfftn of u0 and u1; in each of the two passes, one
+        # component each, the first step evaluates its old forcing (one
+        # inverse (ifft, irfft) and one pruned forward (rfft, fft)
+        # transform), each step makes one inverse and one forward
+        # transform and each record one inverse transform; u_final is
+        # one irfftn
         assert passes_of(grid, 2) == 2
         forward = 2 * (1 + res.steps)
+        inverse = 2 * (1 + res.steps + records)
         assert fft_calls == {"rfftn": 1, "rfft": forward, "fft": forward,
-                             "ifft": 2 * res.steps, "irfft": 2 * res.steps,
-                             "irfftn": records}
+                             "ifft": inverse, "irfft": inverse,
+                             "irfftn": 1}
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_field_is_transformed_once_per_state(self, n, fft_calls):
+    def test_field_is_transformed_once_per_read(self, n, fft_calls):
         grid = GridSpec(n=n, N=32, L=10.0)
         rng = np.random.default_rng(23)
         half = np.fft.rfftn(rng.normal(size=(2,) + grid.shape),
@@ -727,22 +748,26 @@ class TestTransformBudget:
         fft_calls.clear()
         first = state.u
         norms(grid, state, 1.0)
-        assert state.u is first
-        assert fft_calls == {"irfftn": 1}
+        second = state.u
+        # an irfftn per read of state.u, and norms() transforms in the
+        # workspace passes
+        assert fft_calls == {"irfftn": 2, **per_pass(n, passes_of(grid, 2),
+                                                     inverse=1)}
         assert np.array_equal(first, np.fft.irfftn(half, s=grid.shape,
                                                    axes=grid.spatial_axes))
+        assert second.tobytes() == first.tobytes()
 
-    def test_one_transform_from_initial_data_to_the_first_predictor(
+    def test_three_transforms_from_initial_data_to_the_first_predictor(
             self, monkeypatch, fft_calls):
         after_init = inverse_after_each(monkeypatch, fft_calls,
                                         "make_initial_data")
         after_step = inverse_after_each(monkeypatch, fft_calls, "step")
         run(PARAMS_34, GridSpec(n=1, N=64, L=10.0), gaussian_data(0.3),
             t_end=1.0, dt=0.1)
-        # up to the end of the first step: the t = 0 record's irfftn,
-        # whose field the step's old forcing reuses, and one irfft for
-        # the predictors of both components, which go in one pass
-        assert list(after_step[0] - after_init[0]) == [1, 1]
+        # up to the end of the first step, one irfft each for the t = 0
+        # record, the step's old forcing and its predictors, each of
+        # them one pass of both components
+        assert list(after_step[0] - after_init[0]) == [0, 3]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_snapshot_record_transforms_once(self, n, monkeypatch,
@@ -755,9 +780,10 @@ class TestTransformBudget:
         assert res.times[-1] == 1.0
         assert np.array_equal(np.abs(res.u_final).max(axis=grid.spatial_axes),
                               res.sup[:, -1])
-        # the t_end record's norms() and u_final share one irfftn
+        # the t_end record's norms() transforms once per pass, and
+        # u_final is one irfftn
         assert list(np.array([fft_calls["irfftn"], fft_calls["irfft"]])
-                    - after_step[-1]) == [1, 0]
+                    - after_step[-1]) == [1, passes_of(grid, 2)]
 
 
 class TestNorms:
@@ -1488,7 +1514,7 @@ def per_time_interpolant(old, new, h, t, params, grid):
     if new.nl_half is not None:
         Nh_old = old.nl_half
         if Nh_old is None:
-            Nh_old = solver._nonlinearity_hat(old.u, params, grid)
+            Nh_old = solver._nonlinearity_hat(old.u_half, params, grid)
         solver._add_block(u_half, i1 * Nh_old, grid)
         solver._add_block(u_half, (tau / h) * w_nu * (new.nl_half - Nh_old),
                           grid)
@@ -1497,7 +1523,7 @@ def per_time_interpolant(old, new, h, t, params, grid):
 
 def two_steps(n, linear_only=False, h=0.3):
     """(grid, params, [(old, new)]) for a first step, whose old forcing
-    is evaluated at the state's field, and one that carries it."""
+    is evaluated from the state's spectra, and one that carries it."""
     grid = GridSpec(n=n, N=32, L=10.0)
     params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 4.0))
     data = gaussian_data(0.8, ((1.0, 0.5), (0.8, -0.3)))
@@ -1620,12 +1646,22 @@ class TestInterpolantBatch:
         batch = solver._interpolate(old, new, 0.3, ts, params, grid)
         fft_calls.clear()
         got = norms(grid, batch, 1.5)
+        # one irfftn for the batch, and one inverse transform per pass
+        # for one record, alone or a batch of one
         assert fft_calls == {"irfftn": 1}
+        one_record = per_pass(n, passes_of(grid, 2), inverse=1)
         for j, t in enumerate(ts):
+            fft_calls.clear()
             want = norms(grid, FieldState(t, batch.u_half[j].copy(), None,
                                           batch.a_half), 1.5)
+            alone = norms(grid, FieldState(batch.t[j:j + 1],
+                                           batch.u_half[j:j + 1], None,
+                                           batch.a_half), 1.5)
+            assert fft_calls == {name: 2 * c
+                                 for name, c in one_record.items()}
             for key in want:
                 assert tuple(got[key][j]) == want[key], key
+                assert alone[key] == (list(want[key]),), key
 
     def test_each_step_with_records_builds_once(self, monkeypatch):
         log = interpolating(monkeypatch)
@@ -1789,12 +1825,14 @@ class TestKeptBlock:
                                                              p):
         grid = GridSpec(n=n, N=N, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=p)
-        u = np.random.default_rng(5).normal(size=(2,) + grid.shape)
+        half = np.fft.rfftn(np.random.default_rng(5).normal(
+            size=(2,) + grid.shape), axes=grid.spatial_axes)
+        u = np.fft.irfftn(half, s=grid.shape, axes=grid.spatial_axes)
         force = np.stack([_power(np.abs(u[1]), p[0]),
                           _power(np.abs(u[0]), p[1])])
         full = np.fft.rfftn(force, axes=grid.spatial_axes)
         want = full[:, solver._half(grid.dealias_mask)]
-        got = solver._nonlinearity_hat(u, params, grid)
+        got = solver._nonlinearity_hat(half, params, grid)
         assert got.shape == (2,) + grid.block_shape
         assert np.array_equal(got.reshape(want.shape), want)
 
@@ -1809,7 +1847,8 @@ class TestKeptBlock:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", logged)
-        solver._nonlinearity_hat(np.ones((2,) + grid.shape), params, grid)
+        solver._nonlinearity_hat(np.ones((2, 256, 129), complex), params,
+                                 grid)
         # one component at a time, the layout of this grid
         assert shapes == [(1, 256, 86)] * 2
 
@@ -1914,11 +1953,53 @@ class TestWorkspace:
         grid = GridSpec(n=n, N=32, L=10.0)
         params = SystemParams(n=n, sigma=1.0, k=2, p=(3.0, 2.5))
         state, _ = make_initial_data(grid, gaussian_data(0.3), 1.0)
+        spectra = state.u_half.copy(), state.z_half.copy()
         field = state.u
-        before = field.copy()
         new = step(state, 0.1, params, grid)
         assert state.nl_half is None and new.nl_half is not None
-        assert state.u is field and field.tobytes() == before.tobytes()
+        # the old forcing comes from the spectra, which stay as they were
+        assert state.u_half.tobytes() == spectra[0].tobytes()
+        assert state.z_half.tobytes() == spectra[1].tobytes()
+        assert state.u.tobytes() == field.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_field_is_a_new_array_on_each_read(self, n):
+        grid, params, pairs = two_steps(n)
+        old, new = pairs[1]
+        batch = solver._interpolate(old, new, 0.3, [old.t + 0.1, new.t],
+                                    params, grid)
+        for state in (new, batch):
+            first, second = state.u, state.u
+            assert first.tobytes() == second.tobytes()
+            assert not np.shares_memory(first, second)
+            # norms() takes its magnitudes in place only on a field of
+            # its own
+            spectra = [(x, x.copy()) for x in (state.u_half, state.z_half)
+                       if x is not None]
+            norms(grid, state, 1.0)
+            for x, before in spectra:
+                assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_cold_2d_run_peaks_below_four_states(self, N):
+        # no state keeps a physical field: a step holds its old and new
+        # states, the workspace, one step-table entry and the half symbol
+        grid = GridSpec(n=2, N=N, L=10.0)
+        params = SystemParams(n=2, sigma=1.0, k=2, p=(3.0, 4.0))
+        one_state = 16 * (2 * 2 * N * (N // 2 + 1)
+                          + 2 * math.prod(grid.block_shape))
+        np.fft.irfft  # numpy imports np.fft on first use, not the run
+        solver._workspace.cache_clear()
+        solver._half_symbol.cache_clear()
+        tracemalloc.start()
+        try:
+            res = run(params, grid, gaussian_data(0.3), t_end=2.0, dt=0.1,
+                      outputs=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.steps == 20 and not res.blown_up
+        assert peak <= 4.0 * one_state
 
     def test_one_grid_held(self):
         solver._workspace.cache_clear()
@@ -1957,14 +2038,14 @@ def forcing_one(mag, p, row, grid, ws):
     solver._block(spec, grid, out=row)
 
 
-def per_component_nonlinearity_hat(u_phys, params, grid):
+def per_component_nonlinearity_hat(u_half, params, grid):
     ws = one_component_buffers(grid)
-    k = len(u_phys)
+    k = len(u_half)
     out = np.empty((k,) + grid.block_shape, complex)
     for ell in range(k):
         nxt = (ell + 1) % k
-        forcing_one(np.abs(u_phys[ell], out=ws.mag), params.p[nxt],
-                    out[nxt], grid, ws)
+        mag = np.abs(irfftn_one(u_half[ell], grid, ws), out=ws.mag)
+        forcing_one(mag, params.p[nxt], out[nxt], grid, ws)
     return out
 
 
@@ -1985,7 +2066,8 @@ def per_component_step(state, dt, params, grid, *, linear_only=False):
     if not linear_only:
         Nh_old = state.nl_half
         if Nh_old is None:
-            Nh_old = per_component_nonlinearity_hat(state.u, params, grid)
+            Nh_old = per_component_nonlinearity_hat(state.u_half, params,
+                                                    grid)
         Nh_new = np.empty_like(Nh_old)
     sup = np.empty(k)
     for ell, u in enumerate(u_half):
@@ -2050,7 +2132,7 @@ class TestPasses:
             for linear_only in (False, True):
                 kw = dict(linear_only=linear_only)
                 # the first step evaluates its old forcing from the
-                # state's field, the second carries it
+                # state's spectra, the second carries it
                 first = step(start, h, params, grid, **kw)
                 assert_same_state(
                     first, per_component_step(start, h, params, grid, **kw))
