@@ -10,7 +10,6 @@ name every option and tolerance it reads and type each one.
 from __future__ import annotations
 
 import copy
-import hashlib
 import inspect
 import json
 import sys
@@ -22,6 +21,14 @@ from .exponents import SystemParams
 from .harness import convergence_study, decay_experiment, lifespan_sweep
 from .solver import ComponentData, GridSpec, InitialData, run
 from .testfunc import verify_eta_condition
+
+# CPython's own SHA-256 (the digest hashlib gives), imported without
+# hashlib, whose OpenSSL backend maps libcrypto into the process: about
+# 3.5 MiB resident and 5 ms of import, to hash one short config echo
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 
 def _keyword_defaults(fn, *names, **renamed) -> dict:
@@ -166,7 +173,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def config_hash(config: ExperimentConfig) -> str:
     canonical = json.dumps(config_to_dict(config), sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _parse_value(text: str):
@@ -246,6 +253,8 @@ def _check_keys(doc: dict, kind: str):
                 raise ValueError(
                     f"{section}.{key} = {value!r} does not match the "
                     f"type of its default {known[key]!r}")
+            if value == []:
+                raise ValueError(f"{section}.{key} must not be empty")
             if section == "tolerances" and not np.isfinite(value):
                 raise ValueError(
                     f"tolerances.{key} must be finite, got {value!r}")

@@ -1,6 +1,7 @@
 """Config round-trip, file emission, and end-to-end CLI exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import resource
@@ -24,6 +25,7 @@ from sevolab.config import (
     config_from_dict,
     config_hash,
     config_to_dict,
+    resolve,
 )
 from sevolab.exponents import SystemParams
 from sevolab.harness import FitResult, LifespanSweep, decay_experiment
@@ -108,6 +110,24 @@ class TestConfig:
             config_to_dict(config),
             [f"options.t_end={config.options['t_end'] + 1.0}"]))
         assert config_hash(bumped) != h
+
+    @pytest.mark.parametrize("kind", CONFIG_KINDS)
+    def test_hash_is_hashlib_sha256_of_the_canonical_json(self, kind):
+        config = resolve(kind, {})
+        canonical = json.dumps(config_to_dict(config), sort_keys=True,
+                               separators=(",", ":"))
+        assert config_hash(config) == \
+            hashlib.sha256(canonical.encode()).hexdigest()
+
+    # out=None names the default directory out/decay-329c70f1d0ae
+    @pytest.mark.parametrize("out,digest", [
+        (None,
+         "329c70f1d0ae13d2d8bc8c9a4f535fecfe10fa2d24120f798a20db501a8924f4"),
+        ("out",
+         "645643fd94950be3af8f19f4dc96d0dc45f71fa077f4244cb7a7fefd6771a838"),
+    ])
+    def test_default_decay_hash_is_pinned(self, out, digest):
+        assert config_hash(resolve("decay", {}, out=out)) == digest
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="unknown experiment kind"):
@@ -790,6 +810,20 @@ class TestCliKeys:
     def test_wrong_type_is_usage_error(self, cmd, section, key, capsys):
         assert cli_main([cmd, "--set", f'{section}.{key}={{"a": 1}}']) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd,section,key", [
+        (cmd, section, key) for cmd, section, key in SETTABLE
+        if isinstance(DEFAULTS[KINDS[cmd]][section][key], list)])
+    def test_empty_list_is_usage_error(self, cmd, section, key, tmp_path,
+                                       capsys):
+        out = tmp_path / "out"
+        assert cli_main([cmd, "--set", f"{section}.{key}=[]",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (f"usage error: {section}.{key} must not be empty"
+                in captured.err)
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("value", ["64.0", "true", "abc", "[64]"])
     def test_wrong_scalar_type_is_usage_error(self, value, capsys):

@@ -1,7 +1,8 @@
-"""What importing the package and its exponent calculus loads, each
-checked in a fresh interpreter: the package root loads no submodule,
-and the closed-form exponent calculus needs neither numpy nor the
-solver."""
+"""What importing the package, its exponent calculus and its command
+line loads, each checked in a fresh interpreter: the package root loads
+no submodule, the closed-form exponent calculus needs neither numpy nor
+the solver, and the command line leaves out hashlib, whose OpenSSL
+backend maps libcrypto into every run."""
 
 import json
 import os
@@ -34,3 +35,7 @@ def test_the_exponent_calculus_loads_neither_numpy_nor_the_solver():
     assert {m for m in new if m.startswith("sevolab")} == \
         {"sevolab", "sevolab.errors", "sevolab.exponents"}
     assert not {m for m in new if m.split(".")[0] == "numpy"}
+
+
+def test_the_command_line_loads_no_hashlib():
+    assert not loaded("sevolab.cli") & {"hashlib", "_hashlib"}
